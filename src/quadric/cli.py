@@ -124,10 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify" and args.target == "ambient":
             report = suites.verify_ambient(args.m, tol=args.tol, seed=args.seed)
         elif args.command == "verify" and args.target == "tube":
-            from .models import build_tube
-
-            build_tube(args.k, args.r, non_vanishing=args.non_vanishing)
-            report = suites.verify_tube(args.k, args.r, tol=args.tol, seed=args.seed)
+            report = suites.verify_tube(
+                args.k, args.r, tol=args.tol, seed=args.seed, non_vanishing=args.non_vanishing
+            )
         elif args.command == "scan" and args.target == "tube":
             report = suites.scan_tube(
                 args.k, args.r_min, args.r_max, args.steps, tol=args.tol, seed=args.seed

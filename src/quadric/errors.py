@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input guard."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class QuadricError(Exception):
@@ -30,8 +32,8 @@ class AsymmetryError(QuadricError):
         super().__init__(message or f"operator not self-adjoint (defect {self.defect:.3e})")
 
 
-class ConvergenceError(QuadricError):
-    """The iterative eigensolver did not reach the requested tolerance."""
+class NonFiniteError(QuadricError):
+    """Input data has a NaN or infinite entry."""
 
 
 class HopfRequiredError(QuadricError):
@@ -44,3 +46,15 @@ class ExcludedParameterError(QuadricError):
 
 class ModelValidationError(QuadricError):
     """Serialized or constructed data violates a structural invariant."""
+
+
+def _require_finite(**values) -> None:
+    """Raise :class:`NonFiniteError` for the first named value with a NaN or inf entry.
+
+    ``None`` values (absent optional inputs) are skipped.  Tolerance guards
+    of the form ``abs(x - 1) > tol`` are False for NaN, so every boundary
+    that accepts outside data calls this first.
+    """
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"{name} has non-finite entries")

@@ -40,6 +40,7 @@ from .errors import (
     ModelValidationError,
     NonTangentError,
     NormalizationError,
+    _require_finite,
 )
 from .tangent import TangentModel, UNIT_TOL, adapted_conjugation, build_tangent_model
 
@@ -178,14 +179,16 @@ def induce_from_normal(
     the tangent hyperplane and the fact recorded as a warning.
 
     Raises:
+        NonFiniteError: if any input has a NaN or infinite entry.
         NormalizationError: if ``N`` is not unit length.
         AsymmetryError: if ``S`` is not self-adjoint on the tangent hyperplane.
     """
     N = np.asarray(N, dtype=float).copy()
+    S = np.asarray(S, dtype=float)
+    _require_finite(normal=N, shape_operator=S, q_xi=q_xi, dalpha=dalpha, xi_alpha=xi_alpha)
     nrm = float(np.linalg.norm(N))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NormalizationError(f"normal not unit (|N| = {nrm:.12g})")
-    S = np.asarray(S, dtype=float)
     if S.shape != (model.dim, model.dim):
         raise ModelValidationError(f"shape operator must be {model.dim}x{model.dim}, got {S.shape}")
 
@@ -687,13 +690,18 @@ def from_dict(payload: dict) -> HypersurfaceData:
     Raises:
         ModelValidationError: on malformed payloads, a non-unit normal, or a
             Reeb-curvature mismatch.
+        NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
     try:
         m = int(payload["m"])
         N = np.asarray(payload["N"], dtype=float)
         S = np.asarray(payload["S"], dtype=float)
+        scalars = {
+            key: float(payload[key]) for key in ("alpha", "q_xi") if payload.get(key) is not None
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError(f"malformed hypersurface payload: {exc}") from exc
+    _require_finite(N=N, S=S, **scalars)
 
     model = build_tangent_model(m)
     if N.shape != (model.dim,):
@@ -704,10 +712,9 @@ def from_dict(payload: dict) -> HypersurfaceData:
     if abs(nrm - 1.0) > UNIT_TOL:
         raise ModelValidationError(f"normal not unit (|N| = {nrm:.12g})")
 
-    q_xi = payload.get("q_xi")
-    h = induce_from_normal(model, N, S, q_xi=None if q_xi is None else float(q_xi))
-    if "alpha" in payload:
-        declared = float(payload["alpha"])
+    h = induce_from_normal(model, N, S, q_xi=scalars.get("q_xi"))
+    if "alpha" in scalars:
+        declared = scalars["alpha"]
         if abs(declared - h.alpha) > 1e-8 * max(1.0, abs(h.alpha)):
             raise ModelValidationError(
                 f"stored Reeb curvature {declared:.12g} does not match recomputed {h.alpha:.12g}"

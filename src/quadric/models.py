@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
 from .hypersurface import HypersurfaceData, induce_from_normal, structure_jacobi
-from .spectra import SpectrumReport, sym_eigen
+from .spectra import CLUSTER_WIDTH_FACTOR, DEFAULT_TOL, SpectrumReport, sym_eigen
 from .tangent import TangentModel, build_tangent_model
 
 #: Half-width of the radius window excluded around pi/4 in grid scans.
@@ -61,9 +61,32 @@ def tube_reeb_curvature(r: float) -> float:
     return 2.0 * math.cos(2.0 * r) / math.sin(2.0 * r)
 
 
+def _merge_coinciding(template: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Sort a ``(value, multiplicity)`` template and merge values that coincide.
+
+    Values are merged exactly as :func:`~quadric.spectra.sym_eigen` clusters
+    the eigenvalues of an operator of that size: consecutive values closer
+    than the cluster width share one entry, the multiplicity-weighted mean.
+    At ``r = pi/4``, ``2 cot(2r)`` meets ``0`` and ``tan(r)^2`` meets
+    ``cot(r)^2`` up to rounding.
+    """
+    template = sorted(template)
+    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, max(abs(v) for v, _ in template))
+    merged: list[tuple[float, int]] = []
+    previous = -math.inf
+    for value, mult in template:
+        if value - previous <= width:
+            mean, count = merged[-1]
+            merged[-1] = (mean + (value - mean) * mult / (count + mult), count + mult)
+        else:
+            merged.append((value, mult))
+        previous = value
+    return merged
+
+
 def tube_shape_template(k: int, r: float) -> list[tuple[float, int]]:
     """Principal curvatures of the tube with multiplicities, ascending."""
-    return sorted(
+    return _merge_coinciding(
         [
             (tube_reeb_curvature(r), 1),
             (0.0, 2),
@@ -80,7 +103,7 @@ def tube_jacobi_template(k: int, r: float) -> list[tuple[float, int]]:
     ``1 + alpha lambda`` on each curvature-``lambda`` block and zero on
     ``xi``, ``A xi`` and ``A N``.
     """
-    return sorted(
+    return _merge_coinciding(
         [
             (0.0, 3),
             (math.tan(r) ** 2, 2 * k - 2),

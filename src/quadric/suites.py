@@ -133,8 +133,8 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     return CheckReport(command="verify ambient", params=params, checks=checks, seed=seed)
 
 
-def _tube_point_checks(k: int, r: float, tol: float) -> list[Check]:
-    tube = build_tube(k, r)
+def _tube_point_checks(k: int, r: float, tol: float, non_vanishing: bool = True) -> list[Check]:
+    tube = build_tube(k, r, non_vanishing=non_vanishing)
     h = tube.h
     checks = [
         Check("hopf", float(np.linalg.norm(h.S @ h.xi - h.alpha * h.xi)), 1e-12),
@@ -163,9 +163,15 @@ def _tube_point_checks(k: int, r: float, tol: float) -> list[Check]:
     return checks
 
 
-def verify_tube(k: int, r: float, tol: float = 1e-11, seed: int = 7) -> CheckReport:
-    """Identity suite on a single tube."""
-    checks = _tube_point_checks(k, r, tol)
+def verify_tube(
+    k: int, r: float, tol: float = 1e-11, seed: int = 7, non_vanishing: bool = True
+) -> CheckReport:
+    """Identity suite on a single tube.
+
+    ``non_vanishing`` is passed to :func:`~quadric.models.build_tube`; clear it
+    to admit the radius ``pi/4`` with vanishing Reeb curvature.
+    """
+    checks = _tube_point_checks(k, r, tol, non_vanishing)
     return CheckReport(
         command="verify tube", params={"k": k, "r": r, "tol": tol}, checks=checks, seed=seed
     )

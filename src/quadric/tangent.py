@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NormalizationError
+from .errors import InvalidDimensionError, NormalizationError, _require_finite
 
 #: Largest supported complex dimension; keeps every suite at desk scale.
 MAX_COMPLEX_DIM = 64
@@ -163,9 +163,11 @@ def canonical_angle(model: TangentModel, U: np.ndarray, eps: float = ANGLE_EPS) 
     ``t = pi/4`` an isotropic one.
 
     Raises:
+        NonFiniteError: if ``U`` has a NaN or infinite entry.
         NormalizationError: if ``U`` is not unit length.
     """
     U = np.asarray(U, dtype=float)
+    _require_finite(direction=U)
     nrm = float(np.linalg.norm(U))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NormalizationError(f"direction must be unit length (|U| = {nrm:.12g})")

@@ -66,6 +66,13 @@ class TestVerifyCommands:
         assert code == 2
         assert "0.785" in err
 
+    def test_verify_tube_quarter_pi_admitted_by_flag(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "tube", "--k", "3", "--r", repr(math.pi / 4.0), "--no-non-vanishing"
+        )
+        assert code == 0
+        assert json.loads(out)["summary"]["failed"] == 0
+
     def test_scan_tube_skips_exclusion_window(self, capsys):
         code, out, _ = run(
             capsys, "scan", "tube", "--k", "3", "--r-min", "0.1", "--r-max", "1.5",
@@ -133,6 +140,22 @@ class TestClassifyCommand:
         code, _, err = run(capsys, "classify", str(path))
         assert code == 2
         assert "normal not unit" in err
+
+    @pytest.mark.parametrize("command", ["classify", "spectrum"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["N", "S"])
+    def test_non_finite_payload_exits_two(self, capsys, tmp_path, command, field, bad):
+        def mutate(payload):
+            if field == "N":
+                payload["N"][0] = bad
+            else:
+                payload["S"][3][4] = bad
+
+        path = write_tube_payload(tmp_path / "nonfinite.json", mutate=mutate)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

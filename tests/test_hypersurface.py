@@ -12,6 +12,7 @@ from quadric import (
     AsymmetryError,
     HopfRequiredError,
     ModelValidationError,
+    NonFiniteError,
     NonTangentError,
     NormalizationError,
 )
@@ -74,6 +75,15 @@ class TestInduceFromNormal:
         model = q.build_tangent_model(3)
         with pytest.raises(NormalizationError):
             q.induce_from_normal(model, 1.5 * model.zvec(1), np.zeros((6, 6)))
+
+    def test_non_finite_inputs_rejected(self):
+        model = q.build_tangent_model(3)
+        S = np.zeros((6, 6))
+        S[2, 3] = S[3, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            q.induce_from_normal(model, model.zvec(1), S)
+        with pytest.raises(NonFiniteError):
+            q.induce_from_normal(model, model.zvec(1), np.zeros((6, 6)), q_xi=np.inf)
 
     def test_shape_auto_projection_warns(self):
         model = q.build_tangent_model(3)

@@ -130,6 +130,12 @@ class TestTubeJacobiSpectrum:
         assert rep.multiplicities == (3, 8)
         assert rep.distinct[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.distinct[1] == pytest.approx(1.0, abs=1e-12)
+        # The template merges tan^2 = cot^2 = 1 into one entry, as the solver does.
+        ok, _ = q.match_spectrum(rep, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
+        assert ok
+        shape = q.sym_eigen(q.restrict_to_frame(tube.h.S, tube.h.frame))
+        ok, _ = q.match_spectrum(shape, q.tube_shape_template(3, math.pi / 4.0), rel_tol=1e-10)
+        assert ok
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_kernel_multiplicity_exactly_three(self, k):

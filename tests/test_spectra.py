@@ -1,10 +1,11 @@
-"""Eigensolver: exact cases, an independent characteristic-polynomial oracle, errors."""
+"""Eigensolver: exact cases, an independent characteristic-polynomial oracle, the
+solver-independent certificate, errors."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quadric import AsymmetryError, match_spectrum, sym_eigen
+from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen
 from quadric.spectra import cluster_eigenvalues
 
 
@@ -57,6 +58,26 @@ class TestSymEigen:
             sym_eigen(a)
         assert excinfo.value.defect == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(NonFiniteError):
+            sym_eigen(a)
+
+    def test_certificate_on_dense_and_clustered_inputs(self):
+        """Reconstruction and orthogonality residuals certify the eigenpairs."""
+        rng = np.random.default_rng(128)
+        raw = rng.standard_normal((128, 128))
+        dense = 0.5 * (raw + raw.T)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        clustered = q @ np.diag([-2.0, 0.5, 0.5, 0.5, 1.0, 3.0, 3.5, 4.0, 7.0, 9.0]) @ q.T
+        for a in (dense, 0.5 * (clustered + clustered.T)):
+            rep = sym_eigen(a)
+            assert rep.reconstruction_residual <= 1e-10
+            assert rep.orthogonality_residual <= 1e-10
+        assert rep.multiplicities == (1, 3, 1, 1, 1, 1, 1, 1)
+
     def test_large_scale_matrix(self):
         """Entries of the size the radius grid actually produces."""
         rng = np.random.default_rng(1)
@@ -64,6 +85,16 @@ class TestSymEigen:
         a = q @ np.diag(np.repeat([400.0, 0.0, -20.0], 5)) @ q.T
         rep = sym_eigen(0.5 * (a + a.T), tol=1e-12)
         assert rep.multiplicities == (5, 5, 5)
+
+    def test_cluster_width_scales_with_norm(self):
+        """Eigenvalues of size 1e6 carry rounding errors far above the tolerance."""
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        a = q @ np.diag(np.repeat([1e6, 2e6, -1.0], 3)) @ q.T
+        rep = sym_eigen(0.5 * (a + a.T), tol=1e-12)
+        assert rep.multiplicities == (3, 3, 3)
+        # backward stable: each eigenvalue is off by a small multiple of eps * ||op||_2
+        npt.assert_allclose(rep.distinct, [-1.0, 1e6, 2e6], rtol=0, atol=1e-14 * 2e6)
 
 
 class TestClustering:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from quadric import (
     InvalidDimensionError,
+    NonFiniteError,
     NormalizationError,
     ambient_curvature,
     ambient_jacobi,
@@ -140,6 +141,12 @@ class TestCanonicalAngle:
         model = build_tangent_model(3)
         with pytest.raises(NormalizationError):
             canonical_angle(model, 2.0 * model.zvec(1))
+
+    def test_non_finite_rejected(self):
+        """An all-NaN vector passes the unit-norm guard, so it is refused first."""
+        model = build_tangent_model(3)
+        with pytest.raises(NonFiniteError):
+            canonical_angle(model, np.full(6, np.nan))
 
 
 # ---------------------------------------------------------------------------
