@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
+    _frame_max_norm,
     reeb_covariant_derivative,
     reeb_parallel_residual,
     reeb_shape_derivative,
@@ -120,33 +121,29 @@ def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> C
     A = cand.conj_c
     C = cand.complex_subbundle_frame()
 
-    def frame_max(M: np.ndarray) -> float:
-        return float(np.max(np.linalg.norm(M @ C, axis=0)))
-
     G = reeb_shape_derivative(h)
     full = reeb_covariant_derivative(h)
     reduced = _principal_reduction_matrix(h)
     phi_A = phi @ A
     e_a, e_b = affine_pair_matrices(alpha, S, A)
 
-    residuals = {
-        "reeb_reduction": frame_max(full - reduced),
-        "shape_derivative": frame_max(G - 2.0 * phi_A),
-        "first_combination": frame_max(alpha * (phi @ S) - S @ phi @ S + phi - 3.0 * phi_A),
-        "hopf_identity": frame_max(
-            2.0 * (S @ phi @ S) - alpha * (S @ phi + phi @ S) - 2.0 * phi
-        ),
-        "commutator": frame_max(alpha * (phi @ S - S @ phi) - 6.0 * phi_A),
-        "sandwich": frame_max(
+    operators = {
+        "reeb_reduction": full - reduced,
+        "shape_derivative": G - 2.0 * phi_A,
+        "first_combination": alpha * (phi @ S) - S @ phi @ S + phi - 3.0 * phi_A,
+        "hopf_identity": 2.0 * (S @ phi @ S) - alpha * (S @ phi + phi @ S) - 2.0 * phi,
+        "commutator": alpha * (phi @ S - S @ phi) - 6.0 * phi_A,
+        "sandwich": (
             alpha**2 * (phi @ S @ phi)
             + 2.0 * alpha * (S @ S)
             - alpha**2 * S
             - 2.0 * alpha * np.eye(h.model.dim) @ h.projector
             - 12.0 * S
         ),
-        "affine_a": frame_max(e_a),
-        "affine_b": frame_max(e_b),
+        "affine_a": e_a,
+        "affine_b": e_b,
     }
+    residuals = {name: _frame_max_norm(M, C) for name, M in operators.items()}
 
     A_c = restrict_to_frame(A, C)
     defect = float(np.linalg.norm(A_c - np.eye(A_c.shape[0])))

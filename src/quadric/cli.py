@@ -21,7 +21,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import QuadricError
+from .hypersurface import from_dict
 from .report import CheckReport, report_to_json
 from . import suites
 
@@ -121,35 +124,42 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "verify" and args.target == "ambient":
-            report = suites.verify_ambient(args.m, tol=args.tol, seed=args.seed)
-        elif args.command == "verify" and args.target == "tube":
-            report = suites.verify_tube(
-                args.k, args.r, tol=args.tol, seed=args.seed, non_vanishing=args.non_vanishing
-            )
-        elif args.command == "scan" and args.target == "tube":
-            report = suites.scan_tube(
-                args.k, args.r_min, args.r_max, args.steps, tol=args.tol, seed=args.seed
-            )
-        elif args.command == "nonexistence":
-            report = suites.nonexistence(args.m, samples=args.alpha_samples, seed=args.seed)
-        elif args.command == "classify":
-            payload = _load_payload(args.input)
-            h = suites.load_hypersurface(payload)
-            report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
-            print(verdict_line)
-            _emit(report, args.json)
-            verdict = report.params["verdict"]
-            return EXIT_OK if verdict in ("tube", "nonexistent") else EXIT_FAILED
-        elif args.command == "spectrum":
-            payload = _load_payload(args.input)
-            h = suites.load_hypersurface(payload)
-            report = suites.spectrum_report(h, seed=args.seed)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
-            return EXIT_USAGE
+        # Finite input can still overflow (a shape operator with entries of
+        # order 1e200, say); that is refused like a non-finite entry, not
+        # carried into the residuals as inf or nan.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "verify" and args.target == "ambient":
+                report = suites.verify_ambient(args.m, tol=args.tol, seed=args.seed)
+            elif args.command == "verify" and args.target == "tube":
+                report = suites.verify_tube(
+                    args.k, args.r, tol=args.tol, seed=args.seed, non_vanishing=args.non_vanishing
+                )
+            elif args.command == "scan" and args.target == "tube":
+                report = suites.scan_tube(
+                    args.k, args.r_min, args.r_max, args.steps, tol=args.tol, seed=args.seed
+                )
+            elif args.command == "nonexistence":
+                report = suites.nonexistence(args.m, samples=args.alpha_samples, seed=args.seed)
+            elif args.command == "classify":
+                payload = _load_payload(args.input)
+                h = from_dict(payload)
+                report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
+                print(verdict_line)
+                _emit(report, args.json)
+                verdict = report.params["verdict"]
+                return EXIT_OK if verdict in ("tube", "nonexistent") else EXIT_FAILED
+            elif args.command == "spectrum":
+                payload = _load_payload(args.input)
+                h = from_dict(payload)
+                report = suites.spectrum_report(h, seed=args.seed)
+            else:  # pragma: no cover - argparse enforces the choices
+                parser.error(f"unknown command {args.command!r}")
+                return EXIT_USAGE
     except QuadricError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: {exc} (input outside the floating-point range)", file=sys.stderr)
         return EXIT_USAGE
 
     _emit(report, args.json)

@@ -42,7 +42,14 @@ from .errors import (
     NormalizationError,
     _require_finite,
 )
-from .tangent import TangentModel, UNIT_TOL, adapted_conjugation, build_tangent_model
+from .tangent import (
+    TangentModel,
+    UNIT_TOL,
+    _as_columns,
+    _col_dot,
+    adapted_conjugation,
+    build_tangent_model,
+)
 
 #: Default tolerance for identity residuals (a few hundred flops per term).
 IDENTITY_TOL = 1e-11
@@ -69,9 +76,9 @@ class ConjugationSplit:
     A_N: np.ndarray
     g_axixi: float
 
-    def rho(self, X: np.ndarray) -> float:
-        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``."""
-        return float(np.asarray(X) @ self.A_N)
+    def rho(self, X: np.ndarray) -> float | np.ndarray:
+        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per column."""
+        return self.A_N @ np.asarray(X, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -116,20 +123,33 @@ class HypersurfaceData:
     def tangent_dim(self) -> int:
         return self.model.dim - 1
 
-    def eta(self, X: np.ndarray) -> float:
-        """Contact form ``eta(X) = g(X, xi)``."""
-        return float(np.asarray(X) @ self.xi)
+    def eta(self, X: np.ndarray) -> float | np.ndarray:
+        """Contact form ``eta(X) = g(X, xi)``, one value per column."""
+        return self.xi @ np.asarray(X, dtype=float)
 
     def is_tangent(self, X: np.ndarray, tol: float = UNIT_TOL) -> bool:
+        """Whether ``X``, or every column of an ``(n, k)`` stack, is tangent.
+
+        A column passes when ``|g(X, N)| <= tol * max(1, |X|)``.
+        """
         X = np.asarray(X, dtype=float)
-        return abs(float(X @ self.N)) <= tol * max(1.0, float(np.linalg.norm(X)))
+        bound = tol * np.maximum(1.0, np.linalg.norm(X, axis=0))
+        return bool(np.all(np.abs(self.N @ X) <= bound))
 
     def require_tangent(self, *vectors: np.ndarray) -> None:
+        """Check every vector, and every column of every stack, for tangency.
+
+        Raises:
+            NonFiniteError: if an input has a NaN or infinite entry.
+            NonTangentError: if a vector or column has a normal component.
+        """
         for X in vectors:
+            X = np.asarray(X, dtype=float)
+            _require_finite(vector=X)
             if not self.is_tangent(X):
-                raise NonTangentError(
-                    f"vector has a normal component (g(X, N) = {float(np.asarray(X) @ self.N):.3e})"
-                )
+                normal = np.atleast_1d(self.N @ X)
+                worst = float(normal[np.argmax(np.abs(normal))])
+                raise NonTangentError(f"vector has a normal component (g(X, N) = {worst:.3e})")
 
     def with_gauge(self, q_xi: float) -> "HypersurfaceData":
         """Copy with a different gauge scalar ``q(xi)``."""
@@ -277,30 +297,37 @@ def induced_curvature(
                   + g(JAY,Z) phi B X - g(JAY,Z) rho(X) xi
                   - g(JAX,Z) phi B Y + g(JAX,Z) rho(Y) xi
                   + g(SY,Z) S X - g(SX,Z) S Y.
+
+    Each argument is a tangent vector ``(n,)`` or a stack of tangent columns
+    ``(n, k)``; a stack evaluates the tensor column by column (a vector pairs
+    with every column) and returns ``(n, k)``.  All-vector input returns a
+    vector.
     """
     h.require_tangent(X, Y, Z)
+    (X, Y, Z), batched = _as_columns(X, Y, Z)
     J, A = h.model.J, h.conj
-    phi, B, S, xi = h.phi, h.split.B, h.S, h.xi
-    rho_X, rho_Y = h.split.rho(X), h.split.rho(Y)
+    phi, B, S = h.phi, h.split.B, h.S
     JX, JY = J @ X, J @ Y
     AX, AY = A @ X, A @ Y
     JAX, JAY = J @ AX, J @ AY
+    BX, BY = B @ X, B @ Y
     SX, SY = S @ X, S @ Y
-    return (
-        (Y @ Z) * X
-        - (X @ Z) * Y
-        + (JY @ Z) * (phi @ X)
-        - (JX @ Z) * (phi @ Y)
-        - 2.0 * (JX @ Y) * (phi @ Z)
-        + (AY @ Z) * (B @ X)
-        - (AX @ Z) * (B @ Y)
-        + (JAY @ Z) * (phi @ (B @ X))
-        - (JAY @ Z) * rho_X * xi
-        - (JAX @ Z) * (phi @ (B @ Y))
-        + (JAX @ Z) * rho_Y * xi
-        + (SY @ Z) * SX
-        - (SX @ Z) * SY
+    g_JAX_Z, g_JAY_Z = _col_dot(JAX, Z), _col_dot(JAY, Z)
+    R = (
+        _col_dot(Y, Z) * X
+        - _col_dot(X, Z) * Y
+        + _col_dot(JY, Z) * (phi @ X)
+        - _col_dot(JX, Z) * (phi @ Y)
+        - 2.0 * _col_dot(JX, Y) * (phi @ Z)
+        + _col_dot(AY, Z) * BX
+        - _col_dot(AX, Z) * BY
+        + g_JAY_Z * (phi @ BX)
+        - g_JAX_Z * (phi @ BY)
+        + np.outer(h.xi, g_JAX_Z * h.split.rho(Y) - g_JAY_Z * h.split.rho(X))
+        + _col_dot(SY, Z) * SX
+        - _col_dot(SX, Z) * SY
     )
+    return R if batched else R[:, 0]
 
 
 def ricci(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
@@ -308,36 +335,41 @@ def ricci(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
 
         Ric X = (2m-1) X - 3 eta(X) xi + g(A xi, xi) B X - g(A X, N) phi A xi
                 + g(A X, xi) A xi + tr(S) S X - S^2 X.
+
+    ``X`` is a vector ``(n,)`` or a stack of tangent columns ``(n, k)``, and
+    the result has the same shape.
     """
     h.require_tangent(X)
+    (X,), batched = _as_columns(X)
     m = h.model.m
-    c = h.split.g_axixi
     A_xi = h.split.A_xi
-    phi_A_xi = h.phi @ A_xi
     SX = h.S @ X
-    return (
+    R = (
         (2 * m - 1) * X
-        - 3.0 * h.eta(X) * h.xi
-        + c * (h.split.B @ X)
-        - h.split.rho(X) * phi_A_xi
-        + float(X @ A_xi) * A_xi
+        - 3.0 * np.outer(h.xi, h.eta(X))
+        + h.split.g_axixi * (h.split.B @ X)
+        - np.outer(h.phi @ A_xi, h.split.rho(X))
+        + np.outer(A_xi, A_xi @ X)
         + float(np.trace(h.S)) * SX
         - h.S @ SX
     )
+    return R if batched else R[:, 0]
 
 
 def ricci_contraction(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
     """Ricci by direct contraction ``sum_i R(X, e_i) e_i`` over a tangent frame.
 
     Independent route kept deliberately separate from :func:`ricci`; the two
-    must agree for consistent data.
+    must agree for consistent data.  ``X`` is one tangent vector; the frame
+    is contracted in one call of :func:`induced_curvature` on its columns.
+
+    Raises:
+        ValueError: if ``X`` is not a single vector.
     """
-    h.require_tangent(X)
-    total = np.zeros(h.model.dim)
-    for i in range(h.frame.shape[1]):
-        e = h.frame[:, i]
-        total += induced_curvature(h, X, e, e)
-    return total
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 1:
+        raise ValueError(f"ricci_contraction takes one vector, got shape {X.shape}")
+    return induced_curvature(h, X, h.frame, h.frame).sum(axis=1)
 
 
 def codazzi_rhs(h: HypersurfaceData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -584,9 +616,9 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
 # Residual gauges
 # ---------------------------------------------------------------------------
 
-def _frame_max_norm(h: HypersurfaceData, M: np.ndarray) -> float:
-    """Largest image norm of ``M`` over the orthonormal tangent frame."""
-    return float(np.max(np.linalg.norm(M @ h.frame, axis=0)))
+def _frame_max_norm(M: np.ndarray, frame: np.ndarray) -> float:
+    """Largest image norm of ``M`` over the columns of an orthonormal frame."""
+    return float(np.max(np.linalg.norm(M @ frame, axis=0)))
 
 
 def reeb_parallel_residual(h: HypersurfaceData) -> float:
@@ -595,7 +627,7 @@ def reeb_parallel_residual(h: HypersurfaceData) -> float:
     ``max_i | (nabla_xi R_xi) Y_i |`` over the orthonormal tangent frame.
     Zero characterizes a Reeb-parallel structure Jacobi operator.
     """
-    return _frame_max_norm(h, reeb_covariant_derivative(h))
+    return _frame_max_norm(reeb_covariant_derivative(h), h.frame)
 
 
 def shape_commutator_scale(h: HypersurfaceData) -> float:
@@ -604,12 +636,12 @@ def shape_commutator_scale(h: HypersurfaceData) -> float:
     Vanishes exactly when the Reeb flow is isometric.
     """
     comm = h.phi @ h.S - h.S @ h.phi
-    return _frame_max_norm(h, comm)
+    return _frame_max_norm(comm, h.frame)
 
 
 def reeb_shape_residual(h: HypersurfaceData) -> float:
     """``max_i | (nabla_xi S) Y_i |``; zero iff the shape operator is Reeb parallel."""
-    return _frame_max_norm(h, reeb_shape_derivative(h))
+    return _frame_max_norm(reeb_shape_derivative(h), h.frame)
 
 
 def normal_component_residual(h: HypersurfaceData) -> float:
@@ -688,7 +720,8 @@ def from_dict(payload: dict) -> HypersurfaceData:
     checked against the stored value.
 
     Raises:
-        ModelValidationError: on malformed payloads, a non-unit normal, or a
+        ModelValidationError: on malformed payloads (including a non-integer
+            ``m`` and numbers beyond the float range), a non-unit normal, or a
             Reeb-curvature mismatch.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
@@ -699,8 +732,10 @@ def from_dict(payload: dict) -> HypersurfaceData:
         scalars = {
             key: float(payload[key]) for key in ("alpha", "q_xi") if payload.get(key) is not None
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelValidationError(f"malformed hypersurface payload: {exc}") from exc
+    if m != payload["m"]:
+        raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
     _require_finite(N=N, S=S, **scalars)
 
     model = build_tangent_model(m)

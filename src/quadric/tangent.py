@@ -202,6 +202,22 @@ def adapted_conjugation(model: TangentModel, U: np.ndarray) -> tuple[np.ndarray,
     return rotate_conjugation(model, theta), theta
 
 
+def _as_columns(*vectors: np.ndarray) -> tuple[list[np.ndarray], bool]:
+    """Promote ``(n,)`` vectors and ``(n, k)`` column stacks to 2-D arrays.
+
+    A single vector becomes one column ``(n, 1)``, which broadcasts against
+    the ``k`` columns of any stack.  Also returns whether any input was a
+    stack, so callers can hand a 1-D result back for all-vector input.
+    """
+    arrays = [np.asarray(V, dtype=float) for V in vectors]
+    return [a.reshape(a.shape[0], -1) for a in arrays], any(a.ndim == 2 for a in arrays)
+
+
+def _col_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per-column inner products ``g(U_j, V_j)`` of two column stacks."""
+    return (U * V).sum(axis=0)
+
+
 def ambient_curvature(
     model: TangentModel, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> np.ndarray:
@@ -213,22 +229,28 @@ def ambient_curvature(
         R(X,Y)Z = g(Y,Z) X - g(X,Z) Y + g(JY,Z) JX - g(JX,Z) JY
                   - 2 g(JX,Y) JZ + g(AY,Z) AX - g(AX,Z) AY
                   + g(JAY,Z) JAX - g(JAX,Z) JAY.
+
+    Each argument is a vector ``(n,)`` or a column stack ``(n, k)``; a stack
+    evaluates the tensor column by column (a vector pairs with every column)
+    and returns ``(n, k)``.  All-vector input returns a vector.
     """
+    (X, Y, Z), batched = _as_columns(X, Y, Z)
     J, A = model.J, model.A
     JX, JY, JZ = J @ X, J @ Y, J @ Z
     AX, AY = A @ X, A @ Y
     JAX, JAY = J @ AX, J @ AY
-    return (
-        (Y @ Z) * X
-        - (X @ Z) * Y
-        + (JY @ Z) * JX
-        - (JX @ Z) * JY
-        - 2.0 * (JX @ Y) * JZ
-        + (AY @ Z) * AX
-        - (AX @ Z) * AY
-        + (JAY @ Z) * JAX
-        - (JAX @ Z) * JAY
+    R = (
+        _col_dot(Y, Z) * X
+        - _col_dot(X, Z) * Y
+        + _col_dot(JY, Z) * JX
+        - _col_dot(JX, Z) * JY
+        - 2.0 * _col_dot(JX, Y) * JZ
+        + _col_dot(AY, Z) * AX
+        - _col_dot(AX, Z) * AY
+        + _col_dot(JAY, Z) * JAX
+        - _col_dot(JAX, Z) * JAY
     )
+    return R if batched else R[:, 0]
 
 
 def ambient_jacobi(model: TangentModel, U: np.ndarray) -> np.ndarray:
@@ -239,9 +261,11 @@ def ambient_jacobi(model: TangentModel, U: np.ndarray) -> np.ndarray:
     are 0, 1, 4 with multiplicities 3, 2m-4, 1.
 
     Raises:
+        NonFiniteError: if ``U`` has a NaN or infinite entry.
         NormalizationError: if ``U`` is not unit length.
     """
     U = np.asarray(U, dtype=float)
+    _require_finite(direction=U)
     nrm = float(np.linalg.norm(U))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NormalizationError(f"direction must be unit length (|U| = {nrm:.12g})")

@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadric as q
 from quadric.cli import main
 from quadric.report import render_json
-from quadric.suites import dump_hypersurface
 
 
 def run(capsys, *argv):
@@ -20,7 +23,8 @@ def run(capsys, *argv):
 
 def write_tube_payload(path, k=2, r=0.6, mutate=None):
     tube = q.build_tube(k, r, non_vanishing=False)
-    payload = dump_hypersurface(tube.h, family={"family": "T_A", "k": tube.k, "r": tube.r})
+    payload = q.to_dict(tube.h)
+    payload.update({"family": "T_A", "k": tube.k, "r": tube.r})
     if mutate:
         mutate(payload)
     path.write_text(render_json(payload) + "\n", encoding="utf-8")
@@ -40,6 +44,33 @@ class TestVerifyCommands:
         names = {c["name"] for c in report["checks"]}
         assert "jacobi_spectrum[principal]" in names
         assert "jacobi_spectrum[isotropic]" in names
+
+    def test_verify_ambient_check_names_at_m16(self, capsys):
+        """The stacked curvature sampling keeps every check and its name."""
+        code, out, _ = run(capsys, "verify", "ambient", "--m", "16", "--seed", "7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["summary"]["failed"] == 0
+        assert [c["name"] for c in report["checks"]] == [
+            "complex_structure_squares_to_minus_id",
+            "conjugation_is_involution",
+            "conjugation_anti_commutes",
+            "conjugation_trace",
+            "rotated_conjugation_involution[theta=0.3]",
+            "rotated_conjugation_involution[theta=1.0472]",
+            "rotated_conjugation_involution[theta=2]",
+            "curvature_skew_in_last_slots",
+            "curvature_pair_symmetry",
+            "first_bianchi_identity",
+            "jacobi_self_adjoint[principal]",
+            "jacobi_kills_direction[principal]",
+            "jacobi_spectrum[principal]",
+            "jacobi_trace[principal]",
+            "jacobi_self_adjoint[isotropic]",
+            "jacobi_kills_direction[isotropic]",
+            "jacobi_spectrum[isotropic]",
+            "jacobi_trace[isotropic]",
+        ]
 
     def test_verify_ambient_small_m_warns(self, capsys):
         code, out, _ = run(capsys, "verify", "ambient", "--m", "2")
@@ -157,6 +188,39 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error:") and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", math.inf),
+            ("m", 4.5),
+            ("m", "4"),
+            ("N", 10**400),
+            ("S", 1e300),
+            ("q_xi", 1e300),
+        ],
+        ids=["m-inf", "m-4.5", "m-str", "N-bigint", "S-1e300", "q_xi-1e300"],
+    )
+    def test_out_of_range_payload_exits_two(self, capsys, tmp_path, field, value):
+        """Before, an infinite m or an integer beyond the float range raised
+        OverflowError, m = 4.5 and "4" were read as 4, and finite entries
+        that overflow in the arithmetic gave reports built on inf."""
+
+        def mutate(payload):
+            if field == "N":
+                payload["N"][0] = value
+            elif field == "S":
+                payload["S"][1][1] = value
+            else:
+                payload[field] = value
+
+        path = tmp_path / "range.json"
+        payload = _tube_payload()
+        mutate(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"
         path.write_text('{"m": 4, "N": [1,', encoding="utf-8")
@@ -172,6 +236,131 @@ class TestClassifyCommand:
         shape = {tuple(entry) for entry in report["params"]["shape_spectrum"]}
         mults = sorted(m for _, m in shape)
         assert mults == [1, 2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
+# Payload fuzzing
+# ---------------------------------------------------------------------------
+
+def _tube_payload():
+    payload = q.to_dict(q.build_tube(2, 0.6).h)
+    payload.update({"family": "T_A", "k": 2, "r": 0.6})
+    return payload
+
+
+#: Valid payloads to mutate: a tube (classify exits 0) and a perturbed tube
+#: (classify exits 1), both at m = 4.
+BASE_PAYLOADS = (_tube_payload(), q.to_dict(q.perturbed_tube(2, 0.6, np.random.default_rng(2))))
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+any_float = st.floats() | non_finite
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def invalid_payloads(draw):
+    """A valid payload with one defect that must be refused: a non-finite
+    entry, a wrong shape, or a non-unit normal."""
+    payload = copy.deepcopy(draw(st.sampled_from(BASE_PAYLOADS)))
+    N, S = payload["N"], payload["S"]
+    n = len(N)
+    index = st.integers(0, n - 1)
+    defect = draw(st.sampled_from(["non_finite_N", "non_finite_S", "shape", "non_unit"]))
+    if defect == "non_finite_N":
+        N[draw(index)] = draw(non_finite)
+    elif defect == "non_finite_S":
+        S[draw(index)][draw(index)] = draw(non_finite)
+    elif defect == "shape":
+        reshape = draw(
+            st.sampled_from(
+                [
+                    lambda: N.pop(),
+                    lambda: N.append(0.0),
+                    lambda: payload.update(N=[N]),
+                    lambda: S.pop(),
+                    lambda: S[draw(index)].pop(),
+                    lambda: [row.append(0.0) for row in S],
+                    lambda: payload.update(S=[x for row in S for x in row]),
+                    lambda: payload.update(m=draw(st.sampled_from([0, -1, 3, 5, 65, 10**6]))),
+                ]
+            )
+        )
+        reshape()
+    else:
+        scale = draw(st.floats(0.0, 1.0 - 1e-6) | st.floats(1.0 + 1e-6, 1e6))
+        payload["N"] = [scale * x for x in N]
+    return payload
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload, perhaps with S scaled by a power of ten (and the
+    stored Reeb curvature dropped), then up to three arbitrary edits: any
+    float in one entry of N or S, a field replaced by any JSON value or
+    deleted, or the whole payload replaced."""
+    payload = copy.deepcopy(draw(st.sampled_from(BASE_PAYLOADS)))
+    n = len(payload["N"])
+    index = st.integers(0, n - 1)
+    exponent = draw(st.just(0) | st.integers(-320, 308))
+    if exponent:
+        payload["S"] = [[10.0**exponent * x for x in row] for row in payload["S"]]
+        del payload["alpha"]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["entry", "replace", "delete", "whole"]))
+        if edit == "entry" and isinstance(payload, dict) and isinstance(payload.get("S"), list):
+            if draw(st.booleans()) and isinstance(payload.get("N"), list) and len(payload["N"]) == n:
+                payload["N"][draw(index)] = draw(any_float)
+            elif len(payload["S"]) == n and isinstance(payload["S"][0], list):
+                payload["S"][draw(index)][0] = draw(any_float)
+        elif edit in ("replace", "delete") and isinstance(payload, dict):
+            key = draw(st.sampled_from(["m", "N", "S", "alpha", "q_xi", "family"]))
+            if edit == "replace":
+                payload[key] = draw(json_values)
+            else:
+                payload.pop(key, None)
+        elif edit == "whole":
+            payload = draw(json_values)
+    return payload
+
+
+def run_quiet(*argv):
+    """:func:`run` without ``capsys``: hypothesis reruns a test body many times
+    under one function-scoped fixture, so the output is captured here."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def payload_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "payload.json"
+
+
+class TestPayloadFuzz:
+    """Every payload ends in exit 0, 1 or 2 through the CLI, never in an exception."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(payload=mutated_payloads())
+    def test_any_payload_exits_cleanly(self, payload_path, payload):
+        payload_path.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("classify", "spectrum"):
+            code, _, err = run_quiet(command, str(payload_path))
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(payload=invalid_payloads())
+    def test_invalid_payload_exits_two(self, payload_path, payload):
+        payload_path.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("classify", "spectrum"):
+            code, out, err = run_quiet(command, str(payload_path))
+            assert code == 2, (command, err)
+            assert out == "" and err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

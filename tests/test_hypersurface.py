@@ -150,6 +150,51 @@ class TestInducedCurvature:
         with pytest.raises(NonTangentError):
             q.induced_curvature(tube.h, tube.h.N, tube.h.xi, tube.h.xi)
 
+    def test_single_column_matches_vector(self):
+        """A one-column stack runs the vector path: same shape with the axis, same value."""
+        h = random_hopf(seed=14)
+        X, Y, Z = (h.projector @ v for v in np.random.default_rng(15).standard_normal((3, 8)))
+        vec = q.induced_curvature(h, X, Y, Z)
+        col = q.induced_curvature(h, X[:, None], Y[:, None], Z[:, None])
+        assert vec.shape == (8,) and col.shape == (8, 1)
+        npt.assert_allclose(col[:, 0], vec, rtol=0.0, atol=1e-13)
+
+    def test_stack_matches_columns(self):
+        """Column j of a stacked call is the vector call on column j; a vector
+        argument pairs with every column."""
+        h = random_hopf(seed=16)
+        rng = np.random.default_rng(17)
+        X = h.projector @ rng.standard_normal(8)
+        Y, Z = (h.projector @ rng.standard_normal((8, 5)) for _ in range(2))
+        stacked = q.induced_curvature(h, Y, X, Z)
+        assert stacked.shape == (8, 5)
+        for j in range(5):
+            npt.assert_allclose(
+                stacked[:, j], q.induced_curvature(h, Y[:, j], X, Z[:, j]), rtol=0.0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("column", [0, 3, 6])
+    def test_one_normal_column_rejects_the_stack(self, tube, column):
+        """The tangency bound holds per column, so a batch cannot dilute it."""
+        h = tube.h
+        F = h.frame.copy()
+        F[:, column] += 1e-6 * h.N
+        with pytest.raises(NonTangentError):
+            q.induced_curvature(h, h.xi, F, h.frame)
+        with pytest.raises(NonTangentError):
+            q.ricci(h, F)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column_rejected(self, tube, bad):
+        """Before, a NaN column raised NonTangentError("g(X, N) = nan")."""
+        h = tube.h
+        F = h.frame.copy()
+        F[2, 4] = bad
+        with pytest.raises(NonFiniteError):
+            q.induced_curvature(h, h.xi, F, h.frame)
+        with pytest.raises(NonFiniteError):
+            q.ricci(h, F[:, 4])
+
 
 class TestRicci:
     def test_reeb_value_on_tube(self, tube):
@@ -158,6 +203,20 @@ class TestRicci:
         m = h.model.m
         expected = (2 * m - 4 + np.trace(h.S) * h.alpha - h.alpha**2) * h.xi
         npt.assert_allclose(q.ricci(h, h.xi), expected, atol=1e-12)
+
+    def test_stack_matches_columns(self):
+        """ricci on the whole frame equals the per-vector columns."""
+        h = random_hopf(kind="principal", seed=22)
+        F = h.frame
+        stacked = q.ricci(h, F)
+        assert stacked.shape == F.shape
+        for i in range(F.shape[1]):
+            npt.assert_allclose(stacked[:, i], q.ricci(h, F[:, i]), rtol=0.0, atol=1e-13)
+
+    def test_contraction_takes_one_vector(self):
+        h = random_hopf(seed=23)
+        with pytest.raises(ValueError):
+            q.ricci_contraction(h, h.frame)
 
     def test_self_adjoint_on_tangent_space(self):
         h = random_hopf(seed=21)

@@ -196,6 +196,29 @@ class TestAmbientCurvature:
             worst = max(worst, float(np.max(np.abs(cyc))))
         assert worst < 1e-12
 
+    def test_single_column_matches_vector(self):
+        """A one-column stack runs the vector path: same shape with the axis, same value."""
+        model = build_tangent_model(4)
+        X, Y, Z = np.random.default_rng(17).standard_normal((3, model.dim))
+        vec = ambient_curvature(model, X, Y, Z)
+        col = ambient_curvature(model, X[:, None], Y[:, None], Z[:, None])
+        assert vec.shape == (model.dim,) and col.shape == (model.dim, 1)
+        npt.assert_allclose(col[:, 0], vec, rtol=0.0, atol=1e-13)
+
+    def test_stack_matches_columns(self):
+        """Column j of a stacked call is the vector call on column j; a vector
+        argument pairs with every column."""
+        model = build_tangent_model(5)
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal(model.dim)
+        Y, Z = rng.standard_normal((2, model.dim, 7))
+        stacked = ambient_curvature(model, X, Y, Z)
+        assert stacked.shape == (model.dim, 7)
+        for j in range(7):
+            npt.assert_allclose(
+                stacked[:, j], ambient_curvature(model, X, Y[:, j], Z[:, j]), rtol=0.0, atol=1e-13
+            )
+
 
 # ---------------------------------------------------------------------------
 # Ambient Jacobi operator
@@ -243,3 +266,11 @@ class TestAmbientJacobi:
         model = build_tangent_model(3)
         with pytest.raises(NormalizationError):
             ambient_jacobi(model, 0.5 * principal_vector(model))
+
+    def test_non_finite_rejected(self):
+        """A NaN direction passes the unit-norm guard, so it is refused first."""
+        model = build_tangent_model(3)
+        U = principal_vector(model)
+        U[1] = np.nan
+        with pytest.raises(NonFiniteError):
+            ambient_jacobi(model, U)
