@@ -24,6 +24,7 @@ from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
+    _project,
     reeb_covariant_derivative,
     reeb_parallel_residual,
     reeb_shape_derivative,
@@ -100,7 +101,7 @@ def _principal_reduction_matrix(h: HypersurfaceData) -> np.ndarray:
         + h.alpha * G
         - 2.0 * h.alpha * xi_alpha * np.outer(h.xi, h.xi)
     )
-    return M @ h.projector
+    return _project(M, h.N, left=False)
 
 
 def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> ChainReport:
@@ -137,7 +138,7 @@ def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> C
             alpha**2 * (phi @ S @ phi)
             + 2.0 * alpha * (S @ S)
             - alpha**2 * S
-            - 2.0 * alpha * np.eye(h.model.dim) @ h.projector
+            - 2.0 * alpha * h.projector
             - 12.0 * S
         ),
         "affine_a": e_a,

@@ -30,7 +30,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class HypersurfaceData:
         frame: orthonormal tangent basis, one vector per column.
         hopf: whether ``S xi = alpha xi`` holds to tolerance.
         warnings: construction notes (e.g. auto-projected shape operator).
+
+    Derived operators that several checks share (the Reeb derivatives) are
+    computed on first use and kept on the instance, read-only.  The store is
+    not an init field, so the copies made by :meth:`with_gauge` and
+    :meth:`with_dalpha` start empty and compute their own.
     """
 
     model: TangentModel
@@ -118,6 +123,9 @@ class HypersurfaceData:
     frame: np.ndarray
     hopf: bool
     warnings: tuple[str, ...]
+    _derived: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def tangent_dim(self) -> int:
@@ -182,6 +190,27 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _project(M: np.ndarray, N: np.ndarray, left: bool = True) -> np.ndarray:
+    """``P M P`` (or ``M P`` with ``left=False``) for ``P = I - N N^T``, in O(n^2).
+
+    The projection is a rank-one update, so it is applied as one:
+    ``P M P = M - N (N^T M) - (M N - (N^T M N) N) N^T`` and
+    ``M P = M - (M N) N^T``.  ``N`` must be a unit vector.
+    """
+    MN = M @ N
+    if not left:
+        return M - np.outer(MN, N)
+    NM = N @ M
+    return M - _rank_sum((N, NM), (MN - float(N @ MN) * N, N))
+
+
+def _rank_sum(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``sum_j outer(l_j, r_j)`` over ``(l_j, r_j)`` pairs, as one product ``L R^T``."""
+    L = np.stack([left for left, _ in pairs], axis=1)
+    R_T = np.stack([right for _, right in pairs])
+    return L @ R_T
+
+
 def induce_from_normal(
     model: TangentModel,
     N: np.ndarray,
@@ -216,22 +245,22 @@ def induce_from_normal(
     warnings: list[str] = []
     normal_leak = max(float(np.max(np.abs(S @ N))), float(np.max(np.abs(N @ S))))
     if normal_leak > tol:
-        S = P @ S @ P
+        S = _project(S, N)
         warnings.append(f"shape operator projected to the tangent space (leak {normal_leak:.3e})")
     else:
         S = S.copy()
-    sym_defect = float(np.max(np.abs(P @ (S - S.T) @ P)))
+    sym_defect = float(np.max(np.abs(_project(S - S.T, N))))
     if sym_defect > max(tol, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
         raise AsymmetryError(sym_defect, "shape operator not self-adjoint on the tangent space")
 
     xi = -(model.J @ N)
-    phi = P @ model.J @ P
+    phi = _project(model.J, N)
     alpha = float(xi @ (S @ xi))
 
     conj, theta = adapted_conjugation(model, N)
     A_xi = conj @ xi
     A_N = conj @ N
-    B = P @ conj @ P
+    B = _project(conj, N)
     c = float(A_xi @ xi)
     split = ConjugationSplit(B=B, A_xi=A_xi, A_N=A_N, g_axixi=c)
 
@@ -239,10 +268,10 @@ def induce_from_normal(
     checks = {
         "phi xi != 0": float(np.max(np.abs(phi @ xi))),
         "phi^2 + Id - eta (x) xi != 0 on the tangent space": float(
-            np.max(np.abs(P @ (phi @ phi + np.eye(model.dim) - np.outer(xi, xi)) @ P))
+            np.max(np.abs(_project(phi @ phi + np.eye(model.dim) - np.outer(xi, xi), N)))
         ),
         "conjugation split does not reconstruct A": float(
-            np.max(np.abs((B + np.outer(N, A_N)) @ P - conj @ P))
+            np.max(np.abs(_project(B + np.outer(N, A_N) - conj, N, left=False)))
         ),
         "g(xi, A N) != 0": abs(float(xi @ A_N)),
     }
@@ -411,6 +440,16 @@ def _require_hopf(h: HypersurfaceData) -> None:
         )
 
 
+def _memoized(h: HypersurfaceData, key: str, build) -> np.ndarray:
+    """``build(h)`` computed once per instance and returned read-only."""
+    value = h._derived.get(key)
+    if value is None:
+        value = build(h)
+        value.flags.writeable = False
+        h._derived[key] = value
+    return value
+
+
 def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
     """Matrix of ``Y -> (nabla_xi S) Y`` for Hopf data.
 
@@ -420,28 +459,30 @@ def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
         (nabla_xi S) Y = (Y alpha) xi + alpha phi S Y - S phi S Y + phi Y
                          - rho(Y) A xi + g(A xi, xi) (phi B Y - rho(Y) xi)
                          - g(Y, A xi) phi A xi.
+
+    Computed once per instance; every call returns the same read-only array.
     """
     _require_hopf(h)
+    return _memoized(h, "reeb_shape_derivative", _reeb_shape_matrix)
+
+
+def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
     phi, S, B, xi = h.phi, h.S, h.split.B, h.xi
     A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
-    phi_A_xi = phi @ A_xi
+    phi_S = phi @ S
     G = (
-        np.outer(xi, h.dalpha)
-        + h.alpha * (phi @ S)
-        - S @ phi @ S
+        h.alpha * phi_S
+        - S @ phi_S
         + phi
-        - np.outer(A_xi, A_N)
         + c * (phi @ B)
-        - c * np.outer(xi, A_N)
-        - np.outer(phi_A_xi, A_xi)
+        + _rank_sum(
+            (xi, h.dalpha),
+            (-A_xi, A_N),
+            (-c * xi, A_N),
+            (-(phi @ A_xi), A_xi),
+        )
     )
-    return G @ h.projector
-
-
-def nabla_S_at_xi(h: HypersurfaceData, Y: np.ndarray) -> np.ndarray:
-    """Value ``(nabla_xi S) Y`` for Hopf data (see :func:`reeb_shape_derivative`)."""
-    h.require_tangent(Y)
-    return reeb_shape_derivative(h) @ np.asarray(Y, dtype=float)
+    return _project(G, h.N, left=False)
 
 
 def nabla_Axi(h: HypersurfaceData, X: np.ndarray, q_X: float) -> np.ndarray:
@@ -472,17 +513,18 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
     xi = h.xi
     A_xi = h.split.A_xi
     phi_A_xi = h.phi @ A_xi
-    c = h.split.g_axixi
     M = (
         h.projector
-        - np.outer(xi, xi)
-        + c * h.split.B
-        - np.outer(A_xi, A_xi)
-        - np.outer(phi_A_xi, phi_A_xi)
+        + h.split.g_axixi * h.split.B
         + h.alpha * h.S
-        - h.alpha**2 * np.outer(xi, xi)
+        + _rank_sum(
+            (-xi, xi),
+            (-A_xi, A_xi),
+            (-phi_A_xi, phi_A_xi),
+            (-h.alpha**2 * xi, xi),
+        )
     )
-    return h.projector @ M @ h.projector
+    return _project(M, h.N)
 
 
 def _cov_deriv_matrix(
@@ -499,7 +541,8 @@ def _cov_deriv_matrix(
     expressed through the gauge scalar ``q(X)`` and the derivative of the
     tangential conjugation part expanded in hypersurface data.  The caller
     supplies the directional inputs the pointwise data cannot determine:
-    ``q(X)``, ``(nabla_X S)`` and ``X alpha``.
+    ``q(X)``, ``(nabla_X S)`` and ``X alpha``.  Each rank-one term is one
+    ``(left, right)`` pair of the sum.
     """
     J, A = h.model.J, h.conj
     phi, S, B, xi, N = h.phi, h.S, h.split.B, h.xi, h.N
@@ -511,31 +554,34 @@ def _cov_deriv_matrix(
     SX = S @ X
     phiSX = phi @ SX
     BphiSX = B @ phiSX
+    phiBphiSX = phi @ BphiSX
     qa = q_X - alpha * h.eta(X)
     w = qa * phi_A_xi + BphiSX
+    u = c * SX - float(SX @ A_xi) * xi
 
-    M = -np.outer(xi, phiSX) - np.outer(phiSX, xi)
-    M += (float(BphiSX @ xi) + float(A_xi @ phiSX)) * B
-    M += c * (
-        q_X * (J @ A)
-        + np.outer(A_N, SX)
-        - q_X * np.outer(N, A_xi)
-        + c * np.outer(N, SX)
-        + np.outer(SX, A_N)
-    )
-    M -= np.outer(A_xi, w)
-    M -= np.outer(w, A_xi)
-    M -= np.outer(phi_A_xi, c * SX - float(SX @ A_xi) * xi)
-    M += qa * np.outer(phi_A_xi, A_xi)
-    M -= qa * c * np.outer(phi_A_xi, xi)
-    M -= np.outer(phi_A_xi, phi @ BphiSX)
-    M -= np.outer(c * SX - float(SX @ A_xi) * xi, phi_A_xi)
-    M += np.outer(qa * A_xi - c * qa * xi - phi @ BphiSX, phi_A_xi)
+    M = (float(BphiSX @ xi) + float(A_xi @ phiSX)) * B
+    M += c * q_X * (J @ A)
     M += dalpha_X * S + alpha * nablaS_X
-    M -= 2.0 * alpha * dalpha_X * np.outer(xi, xi)
-    M -= alpha**2 * np.outer(xi, phiSX)
-    M -= alpha**2 * np.outer(phiSX, xi)
-    return M @ h.projector
+    M += _rank_sum(
+        (-xi, phiSX),
+        (-phiSX, xi),
+        (c * A_N, SX),
+        (-c * q_X * N, A_xi),
+        (c * c * N, SX),
+        (c * SX, A_N),
+        (-A_xi, w),
+        (-w, A_xi),
+        (-phi_A_xi, u),
+        (qa * phi_A_xi, A_xi),
+        (-qa * c * phi_A_xi, xi),
+        (-phi_A_xi, phiBphiSX),
+        (-u, phi_A_xi),
+        (qa * A_xi - c * qa * xi - phiBphiSX, phi_A_xi),
+        (-2.0 * alpha * dalpha_X * xi, xi),
+        (-alpha**2 * xi, phiSX),
+        (-alpha**2 * phiSX, xi),
+    )
+    return _project(M, N, left=False)
 
 
 def cov_deriv_structure_jacobi(
@@ -558,8 +604,7 @@ def cov_deriv_structure_jacobi(
     """
     h.require_tangent(X)
     nablaS_X = np.asarray(nablaS_X, dtype=float)
-    P = h.projector
-    restricted = P @ nablaS_X @ P
+    restricted = _project(nablaS_X, h.N)
     defect = float(np.max(np.abs(restricted - restricted.T)))
     scale = max(1.0, float(np.max(np.abs(restricted))))
     if defect > OPERATOR_ASYM_TOL * scale:
@@ -571,9 +616,14 @@ def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
     """Matrix of ``Y -> (nabla_xi R_xi) Y`` for Hopf data.
 
     Uses the Codazzi-derived value of ``nabla_xi S`` and the stored gauge
-    ``q(xi)`` and ``xi alpha``.
+    ``q(xi)`` and ``xi alpha``.  Computed once per instance; every call
+    returns the same read-only array.
     """
     _require_hopf(h)
+    return _memoized(h, "reeb_covariant_derivative", _reeb_covariant_matrix)
+
+
+def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
     G = reeb_shape_derivative(h)
     return _cov_deriv_matrix(h, h.xi, h.q_xi, G, float(h.xi @ h.dalpha))
 
@@ -599,17 +649,17 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
     xi_alpha = float(xi @ h.dalpha)
     phi_A_xi = h.phi @ A_xi
     G = reeb_shape_derivative(h)
-    M = c * (
-        q * (J @ A)
-        + alpha * np.outer(A_N, xi)
-        - q * np.outer(N, A_xi)
-        + alpha * c * np.outer(N, xi)
-        + alpha * np.outer(xi, A_N)
+    M = c * q * (J @ A) + xi_alpha * h.S + alpha * G
+    M += _rank_sum(
+        (c * alpha * A_N, xi),
+        (-c * q * N, A_xi),
+        (c * alpha * c * N, xi),
+        (c * alpha * xi, A_N),
+        (-(q - alpha) * c * phi_A_xi, xi),
+        (-c * (q - alpha) * xi, phi_A_xi),
+        (-2.0 * alpha * xi_alpha * xi, xi),
     )
-    M -= (q - alpha) * c * np.outer(phi_A_xi, xi)
-    M -= c * (q - alpha) * np.outer(xi, phi_A_xi)
-    M += xi_alpha * h.S + alpha * G - 2.0 * alpha * xi_alpha * np.outer(xi, xi)
-    return M @ h.projector
+    return _project(M, N, left=False)
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +719,19 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     phi, S, xi = h.phi, h.S, h.xi
     A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
     J_A_xi = h.model.J @ A_xi
+    S_phi = S @ phi
     M = (
-        2.0 * (S @ phi @ S)
-        - h.alpha * (phi @ S + S @ phi)
+        2.0 * (S_phi @ S)
+        - h.alpha * (phi @ S + S_phi)
         - 2.0 * phi
-        + np.outer(A_xi, A_N)
-        - np.outer(A_N, A_xi)
-        + np.outer(J_A_xi, A_xi)
-        - np.outer(A_xi, J_A_xi)
-        - 2.0 * c * np.outer(xi, A_N)
-        + 2.0 * c * np.outer(A_N, xi)
+        + _rank_sum(
+            (A_xi, A_N),
+            (-A_N, A_xi),
+            (J_A_xi, A_xi),
+            (-A_xi, J_A_xi),
+            (-2.0 * c * xi, A_N),
+            (2.0 * c * A_N, xi),
+        )
     )
     restricted = h.frame.T @ M @ h.frame
     return float(np.max(np.abs(restricted)))

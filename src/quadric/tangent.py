@@ -55,11 +55,6 @@ class TangentModel:
     def dim(self) -> int:
         return 2 * self.m
 
-    @property
-    def g(self) -> np.ndarray:
-        """Gram matrix of the model basis (the identity)."""
-        return np.eye(self.dim)
-
     def zvec(self, i: int) -> np.ndarray:
         """Basis vector ``Z_i`` (1-based index)."""
         e = np.zeros(self.dim)

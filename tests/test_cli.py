@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadric as q
+from quadric import cli
 from quadric.cli import main
 from quadric.report import render_json
 
@@ -361,6 +362,35 @@ class TestPayloadFuzz:
             code, out, err = run_quiet(command, str(payload_path))
             assert code == 2, (command, err)
             assert out == "" and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Parser reuse
+# ---------------------------------------------------------------------------
+
+class TestParserReuse:
+    def test_main_reuses_one_parser(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_flag_not_carried_into_next_call(self, capsys):
+        argv = ("verify", "tube", "--k", "3", "--r", repr(math.pi / 4.0))
+        code, _, _ = run(capsys, *argv, "--no-non-vanishing")
+        assert code == 0
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "0.785" in err
+
+    def test_json_path_not_carried_into_next_call(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", "tube", "--k", "2", "--r", "0.6", "--json", str(path))
+        assert code == 0
+        assert out == ""
+        written = path.read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "tube", "--k", "2", "--r", "0.7")
+        assert code == 0
+        assert json.loads(out)["params"]["r"] == 0.7
+        assert path.read_text(encoding="utf-8") == written
 
 
 # ---------------------------------------------------------------------------

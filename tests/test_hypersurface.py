@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
+from quadric import hypersurface, suites
 from quadric import (
     AsymmetryError,
     HopfRequiredError,
@@ -291,7 +292,7 @@ class TestNablaSAtXi:
         h = q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
         assert not h.hopf
         with pytest.raises(HopfRequiredError):
-            q.nabla_S_at_xi(h, h.frame[:, 0])
+            q.reeb_shape_derivative(h)
 
 
 class TestNablaAxi:
@@ -375,6 +376,72 @@ class TestCovDerivStructureJacobi:
     def test_normal_component_cancellation(self, kind):
         h = random_hopf(kind=kind, seed=61)
         assert q.normal_component_residual(h) < 1e-12
+
+
+class TestProjectionAndRankSum:
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    def test_project_matches_dense_projector(self, m):
+        rng = np.random.default_rng(m)
+        n = 2 * m
+        M = rng.standard_normal((n, n))
+        N = rng.standard_normal(n)
+        N /= np.linalg.norm(N)
+        P = np.eye(n) - np.outer(N, N)
+        bound = 1e-13 * max(1.0, float(np.max(np.abs(M))))
+        assert np.max(np.abs(hypersurface._project(M, N) - P @ M @ P)) <= bound
+        assert np.max(np.abs(hypersurface._project(M, N, left=False) - M @ P)) <= bound
+
+    def test_rank_sum_matches_outer_products(self):
+        rng = np.random.default_rng(5)
+        pairs = [(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(4)]
+        expected = sum(np.outer(left, right) for left, right in pairs)
+        npt.assert_allclose(hypersurface._rank_sum(*pairs), expected, rtol=0, atol=1e-14)
+
+
+class TestReebDerivativeMemo:
+    @pytest.mark.parametrize("derivative", [q.reeb_shape_derivative, reeb_covariant_derivative])
+    def test_repeat_calls_return_one_read_only_array(self, derivative):
+        h = random_hopf(kind="generic", seed=80)
+        first, second = derivative(h), derivative(h)
+        assert first is second
+        assert not first.flags.writeable
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            lambda h: h.with_gauge(h.q_xi + 1.0),
+            lambda h: h.with_dalpha(h.dalpha + h.frame[:, 0]),
+        ],
+        ids=["with_gauge", "with_dalpha"],
+    )
+    def test_copies_recompute(self, copy):
+        """A copy made after the parent's derivative is stored gets its own."""
+        h = random_hopf(kind="generic", seed=81)
+        parent = reeb_covariant_derivative(h)
+        child = reeb_covariant_derivative(copy(h))
+        assert np.max(np.abs(child - parent)) > 1e-3
+        assert reeb_covariant_derivative(h) is parent
+
+    @pytest.mark.parametrize("derivative", [q.reeb_shape_derivative, reeb_covariant_derivative])
+    def test_non_hopf_raises_on_every_call(self, derivative):
+        model = q.build_tangent_model(3)
+        raw = np.random.default_rng(17).standard_normal((6, 6))
+        h = q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
+        for _ in range(2):
+            with pytest.raises(HopfRequiredError):
+                derivative(h)
+
+    def test_tube_suite_evaluates_shape_derivative_once(self, monkeypatch):
+        body = hypersurface._reeb_shape_matrix
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return body(h)
+
+        monkeypatch.setattr(hypersurface, "_reeb_shape_matrix", counted)
+        assert suites.verify_tube(32, 0.6).all_passed
+        assert len(calls) == 1
 
 
 class TestReebParallelResidual:
