@@ -340,12 +340,11 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     base = dict(singular_type=angle.kind, hopf=h.hopf, alpha=h.alpha)
 
     if not h.hopf:
-        defect = float(np.linalg.norm(h.S @ h.xi - h.alpha * h.xi))
         return ClassificationResult(
             **base,
             reeb_residual=None,
             verdict="outside-hypotheses",
-            reason=f"not Hopf (|S xi - alpha xi| = {defect:.3e})",
+            reason=f"not Hopf (|S xi - alpha xi| = {h.hopf_defect:.3e})",
         )
     if abs(h.alpha) < tol:
         return ClassificationResult(

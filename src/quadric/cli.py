@@ -58,8 +58,10 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
-def _add_common(parser: argparse.ArgumentParser, default_tol: float) -> None:
-    parser.add_argument("--tol", type=float, default=default_tol, help="residual tolerance")
+def _add_common(parser: argparse.ArgumentParser, default_tol: float | None) -> None:
+    """``--seed`` and ``--json``, plus ``--tol`` where the command reads one."""
+    if default_tol is not None:
+        parser.add_argument("--tol", type=float, default=default_tol, help="residual tolerance")
     parser.add_argument("--seed", type=int, default=7, help="seed for all sampling")
     parser.add_argument("--json", metavar="PATH", default=None, help="write the report to PATH")
 
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     nonex.add_argument(
         "--alpha-samples", type=int, default=25, help="number of random nonzero Reeb curvatures"
     )
-    _add_common(nonex, 1e-10)
+    _add_common(nonex, None)
 
     cls = sub.add_parser("classify", help="classify serialized hypersurface data")
     cls.add_argument("input", help="path to hypersurface JSON")
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", help="spectra of serialized hypersurface data")
     spec.add_argument("input", help="path to hypersurface JSON")
-    _add_common(spec, 1e-10)
+    _add_common(spec, None)
 
     return parser
 

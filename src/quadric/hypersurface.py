@@ -95,11 +95,10 @@ class HypersurfaceData:
         q_xi: gauge scalar of the conjugation derivative in the Reeb direction.
         dalpha: metric dual of the Reeb-curvature differential.
         conj: conjugation adapted to the normal.
-        conj_angle: rotation angle from the model conjugation to ``conj``.
         split: tangent/normal splitting of ``conj``.
         projector: orthogonal projection onto the tangent hyperplane.
         frame: orthonormal tangent basis, one vector per column.
-        hopf: whether ``S xi = alpha xi`` holds to tolerance.
+        hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
     Derived operators that several checks share (the Reeb derivatives) are
@@ -117,15 +116,19 @@ class HypersurfaceData:
     q_xi: float
     dalpha: np.ndarray
     conj: np.ndarray
-    conj_angle: float
     split: ConjugationSplit
     projector: np.ndarray
     frame: np.ndarray
-    hopf: bool
+    hopf_defect: float
     warnings: tuple[str, ...]
     _derived: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def hopf(self) -> bool:
+        """Whether ``S xi = alpha xi`` holds to ``IDENTITY_TOL``."""
+        return self.hopf_defect < IDENTITY_TOL
 
     @property
     def tangent_dim(self) -> int:
@@ -257,7 +260,7 @@ def induce_from_normal(
     phi = _project(model.J, N)
     alpha = float(xi @ (S @ xi))
 
-    conj, theta = adapted_conjugation(model, N)
+    conj, _ = adapted_conjugation(model, N)
     A_xi = conj @ xi
     A_N = conj @ N
     B = _project(conj, N)
@@ -287,7 +290,6 @@ def induce_from_normal(
         dalpha_vec = np.asarray(dalpha, dtype=float).copy()
 
     frame = tangent_frame(N)
-    hopf = float(np.linalg.norm(S @ xi - alpha * xi)) < IDENTITY_TOL
     _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, frame, dalpha_vec)
     return HypersurfaceData(
         model=model,
@@ -299,11 +301,10 @@ def induce_from_normal(
         q_xi=float(q_xi),
         dalpha=dalpha_vec,
         conj=conj,
-        conj_angle=theta,
         split=split,
         projector=P,
         frame=frame,
-        hopf=hopf,
+        hopf_defect=float(np.linalg.norm(S @ xi - alpha * xi)),
         warnings=tuple(warnings),
     )
 
@@ -434,9 +435,8 @@ def codazzi_rhs(h: HypersurfaceData, X: np.ndarray, Y: np.ndarray) -> np.ndarray
 
 def _require_hopf(h: HypersurfaceData) -> None:
     if not h.hopf:
-        defect = float(np.linalg.norm(h.S @ h.xi - h.alpha * h.xi))
         raise HopfRequiredError(
-            f"operation requires Hopf data; |S xi - alpha xi| = {defect:.3e}"
+            f"operation requires Hopf data; |S xi - alpha xi| = {h.hopf_defect:.3e}"
         )
 
 
@@ -794,8 +794,6 @@ def from_dict(payload: dict) -> HypersurfaceData:
     model = build_tangent_model(m)
     if N.shape != (model.dim,):
         raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
-    if S.shape != (model.dim, model.dim):
-        raise ModelValidationError(f"shape operator must be {model.dim}x{model.dim}, got {S.shape}")
     nrm = float(np.linalg.norm(N))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise ModelValidationError(f"normal not unit (|N| = {nrm:.12g})")

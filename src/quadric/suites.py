@@ -16,6 +16,7 @@ from .classification import classify, principal_nonexistence_certificate
 from .errors import InvalidDimensionError
 from .hypersurface import (
     HypersurfaceData,
+    _frame_max_norm,
     alpha_gradient_residual,
     hopf_identity_residual,
     normal_component_residual,
@@ -32,6 +33,7 @@ from .models import (
     restrict_to_frame,
     tube_jacobi_template,
     tube_shape_template,
+    tube_structure_jacobi_spectrum,
 )
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
@@ -129,28 +131,34 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
 def _tube_point_checks(k: int, r: float, tol: float, non_vanishing: bool = True) -> list[Check]:
     tube = build_tube(k, r, non_vanishing=non_vanishing)
     h = tube.h
+    S_phi = h.S @ h.phi
     checks = [
-        Check("hopf", float(np.linalg.norm(h.S @ h.xi - h.alpha * h.xi)), 1e-12),
+        Check("hopf", h.hopf_defect, 1e-12),
         Check("isotropic_normal", abs(h.split.g_axixi), 1e-12),
         Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.split.A_xi)), 1e-12),
         Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.split.A_N)), 1e-12),
-        Check("isometric_reeb_flow", float(np.max(np.abs(h.phi @ h.S - h.S @ h.phi))), 1e-12),
-        Check("hopf_identity", hopf_identity_residual(h), tol),
-        Check("alpha_gradient", alpha_gradient_residual(h), 1e-12),
-        Check("reeb_parallel_shape", reeb_shape_residual(h), tol),
-        Check("reeb_parallel_structure_jacobi", reeb_parallel_residual(h), tol),
-        Check("normal_component_cancellation", normal_component_residual(h), 1e-12),
+        Check("isometric_reeb_flow", float(np.max(np.abs(h.phi @ h.S - S_phi))), 1e-12),
     ]
+    # These gauges are defined for Hopf data only; other data fails them.
+    hopf_only = (
+        ("hopf_identity", hopf_identity_residual, tol),
+        ("alpha_gradient", alpha_gradient_residual, 1e-12),
+        ("reeb_parallel_shape", reeb_shape_residual, tol),
+        ("reeb_parallel_structure_jacobi", reeb_parallel_residual, tol),
+        ("normal_component_cancellation", normal_component_residual, 1e-12),
+    )
+    checks += [Check(name, f(h) if h.hopf else math.inf, bound) for name, f, bound in hopf_only]
     shape_spec = sym_eigen(restrict_to_frame(h.S, h.frame), tol=1e-12)
     ok, dev = match_spectrum(shape_spec, tube_shape_template(k, r), rel_tol=1e-10)
     checks.append(Check("shape_spectrum", dev if ok else float("inf"), 1e-10))
-    jac_spec = sym_eigen(restrict_to_frame(structure_jacobi(h), h.frame), tol=1e-12)
+    jac_spec = tube_structure_jacobi_spectrum(tube)
     ok, dev = match_spectrum(jac_spec, tube_jacobi_template(k, r), rel_tol=1e-10)
     checks.append(Check("structure_jacobi_spectrum", dev if ok else float("inf"), 1e-10))
-    # Partner-curvature relation: both invariant blocks are fixed points.
+    # Partner-curvature relation: phi maps each invariant block onto
+    # directions whose curvature is the partner of the block's.
     pairing = max(
-        abs(paired_curvature(tube.alpha, -math.tan(r)) + math.tan(r)),
-        abs(paired_curvature(tube.alpha, 1.0 / math.tan(r)) - 1.0 / math.tan(r)),
+        _frame_max_norm(S_phi - paired_curvature(tube.alpha, lam) * h.phi, tube.bases[block])
+        for block, lam in (("W1", -math.tan(r)), ("W2", 1.0 / math.tan(r)))
     )
     checks.append(Check("partner_curvature_fixed_points", pairing, 1e-12))
     return checks

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadric as q
-from quadric import cli
+from quadric import cli, suites
 from quadric.cli import main
-from quadric.report import render_json
+from quadric.report import render_json, report_to_json
 
 
 def run(capsys, *argv):
@@ -104,6 +104,15 @@ class TestVerifyCommands:
         )
         assert code == 0
         assert json.loads(out)["summary"]["failed"] == 0
+
+    def test_verify_tube_construction_defect_exits_one(self, capsys):
+        """At r = 1e-6 the built tube is not Hopf to rounding: the report shows
+        the failing checks and exits 1 (it used to exit 2 from build_tube)."""
+        code, out, err = run(capsys, "verify", "tube", "--k", "3", "--r", "1e-6")
+        assert code == 1
+        assert err == ""
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+        assert {"hopf", "isometric_reeb_flow", "hopf_identity"} <= failed
 
     def test_scan_tube_skips_exclusion_window(self, capsys):
         code, out, _ = run(
@@ -221,6 +230,15 @@ class TestClassifyCommand:
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["classify", "spectrum"])
+    def test_wrong_shape_operator_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "shape.json"
+        payload = {"m": 3, "N": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "S": np.eye(5).tolist()}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == "" and "shape operator must be" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"
@@ -365,8 +383,29 @@ class TestPayloadFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Parser reuse
+# Parser reuse and options
 # ---------------------------------------------------------------------------
+
+class TestToleranceOption:
+    """``nonexistence`` and ``spectrum`` take no ``--tol``: neither reads one."""
+
+    def test_tol_refused(self, capsys, tmp_path):
+        path = write_tube_payload(tmp_path / "tube.json")
+        for argv in (("nonexistence", "--m", "3"), ("spectrum", str(path))):
+            code, out, err = run(capsys, *argv, "--tol", "1e-300")
+            assert code == 2
+            assert out == "" and "--tol" in err
+
+    def test_default_reports_unchanged(self, capsys, tmp_path):
+        path = write_tube_payload(tmp_path / "tube.json")
+        code, out, _ = run(capsys, "nonexistence", "--m", "3", "--alpha-samples", "4")
+        assert code == 0
+        assert out == report_to_json(suites.nonexistence(3, samples=4, seed=7))
+        code, out, _ = run(capsys, "spectrum", str(path))
+        assert code == 0
+        h = q.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert out == report_to_json(suites.spectrum_report(h, seed=7))
+
 
 class TestParserReuse:
     def test_main_reuses_one_parser(self):
