@@ -43,8 +43,9 @@ print("  verdict:", rep.verdict)
 rng = np.random.default_rng(7)
 alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(10)]
 report = q.principal_nonexistence_certificate(3, alphas)
-contradictions = [c for c in report.checks if c.name.startswith("contradiction")]
 print(f"\ncertificate over {len(alphas)} sampled curvatures (m = 3):")
-print(f"  contradictions: {sum(c.passed for c in contradictions)}/{len(contradictions)}")
+for prefix in ("affine_pair_solvable", "forces_identity"):
+    checks = [c for c in report.checks if c.name.startswith(prefix)]
+    print(f"  {prefix}: {sum(c.passed for c in checks)}/{len(checks)}")
 print(f"  forced trace: {report.params['forced_trace_on_c']:.0f}, required: 0")
 print("  all checks passed:", report.all_passed)

@@ -24,15 +24,15 @@ from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
-    _project,
     reeb_covariant_derivative,
+    reeb_derivative_reduced,
     reeb_parallel_residual,
     reeb_shape_derivative,
 )
 from .models import PrincipalCandidate, restrict_to_frame, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import build_tangent_model, canonical_angle
+from .tangent import _require_dimension, canonical_angle
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ from .tangent import build_tangent_model, canonical_angle
 
 #: Chain equation names, in derivation order.
 CHAIN_EQUATIONS = (
-    "reeb_reduction",      # (nabla_xi R_xi) against its principal closed form
+    "reeb_reduction",      # (nabla_xi R_xi) against reeb_derivative_reduced
     "shape_derivative",    # (nabla_xi S) Y = 2 phi A Y
     "first_combination",   # alpha phi S Y - S phi S Y + phi Y = 3 phi A Y
     "hopf_identity",       # 2 S phi S Y = alpha (S phi + phi S) Y + 2 phi Y
@@ -85,25 +85,6 @@ def affine_pair_matrices(
     return e_a, e_b
 
 
-def _principal_reduction_matrix(h: HypersurfaceData) -> np.ndarray:
-    """Closed form of ``(nabla_xi R_xi)`` for Hopf data with principal normal:
-
-        -q(xi) J A Y - q(xi) eta(Y) N + (xi alpha) S Y
-        + alpha (nabla_xi S) Y - 2 alpha (xi alpha) eta(Y) xi.
-    """
-    q = h.q_xi
-    xi_alpha = float(h.xi @ h.dalpha)
-    G = reeb_shape_derivative(h)
-    M = (
-        -q * (h.model.J @ h.conj)
-        - q * np.outer(h.N, h.xi)
-        + xi_alpha * h.S
-        + h.alpha * G
-        - 2.0 * h.alpha * xi_alpha * np.outer(h.xi, h.xi)
-    )
-    return _project(M, h.N, left=False)
-
-
 def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> ChainReport:
     """Evaluate the derived-equation chain on a principal candidate.
 
@@ -123,13 +104,11 @@ def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> C
     C = cand.complex_subbundle_frame()
 
     G = reeb_shape_derivative(h)
-    full = reeb_covariant_derivative(h)
-    reduced = _principal_reduction_matrix(h)
     phi_A = phi @ A
     e_a, e_b = affine_pair_matrices(alpha, S, A)
 
     operators = {
-        "reeb_reduction": full - reduced,
+        "reeb_reduction": reeb_covariant_derivative(h) - reeb_derivative_reduced(h),
         "shape_derivative": G - 2.0 * phi_A,
         "first_combination": alpha * (phi @ S) - S @ phi @ S + phi - 3.0 * phi_A,
         "hopf_identity": 2.0 * (S @ phi @ S) - alpha * (S @ phi + phi @ S) - 2.0 * phi,
@@ -211,23 +190,26 @@ def principal_nonexistence_certificate(
        of ``x^2 - (alpha + 6/alpha) x + 2`` satisfy both equations with the
        identity block, and solving each equation for the conjugation block
        returns the identity;
-    3. records the trace conflict: the forced block has trace ``2m - 2``,
-       while any conjugation of the ambient model is trace free.
+    3. records the trace conflict in the parameters: the forced block has
+       trace ``2m - 2``, nonzero for every admitted ``m``, while any
+       conjugation of the ambient model is trace free (``verify ambient``
+       measures that as ``conjugation_trace``).
 
-    The certificate passes iff every sample ends in the trace contradiction.
+    The certificate passes iff every sample's affine pair is solvable and
+    forces the identity block.
 
     Raises:
-        ExcludedParameterError: if any sample Reeb curvature is zero.
+        InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
+        ExcludedParameterError: if there are no samples, or a sample Reeb
+            curvature is zero.
     """
+    _require_dimension(m, "nonexistence")
+    if len(alpha_samples) == 0:
+        raise ExcludedParameterError("nonexistence needs at least one alpha sample")
     rng = np.random.default_rng(seed)
-    model = build_tangent_model(m)
     n_c = 2 * (m - 1)
     eye = np.eye(n_c)
     checks: list[Check] = []
-    forced_trace = float(n_c)
-
-    model_trace = abs(float(np.trace(model.A)))
-    checks.append(Check(name="model_conjugation_trace", residual=model_trace, tol=1e-15))
 
     for alpha in alpha_samples:
         alpha = float(alpha)
@@ -264,21 +246,12 @@ def principal_nonexistence_certificate(
         )
         checks.append(Check(name=f"forces_identity[{tag}]", residual=forcing_defect, tol=tol))
 
-        contradiction = forcing_defect < tol and solvable < tol and forced_trace != 0.0
-        checks.append(
-            Check(
-                name=f"contradiction[{tag}]",
-                residual=0.0 if contradiction else 1.0,
-                tol=0.5,
-            )
-        )
-
     return CheckReport(
         command="nonexistence",
         params={
             "m": m,
             "alpha_samples": [float(a) for a in alpha_samples],
-            "forced_trace_on_c": forced_trace,
+            "forced_trace_on_c": float(n_c),
             "required_trace": 0.0,
         },
         checks=checks,

@@ -155,9 +155,6 @@ def main(argv: list[str] | None = None) -> int:
                 h = from_dict(payload)
                 report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
                 print(verdict_line)
-                _emit(report, args.json)
-                verdict = report.params["verdict"]
-                return EXIT_OK if verdict in ("tube", "nonexistent") else EXIT_FAILED
             elif args.command == "spectrum":
                 payload = _load_payload(args.input)
                 h = from_dict(payload)

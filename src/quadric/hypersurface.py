@@ -232,12 +232,16 @@ def induce_from_normal(
 
     Raises:
         NonFiniteError: if any input has a NaN or infinite entry.
+        ModelValidationError: if ``N`` or ``S`` has the wrong shape, or a
+            construction invariant fails.
         NormalizationError: if ``N`` is not unit length.
         AsymmetryError: if ``S`` is not self-adjoint on the tangent hyperplane.
     """
     N = np.asarray(N, dtype=float).copy()
     S = np.asarray(S, dtype=float)
     _require_finite(normal=N, shape_operator=S, q_xi=q_xi, dalpha=dalpha, xi_alpha=xi_alpha)
+    if N.shape != (model.dim,):
+        raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
     nrm = float(np.linalg.norm(N))
     if abs(nrm - 1.0) > UNIT_TOL:
         raise NormalizationError(f"normal not unit (|N| = {nrm:.12g})")
@@ -774,8 +778,9 @@ def from_dict(payload: dict) -> HypersurfaceData:
 
     Raises:
         ModelValidationError: on malformed payloads (including a non-integer
-            ``m`` and numbers beyond the float range), a non-unit normal, or a
-            Reeb-curvature mismatch.
+            ``m``, numbers beyond the float range and arrays of the wrong
+            shape), or a Reeb-curvature mismatch.
+        NormalizationError: if the normal is not unit length.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
     try:
@@ -791,14 +796,7 @@ def from_dict(payload: dict) -> HypersurfaceData:
         raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
     _require_finite(N=N, S=S, **scalars)
 
-    model = build_tangent_model(m)
-    if N.shape != (model.dim,):
-        raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
-    nrm = float(np.linalg.norm(N))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise ModelValidationError(f"normal not unit (|N| = {nrm:.12g})")
-
-    h = induce_from_normal(model, N, S, q_xi=scalars.get("q_xi"))
+    h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
     if "alpha" in scalars:
         declared = scalars["alpha"]
         if abs(declared - h.alpha) > 1e-8 * max(1.0, abs(h.alpha)):

@@ -100,6 +100,12 @@ def build_tangent_model(m: int, conjugation: np.ndarray | None = None) -> Tangen
     return TangentModel(m=int(m), J=J, A=A)
 
 
+def _require_dimension(m: int, command: str) -> None:
+    """Refuse ``m`` unless it is an integer with ``2 <= m <= MAX_COMPLEX_DIM``."""
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 2 <= m <= MAX_COMPLEX_DIM:
+        raise InvalidDimensionError(f"{command} requires 2 <= m <= {MAX_COMPLEX_DIM}, got {m!r}")
+
+
 def _check_conjugation(J: np.ndarray, A: np.ndarray) -> None:
     n = J.shape[0]
     if A.shape != (n, n):

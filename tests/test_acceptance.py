@@ -155,9 +155,11 @@ def test_criterion_5_nonexistence_certificate():
         alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(25)]
         rep = q.principal_nonexistence_certificate(m, alphas, seed=7, tol=1e-10)
         forcing = [c for c in rep.checks if c.name.startswith("forces_identity")]
-        contradictions = [c for c in rep.checks if c.name.startswith("contradiction")]
+        solvable = [c for c in rep.checks if c.name.startswith("affine_pair_solvable")]
         ok = ok and rep.all_passed
-        ok = ok and len(contradictions) == 25 and all(c.passed for c in contradictions)
+        # The conjuncts of the trace contradiction hold for every sample.
+        ok = ok and len(forcing) == 25 and all(c.passed for c in forcing)
+        ok = ok and len(solvable) == 25 and all(c.passed for c in solvable)
         ok = ok and max(c.residual for c in forcing) < 1e-10
         ok = ok and rep.params["forced_trace_on_c"] == 2 * m - 2
         details.append(f"m={m} trace {2 * m - 2}")

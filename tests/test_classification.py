@@ -98,9 +98,11 @@ class TestNonexistenceCertificate:
         rep = q.principal_nonexistence_certificate(3, [0.5, -0.5, 1.0, -1.0, 2.0])
         assert rep.all_passed
         assert rep.params["forced_trace_on_c"] == 4.0
-        contradictions = [c for c in rep.checks if c.name.startswith("contradiction")]
-        assert len(contradictions) == 5
-        assert all(c.passed for c in contradictions)
+        # The conjuncts of the trace contradiction, per sample.
+        for prefix in ("forces_identity", "affine_pair_solvable"):
+            conjuncts = [c for c in rep.checks if c.name.startswith(prefix)]
+            assert len(conjuncts) == 5
+            assert all(c.passed for c in conjuncts)
 
     def test_random_curvatures_m5(self):
         rng = np.random.default_rng(77)
@@ -108,11 +110,6 @@ class TestNonexistenceCertificate:
         rep = q.principal_nonexistence_certificate(5, alphas)
         assert rep.all_passed
         assert rep.params["forced_trace_on_c"] == 8.0
-
-    def test_model_trace_check_present(self):
-        rep = q.principal_nonexistence_certificate(3, [1.0])
-        trace_checks = [c for c in rep.checks if c.name == "model_conjugation_trace"]
-        assert len(trace_checks) == 1 and trace_checks[0].residual == 0.0
 
     def test_zero_alpha_sample_rejected(self):
         with pytest.raises(ExcludedParameterError):

@@ -134,6 +134,31 @@ class TestVerifyCommands:
         assert report["summary"]["failed"] == 0
         assert report["params"]["forced_trace_on_c"] == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nonexistence", "--m", "1"], "2 <= m <= 64"),
+            (["nonexistence", "--m", "65"], "2 <= m <= 64"),
+            (["nonexistence", "--m", "3", "--alpha-samples", "0"], "at least one alpha sample"),
+            (["nonexistence", "--m", "3", "--alpha-samples", "-2"], "at least one alpha sample"),
+            (["scan", "tube", "--k", "3", "--r-min", "0.1", "--r-max", "1.5", "--steps", "0"],
+             "steps >= 1"),
+            (["scan", "tube", "--k", "3", "--r-min", "0.1", "--r-max", "1.5", "--steps", "-1"],
+             "steps >= 1"),
+            (["scan", "tube", "--k", "3", "--r-min", "0.78", "--r-max", "0.79", "--steps", "3"],
+             "of pi/4"),
+        ],
+        ids=["m1", "m65", "no-samples", "negative-samples", "steps0", "steps-1", "all-excluded"],
+    )
+    def test_vacuous_or_invalid_count_exits_two(self, capsys, argv, message):
+        """A count that leaves nothing to certify, or cannot be evaluated, is
+        refused at the boundary instead of passing on zero checks."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # classify / spectrum

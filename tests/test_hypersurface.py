@@ -77,6 +77,11 @@ class TestInduceFromNormal:
         with pytest.raises(NormalizationError):
             q.induce_from_normal(model, 1.5 * model.zvec(1), np.zeros((6, 6)))
 
+    def test_wrong_length_normal_rejected(self):
+        model = q.build_tangent_model(3)
+        with pytest.raises(ModelValidationError, match="normal must have length 6"):
+            q.induce_from_normal(model, model.zvec(1)[:5], np.zeros((6, 6)))
+
     def test_non_finite_inputs_rejected(self):
         model = q.build_tangent_model(3)
         S = np.zeros((6, 6))
@@ -514,7 +519,7 @@ class TestSerialization:
 
     def test_non_unit_normal_rejected(self):
         payload = {"m": 3, "N": [2.0, 0, 0, 0, 0, 0], "S": np.zeros((6, 6)).tolist(), "alpha": 0.0}
-        with pytest.raises(ModelValidationError, match="normal not unit"):
+        with pytest.raises(NormalizationError, match="normal not unit"):
             q.from_dict(payload)
 
     def test_alpha_cross_check(self, tube):

@@ -1,10 +1,16 @@
-"""Mutation matrix: every check of ``verify tube`` is failed by one named defect.
+"""Mutation matrix: every check of every command is failed by one named defect.
 
 A check that no plausible defect can fail certifies nothing.  Each entry
 below names one broken input (or, where no input can do it, one broken line
-of code), feeds it through ``verify tube`` with ``suites.build_tube``
-monkeypatched to return the broken tube, and asserts that the named check
-fails and the command exits 1.
+of code), feeds it through the command, and asserts that the named check
+fails and the command exits 1.  ``verify tube`` gets its broken tube through
+a monkeypatched ``suites.build_tube``; ``verify ambient`` and
+``nonexistence`` through monkeypatched names in ``suites`` and
+``classification``; ``classify`` and ``spectrum`` through the payload they
+read, or the eigensolver they call.  A check with no entry is listed in
+``EXEMPT`` with the reason it is kept, and the completeness test holds the
+check lists of all six commands to the entries plus the exemptions.  The
+check lists themselves are pinned together with ``report.VERSION``.
 """
 
 import dataclasses
@@ -15,8 +21,9 @@ import numpy as np
 import pytest
 
 import quadric as q
-from quadric import hypersurface, suites
+from quadric import classification, hypersurface, report, suites
 from quadric.cli import main
+from quadric.report import render_json
 
 K, R, EPS = 3, 0.6, 1e-6
 
@@ -166,3 +173,405 @@ def test_non_hopf_tube_reports_hopf_only_checks_as_failed(capsys, monkeypatch):
     residuals = {c["name"]: c["residual"] for c in report["checks"]}
     for name in TUBE_CHECKS[5:10]:
         assert residuals[name] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# verify ambient, nonexistence, classify, spectrum
+# ---------------------------------------------------------------------------
+
+M = 4
+
+
+def base_name(name):
+    """Check name without its ``[...]`` instance tag."""
+    return name.split("[", 1)[0]
+
+
+def _model_with(**arrays):
+    """``suites.build_tangent_model`` returning the model with arrays replaced."""
+
+    def build(m):
+        model = q.build_tangent_model(m)
+        return dataclasses.replace(model, **{k: f(model) for k, f in arrays.items()})
+
+    return build
+
+
+def scaled_J(monkeypatch):
+    """``J`` scaled by ``1 + eps``: ``J^2 != -Id``."""
+    monkeypatch.setattr(suites, "build_tangent_model", _model_with(J=lambda mo: (1 + EPS) * mo.J))
+
+
+def scaled_A(monkeypatch):
+    """``A`` scaled by ``1 + eps``: still anti-commuting and trace free, ``A^2 != Id``."""
+    monkeypatch.setattr(suites, "build_tangent_model", _model_with(A=lambda mo: (1 + EPS) * mo.A))
+
+
+def real_rotated_A(monkeypatch):
+    """``A`` conjugated by a real rotation of the ``(Z_1, J Z_2)`` plane.
+
+    A symmetric, trace-free involution that no longer anti-commutes with ``J``.
+    """
+
+    def rotate(model):
+        R = np.eye(model.dim)
+        i, j, c, s = 0, model.m + 1, math.cos(0.3), math.sin(0.3)
+        R[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+        return R @ model.A @ R.T
+
+    monkeypatch.setattr(suites, "build_tangent_model", _model_with(A=rotate))
+
+
+def shifted_A(monkeypatch):
+    """``A + eps Id``: trace ``2m eps``.
+
+    ``tr A = -tr(J A J^-1)`` once ``A`` anti-commutes with ``J``, so a defect
+    that makes the trace nonzero also breaks the anti-commutation.  The
+    check is kept as the measured form of ``nonexistence``'s
+    ``required_trace``.
+    """
+    monkeypatch.setattr(
+        suites, "build_tangent_model", _model_with(A=lambda mo: mo.A + EPS * np.eye(mo.dim))
+    )
+
+
+def scaled_rotation(monkeypatch):
+    """``rotate_conjugation`` returning ``(1 + eps) A_theta``."""
+    original = suites.rotate_conjugation
+    monkeypatch.setattr(suites, "rotate_conjugation", lambda mo, t: (1 + EPS) * original(mo, t))
+
+
+def curvature_with(term):
+    """``ambient_curvature`` with ``eps * term(X, Y, Z)`` added."""
+
+    def patch(monkeypatch):
+        original = suites.ambient_curvature
+
+        def mutant(model, X, Y, Z):
+            return original(model, X, Y, Z) + EPS * term(model, X, Y, Z)
+
+        monkeypatch.setattr(suites, "ambient_curvature", mutant)
+
+    return patch
+
+
+def _plane_rotation_generator(model):
+    """The skew map of the ``(Z_1, Z_2)`` plane: ``Z_2 -> Z_1``, ``Z_1 -> -Z_2``."""
+    z1, z2 = model.zvec(1), model.zvec(2)
+    return np.outer(z1, z2) - np.outer(z2, z1)
+
+
+#: ``g(Y, Z) X`` without its partner ``- g(X, Z) Y``: not skew in the last slots.
+dropped_partner = curvature_with(lambda mo, X, Y, Z: suites._col_dot(Y, Z) * X)
+#: ``g(J X, Y) B Z`` for the skew ``B`` of the ``(Z_1, Z_2)`` plane: a product of
+#: two different 2-forms, skew in each pair, not pair symmetric.
+two_form_product = curvature_with(
+    lambda mo, X, Y, Z: suites._col_dot(mo.J @ X, Y) * (_plane_rotation_generator(mo) @ Z)
+)
+#: The coefficient of ``g(J X, Y) J Z`` off by ``eps``: every symmetry but Bianchi holds.
+j_coefficient_slip = curvature_with(lambda mo, X, Y, Z: suites._col_dot(mo.J @ X, Y) * (mo.J @ Z))
+
+
+def jacobi_with(term):
+    """``ambient_jacobi`` with ``eps * term(model, U)`` added, for both directions."""
+
+    def patch(monkeypatch):
+        original = suites.ambient_jacobi
+        monkeypatch.setattr(
+            suites, "ambient_jacobi", lambda mo, U: original(mo, U) + EPS * term(mo, U)
+        )
+
+    return patch
+
+
+def _zm_outer(model, rotated=False):
+    """``v (x) v`` for ``v = Z_m``, or ``J Z_m`` if ``rotated``; both are
+    orthogonal to the principal and the isotropic direction for ``m >= 3``."""
+    v = model.jzvec(model.m) if rotated else model.zvec(model.m)
+    return np.outer(v, v)
+
+
+#: ``eps U (x) U``: the direction is no longer in the kernel.
+jacobi_direction_leak = jacobi_with(lambda mo, U: np.outer(U, U))
+#: ``eps (Z_m (x) Z_m - J Z_m (x) J Z_m)``: trace free, moves two eigenvalues.
+jacobi_trace_free_kick = jacobi_with(lambda mo, U: _zm_outer(mo) - _zm_outer(mo, rotated=True))
+#: ``eps Z_m (x) Z_m``: trace ``2m + eps``.
+jacobi_trace_shift = jacobi_with(lambda mo, U: _zm_outer(mo))
+
+
+def coefficient_slip(monkeypatch):
+    """``E_a`` with its conjugation coefficient ``3 alpha`` off by ``eps alpha``."""
+    original = classification.affine_pair_matrices
+
+    def mutant(alpha, S, A):
+        e_a, e_b = original(alpha, S, A)
+        return e_a + EPS * alpha * A, e_b
+
+    monkeypatch.setattr(classification, "affine_pair_matrices", mutant)
+
+
+def common_term(monkeypatch):
+    """``+ eps Id`` on both ``E_a`` and ``E_b``: the difference is unchanged."""
+    original = classification.affine_pair_matrices
+
+    def mutant(alpha, S, A):
+        e_a, e_b = original(alpha, S, A)
+        eye = np.eye(S.shape[0])
+        return e_a + EPS * eye, e_b + EPS * eye
+
+    monkeypatch.setattr(classification, "affine_pair_matrices", mutant)
+
+
+def shifted_root(monkeypatch):
+    """The larger root of ``x^2 - (alpha + 6/alpha) x + 2`` off by ``eps``."""
+    original = classification._quadratic_roots
+
+    def mutant(alpha):
+        hi, lo = original(alpha)
+        return hi + EPS, lo
+
+    monkeypatch.setattr(classification, "_quadratic_roots", mutant)
+
+
+def perturbed_payload(monkeypatch):
+    """:func:`~quadric.perturbed_tube`: Hopf and paired, Reeb flow not isometric."""
+    return q.perturbed_tube(K, R, np.random.default_rng(5))
+
+
+def collapsed_blocks(monkeypatch):
+    """All ``4k - 4`` invariant directions at ``-tan r``: the Reeb flow stays
+    isometric (``W1`` and ``W2`` are each ``phi``-invariant), the spectrum
+    loses the ``cot r`` cluster."""
+    tube = q.build_tube(K, R)
+    W2 = tube.bases["W2"]
+    S = tube.h.S - (1.0 / math.tan(R) + math.tan(R)) * (W2 @ W2.T)
+    return q.induce_from_normal(tube.h.model, tube.h.N, S)
+
+
+def single_precision_solver(monkeypatch):
+    """``np.linalg.eigh`` rounding its eigenpairs to single precision.
+
+    The reconstruction residuals certify the solver, not the operator, so
+    their defect sits in the solver that ``sym_eigen`` calls.
+    """
+    eigh = np.linalg.eigh
+
+    def mutant(a):
+        values, vectors = eigh(a)
+        return values.astype(np.float32).astype(float), vectors.astype(np.float32).astype(float)
+
+    monkeypatch.setattr(np.linalg, "eigh", mutant)
+
+
+#: command -> check name (without instance tag) -> defect that fails it.
+#: A defect patches names for the run; for ``classify`` it may return the
+#: data to classify instead of the default tube payload.
+SUITE_MUTATIONS = {
+    "verify ambient": {
+        "complex_structure_squares_to_minus_id": scaled_J,
+        "conjugation_is_involution": scaled_A,
+        "conjugation_anti_commutes": real_rotated_A,
+        "conjugation_trace": shifted_A,
+        "rotated_conjugation_involution": scaled_rotation,
+        "curvature_skew_in_last_slots": dropped_partner,
+        "curvature_pair_symmetry": two_form_product,
+        "first_bianchi_identity": j_coefficient_slip,
+        "jacobi_kills_direction": jacobi_direction_leak,
+        "jacobi_spectrum": jacobi_trace_free_kick,
+        "jacobi_trace": jacobi_trace_shift,
+    },
+    "nonexistence": {
+        "difference_identity": coefficient_slip,
+        "affine_pair_solvable": common_term,
+        "forces_identity": shifted_root,
+    },
+    "classify": {
+        "reeb_parallel_structure_jacobi": perturbed_payload,
+        "tube_spectrum_match": collapsed_blocks,
+    },
+    "spectrum": {
+        "shape_reconstruction": single_precision_solver,
+        "structure_jacobi_reconstruction": single_precision_solver,
+    },
+}
+
+#: command -> check name -> why it has no entry in the matrix.
+EXEMPT = {
+    "verify ambient": {
+        "jacobi_self_adjoint": (
+            "sym_eigen refuses max |R_U - R_U^T| > 1e-12, the same measure at the "
+            "same bound, before the report exists, so an asymmetric Jacobi "
+            "operator exits 2 and the check never fails in a report "
+            "(test_asymmetric_jacobi_exits_two); kept while the verify ambient "
+            "check list stays as it is"
+        ),
+    },
+    "classify": {
+        "classification_admissible": (
+            "the verdict written as a 0/1 residual: the only check that fails "
+            "when classify stops before any residual, on data that is not Hopf "
+            "or has alpha = 0 (test_early_stop_fails_admissible_alone), so the "
+            "exit code follows the verdict"
+        ),
+    },
+}
+
+
+def _commands(tmp_path, h=None):
+    """The six commands at fixed arguments; classify and spectrum read ``h``."""
+    payload = tmp_path / "data.json"
+    data = h if h is not None else q.build_tube(K, R).h
+    payload.write_text(render_json(q.to_dict(data)) + "\n", encoding="utf-8")
+    return {
+        "verify ambient": ["verify", "ambient", "--m", str(M)],
+        "verify tube": ["verify", "tube", "--k", str(K), "--r", repr(R)],
+        "scan tube": ["scan", "tube", "--k", str(K), "--r-min", "0.3", "--r-max", "1.2",
+                      "--steps", "4"],
+        "nonexistence": ["nonexistence", "--m", "3", "--alpha-samples", "2"],
+        "classify": ["classify", str(payload)],
+        "spectrum": ["spectrum", str(payload)],
+    }
+
+
+def run_command(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    if argv[0] == "classify":
+        out = out.partition("\n")[2]  # after the verdict line
+    return code, json.loads(out) if out else None
+
+
+#: The report schema of version 0.2.0: top-level keys, check keys, and the
+#: ordered check names of each command at the arguments of ``_commands``.
+SCHEMA_VERSION = "0.2.0"
+REPORT_KEYS = ["command", "version", "seed", "params", "checks", "summary"]
+CHECK_KEYS = ["name", "residual", "tol", "pass"]
+CHECK_NAMES = {
+    "verify ambient": [
+        "complex_structure_squares_to_minus_id",
+        "conjugation_is_involution",
+        "conjugation_anti_commutes",
+        "conjugation_trace",
+        "rotated_conjugation_involution[theta=0.3]",
+        "rotated_conjugation_involution[theta=1.0472]",
+        "rotated_conjugation_involution[theta=2]",
+        "curvature_skew_in_last_slots",
+        "curvature_pair_symmetry",
+        "first_bianchi_identity",
+        "jacobi_self_adjoint[principal]",
+        "jacobi_kills_direction[principal]",
+        "jacobi_spectrum[principal]",
+        "jacobi_trace[principal]",
+        "jacobi_self_adjoint[isotropic]",
+        "jacobi_kills_direction[isotropic]",
+        "jacobi_spectrum[isotropic]",
+        "jacobi_trace[isotropic]",
+    ],
+    "verify tube": TUBE_CHECKS,
+    "scan tube": TUBE_CHECKS,
+    "nonexistence": [
+        "difference_identity[alpha=+1.95027]",
+        "affine_pair_solvable[alpha=+1.95027]",
+        "forces_identity[alpha=+1.95027]",
+        "difference_identity[alpha=+2.37192]",
+        "affine_pair_solvable[alpha=+2.37192]",
+        "forces_identity[alpha=+2.37192]",
+    ],
+    "classify": [
+        "classification_admissible",
+        "reeb_parallel_structure_jacobi",
+        "tube_spectrum_match",
+    ],
+    "spectrum": ["shape_reconstruction", "structure_jacobi_reconstruction"],
+}
+
+
+def test_report_schema_pinned_to_version(capsys, tmp_path):
+    """A change to any check list, or to the report layout, must come with a
+    deliberate bump of ``report.VERSION`` and of this pin."""
+    assert report.VERSION == SCHEMA_VERSION
+    for command, argv in _commands(tmp_path).items():
+        code, payload = run_command(capsys, argv)
+        assert code == 0, command
+        assert list(payload) == REPORT_KEYS
+        assert payload["version"] == SCHEMA_VERSION
+        assert all(list(c) == CHECK_KEYS for c in payload["checks"])
+        assert [c["name"] for c in payload["checks"]] == CHECK_NAMES[command], command
+
+
+def test_every_check_has_a_mutation_or_an_exemption(capsys, tmp_path):
+    """The check names each command emits are its matrix rows plus its
+    exemptions; ``scan tube`` reports the ``verify tube`` checks."""
+    rows = {**SUITE_MUTATIONS, "verify tube": MUTATIONS, "scan tube": MUTATIONS}
+    for command, argv in _commands(tmp_path).items():
+        _, payload = run_command(capsys, argv)
+        emitted = {base_name(c["name"]) for c in payload["checks"]}
+        exempt = EXEMPT.get(command, {})
+        assert not set(rows[command]) & set(exempt), command
+        assert emitted == set(rows[command]) | set(exempt), command
+
+
+@pytest.mark.parametrize(
+    "command, check",
+    [(command, check) for command, rows in SUITE_MUTATIONS.items() for check in rows],
+)
+def test_suite_mutation_fails_its_check(capsys, monkeypatch, tmp_path, command, check):
+    h = SUITE_MUTATIONS[command][check](monkeypatch)
+    code, payload = run_command(capsys, _commands(tmp_path, h)[command])
+    assert code == 1
+    instances = [c for c in payload["checks"] if base_name(c["name"]) == check]
+    assert instances and not any(c["pass"] for c in instances)
+
+
+def test_common_term_fails_solvability_alone(capsys, monkeypatch, tmp_path):
+    """A defect shared by ``E_a`` and ``E_b`` cancels in their difference and
+    does not reach the closed-form solutions of the forcing step."""
+    common_term(monkeypatch)
+    code, payload = run_command(capsys, _commands(tmp_path)["nonexistence"])
+    assert code == 1
+    failed = {base_name(c["name"]) for c in payload["checks"] if not c["pass"]}
+    assert failed == {"affine_pair_solvable"}
+
+
+def test_collapsed_blocks_stay_reeb_parallel(capsys, tmp_path):
+    """Only the spectrum match tells the collapsed tube from a tube."""
+    code, payload = run_command(capsys, _commands(tmp_path, collapsed_blocks(None))["classify"])
+    assert code == 1
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["reeb_parallel_structure_jacobi"]["pass"]
+    assert checks["tube_spectrum_match"]["residual"] == "inf"
+
+
+def test_asymmetric_jacobi_exits_two(capsys, monkeypatch):
+    """Why ``jacobi_self_adjoint`` is exempt: the asymmetry it measures is
+    refused by ``sym_eigen`` first, so the command exits 2 without a report."""
+    original = suites.ambient_jacobi
+
+    def mutant(model, U):
+        skew = np.outer(model.zvec(1), model.zvec(2))
+        return original(model, U) + 1e-6 * (skew - skew.T)
+
+    monkeypatch.setattr(suites, "ambient_jacobi", mutant)
+    code = main(["verify", "ambient", "--m", str(M)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "not self-adjoint" in captured.err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        lambda: hopf_kick(q.build_tube(K, R), None),
+        lambda: q.random_hopf_data(2 * K, np.random.default_rng(3), "isotropic", alpha=0.0),
+    ],
+    ids=["not-hopf", "alpha-zero"],
+)
+def test_early_stop_fails_admissible_alone(capsys, tmp_path, data):
+    """Why ``classification_admissible`` is kept: when classify stops before
+    any residual, it is the only check in the report."""
+    code, payload = run_command(capsys, _commands(tmp_path, data())["classify"])
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in payload["checks"]] == [
+        ("classification_admissible", False)
+    ]
