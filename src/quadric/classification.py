@@ -32,7 +32,7 @@ from .hypersurface import (
 from .models import PrincipalCandidate, restrict_to_frame, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import _require_dimension, canonical_angle
+from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +76,19 @@ def affine_pair_matrices(
 
     ``E_a = 3 alpha A + alpha S^2 - alpha^2 S - alpha I - 6 S`` and
     ``E_b = 3 alpha I + alpha S^2 - alpha^2 S - alpha A - 6 S`` on whatever
-    space ``S`` and ``A`` act.
+    space ``S`` and ``A`` act.  ``S`` and ``A`` may be stacks ``(k, n, n)``
+    of matrices, with ``alpha`` a scalar or an array that broadcasts
+    against them, such as ``(k, 1, 1)``.
     """
-    n = S.shape[0]
-    eye = np.eye(n)
-    e_a = 3.0 * alpha * A + alpha * (S @ S) - alpha**2 * S - alpha * eye - 6.0 * S
-    e_b = 3.0 * alpha * eye + alpha * (S @ S) - alpha**2 * S - alpha * A - 6.0 * S
+    eye = np.eye(S.shape[-1])
+    # float_power squares as Python's ``alpha**2`` does (libm pow), so a
+    # stacked alpha rounds as a scalar one; numpy's ``**`` on arrays squares
+    # by multiplication, which differs in the last bit for about 0.1 % of
+    # inputs.
+    alpha_sq = np.float_power(alpha, 2)
+    S_sq = S @ S
+    e_a = 3.0 * alpha * A + alpha * S_sq - alpha_sq * S - alpha * eye - 6.0 * S
+    e_b = 3.0 * alpha * eye + alpha * S_sq - alpha_sq * S - alpha * A - 6.0 * S
     return e_a, e_b
 
 
@@ -147,22 +154,25 @@ def principal_chain_residuals(cand: PrincipalCandidate, tol: float = 1e-10) -> C
 # Nonexistence certificate for the principal case
 # ---------------------------------------------------------------------------
 
-def _random_compatible_conjugation(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random conjugation block on the complex subbundle.
+def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
+    """Random conjugation blocks on the complex subbundle, one per matrix of ``raw``.
 
-    Conjugate the standard block by a complex-linear orthogonal map, keeping
-    symmetry, involutivity and anti-commutation with the complex structure.
-    Basis order: the complex directions first, then their images under the
-    complex structure.
+    ``raw`` is a ``(k, n, n)`` stack of complex Gaussian matrices.  Each
+    block conjugates the standard block by the complex-linear orthogonal
+    map of its matrix's QR factor, keeping symmetry, involutivity and
+    anti-commutation with the complex structure.  Basis order: the complex
+    directions first, then their images under the complex structure.
     """
-    n = m - 1
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    n = raw.shape[-1]
     u, _ = np.linalg.qr(raw)
     R = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    A0 = np.block(
-        [[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), -np.eye(n)]]
-    )
-    return R @ A0 @ R.T
+    A0 = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), -np.eye(n)]])
+    return R @ A0 @ R.swapaxes(-1, -2)
+
+
+def _max_abs(M: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each matrix of a ``(k, n, n)`` stack."""
+    return np.max(np.abs(M), axis=(-2, -1))
 
 
 def _quadratic_roots(alpha: float) -> tuple[float, float]:
@@ -170,6 +180,48 @@ def _quadratic_roots(alpha: float) -> tuple[float, float]:
     s = alpha + 6.0 / alpha
     d = math.sqrt(s * s - 8.0)
     return 0.5 * (s + d), 0.5 * (s - d)
+
+
+def _draw_stack(
+    alphas: list[float], rng: np.random.Generator, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random blocks of one stack of samples, drawn sample by sample.
+
+    Per sample the stream gives the symmetric shape block, the real and
+    imaginary parts of the complex matrix behind the conjugation block, and
+    the root choices of the solvable instance's diagonal.  Returns the
+    stacks ``(k, 2m - 2, 2m - 2)`` of shape blocks, ``(k, m - 1, m - 1)`` of
+    complex matrices and ``(k, 2m - 2)`` of diagonals.
+    """
+    k, n = len(alphas), m - 1
+    raw = np.empty((k, 2 * n, 2 * n))
+    raw_c = np.empty((k, n, n), dtype=complex)
+    diag = np.empty((k, 2 * n))
+    for i, alpha in enumerate(alphas):
+        raw[i] = rng.standard_normal((2 * n, 2 * n))
+        raw_c[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam_hi, lam_lo = _quadratic_roots(alpha)
+        diag[i] = np.where(rng.uniform(size=2 * n) < 0.5, lam_hi, lam_lo)
+    return 0.5 * (raw + raw.swapaxes(-1, -2)), raw_c, diag
+
+
+def _stack_checks(alphas: list[float], residuals: np.ndarray, tol: float) -> list[Check]:
+    """The three checks of each sample, from its row of the ``(k, 5)`` residuals
+    ``max |E_a - E_b - 4 alpha (A - I)|`` on the random blocks, ``max |E_a|``
+    and ``max |E_b|`` of the root-spectrum instance, and ``max |A - I|`` of the
+    blocks solved from each equation."""
+    checks: list[Check] = []
+    for alpha, (diff_defect, solv_a, solv_b, force_a, force_b) in zip(alphas, residuals.tolist()):
+        tag = f"alpha={alpha:+.6g}"
+        scale = max(1.0, abs(alpha))
+        checks += [
+            Check(name=f"difference_identity[{tag}]", residual=diff_defect / scale, tol=1e-12),
+            Check(
+                name=f"affine_pair_solvable[{tag}]", residual=max(solv_a, solv_b) / scale, tol=tol
+            ),
+            Check(name=f"forces_identity[{tag}]", residual=max(force_a, force_b), tol=tol),
+        ]
+    return checks
 
 
 def principal_nonexistence_certificate(
@@ -198,6 +250,11 @@ def principal_nonexistence_certificate(
     The certificate passes iff every sample's affine pair is solvable and
     forces the identity block.
 
+    Samples are evaluated in stacks of matrices, as many per stack as keep
+    each ``(k, 2m - 2, 2m - 2)`` temporary within ``_STACK_BUDGET`` entries.
+    Each stack draws its samples' random blocks in sample order, so the
+    stream, and every residual, is the same as one sample at a time.
+
     Raises:
         InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
         ExcludedParameterError: if there are no samples, or a sample Reeb
@@ -206,51 +263,53 @@ def principal_nonexistence_certificate(
     _require_dimension(m, "nonexistence")
     if len(alpha_samples) == 0:
         raise ExcludedParameterError("nonexistence needs at least one alpha sample")
+    alphas = [float(alpha) for alpha in alpha_samples]
+    if 0.0 in alphas:
+        raise ExcludedParameterError("alpha samples must be nonzero")
     rng = np.random.default_rng(seed)
     n_c = 2 * (m - 1)
+    width = max(1, _STACK_BUDGET // (n_c * n_c))
     eye = np.eye(n_c)
+    diagonal = np.arange(n_c)
     checks: list[Check] = []
+    # One scope for every stack: each stack's arrays are freed only when the
+    # next stack rebinds their names, so the allocator reuses their memory
+    # instead of returning it and faulting fresh pages in for the next stack.
+    for start in range(0, len(alphas), width):
+        stack = alphas[start : start + width]
+        s_rand, raw_c, diag = _draw_stack(stack, rng, m)
+        alpha = np.array(stack)[:, None, None]
 
-    for alpha in alpha_samples:
-        alpha = float(alpha)
-        if alpha == 0.0:
-            raise ExcludedParameterError("alpha samples must be nonzero")
-        tag = f"alpha={alpha:+.6g}"
-
-        raw = rng.standard_normal((n_c, n_c))
-        s_rand = 0.5 * (raw + raw.T)
-        a_rand = _random_compatible_conjugation(m, rng)
+        a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        diff_defect = float(
-            np.max(np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)))
-        ) / max(1.0, abs(alpha))
-        checks.append(Check(name=f"difference_identity[{tag}]", residual=diff_defect, tol=1e-12))
+        difference = _max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye))
 
-        lam_hi, lam_lo = _quadratic_roots(alpha)
-        diag = np.where(rng.uniform(size=n_c) < 0.5, lam_hi, lam_lo)
-        s_star = np.diag(diag)
+        s_star = np.zeros((len(stack), n_c, n_c))
+        s_star[:, diagonal, diagonal] = diag
         e_a, e_b = affine_pair_matrices(alpha, s_star, eye)
-        solvable = max(
-            float(np.max(np.abs(e_a))), float(np.max(np.abs(e_b)))
-        ) / max(1.0, abs(alpha))
-        checks.append(Check(name=f"affine_pair_solvable[{tag}]", residual=solvable, tol=tol))
-
         s_sq = s_star @ s_star
-        a_from_first = (alpha * eye - alpha * s_sq + alpha**2 * s_star + 6.0 * s_star) / (
-            3.0 * alpha
-        )
+        a_from_first = (
+            alpha * eye - alpha * s_sq + np.float_power(alpha, 2) * s_star + 6.0 * s_star
+        ) / (3.0 * alpha)
         a_from_second = 3.0 * eye + s_sq - alpha * s_star - (6.0 / alpha) * s_star
-        forcing_defect = max(
-            float(np.max(np.abs(a_from_first - eye))),
-            float(np.max(np.abs(a_from_second - eye))),
+
+        residuals = np.stack(
+            [
+                difference,
+                _max_abs(e_a),
+                _max_abs(e_b),
+                _max_abs(a_from_first - eye),
+                _max_abs(a_from_second - eye),
+            ],
+            axis=1,
         )
-        checks.append(Check(name=f"forces_identity[{tag}]", residual=forcing_defect, tol=tol))
+        checks += _stack_checks(stack, residuals, tol)
 
     return CheckReport(
         command="nonexistence",
         params={
             "m": m,
-            "alpha_samples": [float(a) for a in alpha_samples],
+            "alpha_samples": alphas,
             "forced_trace_on_c": float(n_c),
             "required_trace": 0.0,
         },

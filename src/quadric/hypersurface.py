@@ -45,6 +45,8 @@ from .errors import (
 from .tangent import (
     TangentModel,
     UNIT_TOL,
+    _STACK_BUDGET,
+    _apply,
     _as_columns,
     _col_dot,
     adapted_conjugation,
@@ -77,8 +79,8 @@ class ConjugationSplit:
     g_axixi: float
 
     def rho(self, X: np.ndarray) -> float | np.ndarray:
-        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per column."""
-        return self.A_N @ np.asarray(X, dtype=float)
+        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per vector."""
+        return _apply(self.A_N, np.asarray(X, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,11 @@ class HypersurfaceData:
         hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
-    Derived operators that several checks share (the Reeb derivatives) are
-    computed on first use and kept on the instance, read-only.  The store is
-    not an init field, so the copies made by :meth:`with_gauge` and
-    :meth:`with_dalpha` start empty and compute their own.
+    Derived operators that several checks share (the Reeb derivatives and
+    the product ``J conj``) are computed on first use and kept on the
+    instance, read-only.  The store is not an init field, so the copies made
+    by :meth:`with_gauge` and :meth:`with_dalpha` start empty and compute
+    their own.
     """
 
     model: TangentModel
@@ -135,20 +138,21 @@ class HypersurfaceData:
         return self.model.dim - 1
 
     def eta(self, X: np.ndarray) -> float | np.ndarray:
-        """Contact form ``eta(X) = g(X, xi)``, one value per column."""
-        return self.xi @ np.asarray(X, dtype=float)
+        """Contact form ``eta(X) = g(X, xi)``, one value per vector."""
+        return _apply(self.xi, np.asarray(X, dtype=float))
 
     def is_tangent(self, X: np.ndarray, tol: float = UNIT_TOL) -> bool:
-        """Whether ``X``, or every column of an ``(n, k)`` stack, is tangent.
+        """Whether ``X``, or every vector of a stack (vector index on axis 0), is tangent.
 
-        A column passes when ``|g(X, N)| <= tol * max(1, |X|)``.
+        A vector passes when ``|g(X, N)| <= tol * max(1, |X|)``.
         """
         X = np.asarray(X, dtype=float)
+        X = X.reshape(X.shape[0], -1)
         bound = tol * np.maximum(1.0, np.linalg.norm(X, axis=0))
         return bool(np.all(np.abs(self.N @ X) <= bound))
 
     def require_tangent(self, *vectors: np.ndarray) -> None:
-        """Check every vector, and every column of every stack, for tangency.
+        """Check every vector, and every vector of every stack, for tangency.
 
         Raises:
             NonFiniteError: if an input has a NaN or infinite entry.
@@ -158,7 +162,7 @@ class HypersurfaceData:
             X = np.asarray(X, dtype=float)
             _require_finite(vector=X)
             if not self.is_tangent(X):
-                normal = np.atleast_1d(self.N @ X)
+                normal = self.N @ X.reshape(X.shape[0], -1)
                 worst = float(normal[np.argmax(np.abs(normal))])
                 raise NonTangentError(f"vector has a normal component (g(X, N) = {worst:.3e})")
 
@@ -332,32 +336,36 @@ def induced_curvature(
                   - g(JAX,Z) phi B Y + g(JAX,Z) rho(Y) xi
                   + g(SY,Z) S X - g(SX,Z) S Y.
 
-    Each argument is a tangent vector ``(n,)`` or a stack of tangent columns
-    ``(n, k)``; a stack evaluates the tensor column by column (a vector pairs
-    with every column) and returns ``(n, k)``.  All-vector input returns a
-    vector.
+    Each argument is a tangent vector ``(n,)`` or a stack of tangent vectors
+    with the vector index on axis 0, under the stack rule of
+    :func:`~quadric.tangent.ambient_curvature`: ``(n, k)`` stacks evaluate
+    column by column and return ``(n, k)``, and ``(n, k, 1)`` against
+    ``(n, 1, j)`` returns every ``R(X_a, Y_i) Z_i`` as ``(n, k, j)``, with
+    the products of each distinct vector formed once.  All-vector input
+    returns a vector.
     """
     h.require_tangent(X, Y, Z)
     (X, Y, Z), batched = _as_columns(X, Y, Z)
     J, A = h.model.J, h.conj
     phi, B, S = h.phi, h.split.B, h.S
-    JX, JY = J @ X, J @ Y
-    AX, AY = A @ X, A @ Y
-    JAX, JAY = J @ AX, J @ AY
-    BX, BY = B @ X, B @ Y
-    SX, SY = S @ X, S @ Y
+    JX, JY = _apply(J, X), _apply(J, Y)
+    AX, AY = _apply(A, X), _apply(A, Y)
+    JAX, JAY = _apply(J, AX), _apply(J, AY)
+    BX, BY = _apply(B, X), _apply(B, Y)
+    SX, SY = _apply(S, X), _apply(S, Y)
     g_JAX_Z, g_JAY_Z = _col_dot(JAX, Z), _col_dot(JAY, Z)
+    xi = h.xi.reshape(h.xi.shape + (1,) * (X.ndim - 1))
     R = (
         _col_dot(Y, Z) * X
         - _col_dot(X, Z) * Y
-        + _col_dot(JY, Z) * (phi @ X)
-        - _col_dot(JX, Z) * (phi @ Y)
-        - 2.0 * _col_dot(JX, Y) * (phi @ Z)
+        + _col_dot(JY, Z) * _apply(phi, X)
+        - _col_dot(JX, Z) * _apply(phi, Y)
+        - 2.0 * _col_dot(JX, Y) * _apply(phi, Z)
         + _col_dot(AY, Z) * BX
         - _col_dot(AX, Z) * BY
-        + g_JAY_Z * (phi @ BX)
-        - g_JAX_Z * (phi @ BY)
-        + np.outer(h.xi, g_JAX_Z * h.split.rho(Y) - g_JAY_Z * h.split.rho(X))
+        + g_JAY_Z * _apply(phi, BX)
+        - g_JAX_Z * _apply(phi, BY)
+        + xi * (g_JAX_Z * h.split.rho(Y) - g_JAY_Z * h.split.rho(X))
         + _col_dot(SY, Z) * SX
         - _col_dot(SX, Z) * SY
     )
@@ -394,16 +402,24 @@ def ricci_contraction(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
     """Ricci by direct contraction ``sum_i R(X, e_i) e_i`` over a tangent frame.
 
     Independent route kept deliberately separate from :func:`ricci`; the two
-    must agree for consistent data.  ``X`` is one tangent vector; the frame
-    is contracted in one call of :func:`induced_curvature` on its columns.
-
-    Raises:
-        ValueError: if ``X`` is not a single vector.
+    must agree for consistent data.  ``X`` is a tangent vector ``(n,)`` or a
+    stack ``(n, k)``, and the result has its shape.  The columns are
+    evaluated in slices: one :func:`induced_curvature` call takes a slice
+    ``X_s[:, :, None]`` against ``E = frame[:, None, :]`` and sums the last
+    axis, and each slice is as wide as keeps its ``n x width x (n - 1)``
+    stacked temporaries within ``_STACK_BUDGET`` entries (one column at the
+    least).
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 1:
-        raise ValueError(f"ricci_contraction takes one vector, got shape {X.shape}")
-    return induced_curvature(h, X, h.frame, h.frame).sum(axis=1)
+    columns = X.reshape(X.shape[0], -1)
+    n, j = h.frame.shape
+    E = h.frame[:, None, :]
+    width = max(1, _STACK_BUDGET // (n * j))
+    slices = [
+        induced_curvature(h, columns[:, a : a + width, None], E, E).sum(axis=-1)
+        for a in range(0, columns.shape[1], width)
+    ]
+    return np.concatenate(slices, axis=1).reshape(X.shape)
 
 
 def codazzi_rhs(h: HypersurfaceData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -531,6 +547,11 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
     return _project(M, h.N)
 
 
+def _conjugation_product(h: HypersurfaceData) -> np.ndarray:
+    """``J conj``, computed once per instance and kept read-only."""
+    return _memoized(h, "J_conj", lambda h: h.model.J @ h.conj)
+
+
 def _cov_deriv_matrix(
     h: HypersurfaceData,
     X: np.ndarray,
@@ -548,7 +569,6 @@ def _cov_deriv_matrix(
     ``q(X)``, ``(nabla_X S)`` and ``X alpha``.  Each rank-one term is one
     ``(left, right)`` pair of the sum.
     """
-    J, A = h.model.J, h.conj
     phi, S, B, xi, N = h.phi, h.S, h.split.B, h.xi, h.N
     A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
     alpha = h.alpha
@@ -564,7 +584,7 @@ def _cov_deriv_matrix(
     u = c * SX - float(SX @ A_xi) * xi
 
     M = (float(BphiSX @ xi) + float(A_xi @ phiSX)) * B
-    M += c * q_X * (J @ A)
+    M += c * q_X * _conjugation_product(h)
     M += dalpha_X * S + alpha * nablaS_X
     M += _rank_sum(
         (-xi, phiSX),
@@ -646,14 +666,13 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
     Must agree with :func:`reeb_covariant_derivative` for every Hopf input.
     """
     _require_hopf(h)
-    J, A = h.model.J, h.conj
     xi, N = h.xi, h.N
     A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
     alpha, q = h.alpha, h.q_xi
     xi_alpha = float(xi @ h.dalpha)
     phi_A_xi = h.phi @ A_xi
     G = reeb_shape_derivative(h)
-    M = c * q * (J @ A) + xi_alpha * h.S + alpha * G
+    M = c * q * _conjugation_product(h) + xi_alpha * h.S + alpha * G
     M += _rank_sum(
         (c * alpha * A_N, xi),
         (-c * q * N, A_xi),

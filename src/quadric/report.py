@@ -75,19 +75,14 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: JSON string escapes: the quote, the backslash and the control characters.
+_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+)
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def render_json(obj, indent: int = 0) -> str:

@@ -7,8 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError
+from quadric import ExcludedParameterError, classification, hypersurface
 from quadric.classification import affine_pair_matrices, _quadratic_roots
+from quadric.report import Check
+from quadric.tangent import _STACK_BUDGET
 
 
 def quadratic_root_candidate(m, alpha, seed=0):
@@ -17,6 +19,68 @@ def quadratic_root_candidate(m, alpha, seed=0):
     hi, lo = _quadratic_roots(alpha)
     values = [float(rng.choice([hi, lo])) for _ in range(2 * (m - 1))]
     return q.build_principal_candidate(m, alpha, values, pair=False, identity_conjugation=True)
+
+
+def _reference_affine_pair(alpha, S, A):
+    """``affine_pair_matrices`` for one pair of matrices, as it was written
+    before it took stacks."""
+    n = S.shape[0]
+    eye = np.eye(n)
+    e_a = 3.0 * alpha * A + alpha * (S @ S) - alpha**2 * S - alpha * eye - 6.0 * S
+    e_b = 3.0 * alpha * eye + alpha * (S @ S) - alpha**2 * S - alpha * A - 6.0 * S
+    return e_a, e_b
+
+
+def _reference_conjugation(m, rng):
+    """One random compatible conjugation block, drawn and built per sample."""
+    n = m - 1
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(raw)
+    R = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    A0 = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), -np.eye(n)]])
+    return R @ A0 @ R.T
+
+
+def reference_certificate_checks(m, alpha_samples, seed):
+    """The certificate's checks computed one sample at a time: the reference
+    for the stacked evaluation, which must reproduce it exactly."""
+    rng = np.random.default_rng(seed)
+    n_c = 2 * (m - 1)
+    eye = np.eye(n_c)
+    checks = []
+    for alpha in alpha_samples:
+        alpha = float(alpha)
+        tag = f"alpha={alpha:+.6g}"
+
+        raw = rng.standard_normal((n_c, n_c))
+        s_rand = 0.5 * (raw + raw.T)
+        a_rand = _reference_conjugation(m, rng)
+        e_a, e_b = _reference_affine_pair(alpha, s_rand, a_rand)
+        diff_defect = float(
+            np.max(np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)))
+        ) / max(1.0, abs(alpha))
+        checks.append(Check(name=f"difference_identity[{tag}]", residual=diff_defect, tol=1e-12))
+
+        lam_hi, lam_lo = _quadratic_roots(alpha)
+        diag = np.where(rng.uniform(size=n_c) < 0.5, lam_hi, lam_lo)
+        s_star = np.diag(diag)
+        e_a, e_b = _reference_affine_pair(alpha, s_star, eye)
+        solvable = max(
+            float(np.max(np.abs(e_a))), float(np.max(np.abs(e_b)))
+        ) / max(1.0, abs(alpha))
+        checks.append(Check(name=f"affine_pair_solvable[{tag}]", residual=solvable, tol=1e-10))
+
+        s_sq = s_star @ s_star
+        a_from_first = (alpha * eye - alpha * s_sq + alpha**2 * s_star + 6.0 * s_star) / (
+            3.0 * alpha
+        )
+        a_from_second = 3.0 * eye + s_sq - alpha * s_star - (6.0 / alpha) * s_star
+        forcing_defect = max(
+            float(np.max(np.abs(a_from_first - eye))),
+            float(np.max(np.abs(a_from_second - eye))),
+        )
+        checks.append(Check(name=f"forces_identity[{tag}]", residual=forcing_defect, tol=1e-10))
+    return checks
 
 
 class TestChainResiduals:
@@ -92,6 +156,21 @@ class TestAffinePairAlgebra:
         # the substitution that powers the transport: A S = S on the subbundle
         npt.assert_allclose(A_c @ S_c, S_c, atol=1e-14)
 
+    def test_stack_equals_per_matrix_calls(self):
+        """A stack with ``(k, 1, 1)`` alphas equals one call per matrix, bit for
+        bit.  The first alpha's square rounds differently as ``alpha * alpha``
+        than as Python's ``alpha**2``, which a scalar call evaluates."""
+        alphas = [-1.3275170599102342, 0.7, 2.5]
+        assert alphas[0] ** 2 != alphas[0] * alphas[0]
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((3, 6, 6))
+        S = raw + raw.swapaxes(-1, -2)
+        A = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        e_a, e_b = affine_pair_matrices(np.array(alphas)[:, None, None], S, A)
+        for i, alpha in enumerate(alphas):
+            ref_a, ref_b = _reference_affine_pair(alpha, S[i], A)
+            assert np.array_equal(e_a[i], ref_a) and np.array_equal(e_b[i], ref_b)
+
 
 class TestNonexistenceCertificate:
     def test_canned_curvatures_m3(self):
@@ -114,6 +193,50 @@ class TestNonexistenceCertificate:
     def test_zero_alpha_sample_rejected(self):
         with pytest.raises(ExcludedParameterError):
             q.principal_nonexistence_certificate(3, [1.0, 0.0])
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_stacked_checks_equal_the_per_sample_loop(self, m, seed, monkeypatch):
+        """Every check, residual included, equals the per-sample reference for
+        1, 25 and one more sample than a stack holds (a partial last stack).
+        The reference runs once on the longest list: the checks of a prefix
+        of the samples are the prefix of its checks."""
+        block = (2 * (m - 1)) ** 2
+        if _STACK_BUDGET // block > 100:
+            # A stack of the 2x2 and 4x4 blocks of m = 2, 3 holds thousands of
+            # samples, seconds of the per-sample reference; a smaller budget
+            # brings the stack boundary within its reach.
+            monkeypatch.setattr(classification, "_STACK_BUDGET", 30 * block)
+        counts = (1, 25, classification._STACK_BUDGET // block + 1)
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], max(counts))
+        alphas = (rng.uniform(0.2, 3.0, max(counts)) * signs).tolist()
+        reference = reference_certificate_checks(m, alphas, seed)
+        for count in counts:
+            report = q.principal_nonexistence_certificate(m, alphas[:count], seed=seed)
+            assert report.checks == reference[: 3 * count]
+
+
+class TestConjugationProduct:
+    def test_chain_forms_j_conj_once(self, monkeypatch):
+        """Both Reeb derivatives of a chain evaluation share one ``J @ conj``,
+        the product they formed inline; a ``with_gauge`` copy forms its own."""
+        built = []
+        memoized = hypersurface._memoized
+
+        def counting(h, key, build):
+            if key not in h._derived:
+                built.append(key)
+            return memoized(h, key, build)
+
+        monkeypatch.setattr(hypersurface, "_memoized", counting)
+        cand = quadratic_root_candidate(4, 1.5)
+        q.principal_chain_residuals(cand)
+        assert built.count("J_conj") == 1
+        h = cand.h
+        assert np.array_equal(hypersurface._conjugation_product(h), h.model.J @ h.conj)
+        q.reeb_derivative_reduced(h.with_gauge(0.5))
+        assert built.count("J_conj") == 2
 
 
 class TestClassify:

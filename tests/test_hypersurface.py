@@ -18,6 +18,7 @@ from quadric import (
     NormalizationError,
 )
 from quadric.hypersurface import reeb_covariant_derivative, reeb_derivative_reduced
+from quadric.tangent import _STACK_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +180,55 @@ class TestInducedCurvature:
                 stacked[:, j], q.induced_curvature(h, Y[:, j], X, Z[:, j]), rtol=0.0, atol=1e-13
             )
 
+    def test_broadcast_stacks_match_vector_pairs(self):
+        """``(n, k, 1)`` against ``(n, 1, j)`` is the double loop of vector calls
+        ``R(X_a, Y_i) Z_i``."""
+        h = random_hopf(m=5, seed=18)
+        rng = np.random.default_rng(19)
+        X = h.projector @ rng.standard_normal((10, 3))
+        Y, Z = (h.projector @ rng.standard_normal((10, 4)) for _ in range(2))
+        R = q.induced_curvature(h, X[:, :, None], Y[:, None, :], Z[:, None, :])
+        assert R.shape == (10, 3, 4)
+        for a in range(3):
+            for i in range(4):
+                npt.assert_allclose(
+                    R[:, a, i],
+                    q.induced_curvature(h, X[:, a], Y[:, i], Z[:, i]),
+                    rtol=0.0,
+                    atol=1e-13,
+                )
+
+    def test_pairings_follow_the_stack_rule(self):
+        """``eta`` and ``rho`` give one value per vector of any stack."""
+        h = random_hopf(m=3, seed=20)
+        X = h.frame[:, :4, None]
+        for pairing in (h.eta, h.split.rho):
+            values = pairing(X)
+            assert values.shape == (4, 1)
+            expected = [pairing(x) for x in X[:, :, 0].T]
+            npt.assert_allclose(values[:, 0], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_one_normal_column_rejects_a_broadcast_stack(self, tube, column):
+        """Every vector of each broadcast stack is checked, on either side."""
+        h = tube.h
+        X = h.frame[:, :3].copy()
+        X[:, column] += 1e-6 * h.N
+        E = h.frame[:, None, :]
+        assert not h.is_tangent(X[:, :, None])
+        with pytest.raises(NonTangentError):
+            q.induced_curvature(h, X[:, :, None], E, E)
+        with pytest.raises(NonTangentError):
+            q.induced_curvature(h, h.frame[:, :3, None], X[:, None, :], E)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejects_a_broadcast_stack(self, tube, bad):
+        h = tube.h
+        E = h.frame[:, None, :].copy()
+        E[5, 0, 4] = bad
+        with pytest.raises(NonFiniteError):
+            q.induced_curvature(h, h.frame[:, :3, None], h.frame[:, None, :], E)
+
     @pytest.mark.parametrize("column", [0, 3, 6])
     def test_one_normal_column_rejects_the_stack(self, tube, column):
         """The tangency bound holds per column, so a batch cannot dilute it."""
@@ -219,10 +269,33 @@ class TestRicci:
         for i in range(F.shape[1]):
             npt.assert_allclose(stacked[:, i], q.ricci(h, F[:, i]), rtol=0.0, atol=1e-13)
 
-    def test_contraction_takes_one_vector(self):
-        h = random_hopf(seed=23)
-        with pytest.raises(ValueError):
-            q.ricci_contraction(h, h.frame)
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    def test_contraction_stack_matches_columns(self, m):
+        """A stack equals the per-column calls.  The stack is 3 columns wider
+        than one slice of the contraction, so its last slice is partial."""
+        h = random_hopf(m=m, seed=23)
+        n, j = h.frame.shape
+        width = _STACK_BUDGET // (n * j) + 3
+        X = h.frame @ np.random.default_rng(24).standard_normal((j, width))
+        stacked = q.ricci_contraction(h, X)
+        assert stacked.shape == X.shape
+        columns = np.column_stack([q.ricci_contraction(h, X[:, a]) for a in range(width)])
+        npt.assert_allclose(stacked, columns, rtol=0.0, atol=1e-13 * np.max(np.abs(columns)))
+
+    def test_contraction_checks_every_slice(self, tube):
+        """A normal component or a NaN in the last slice of a stack still raises."""
+        h = tube.h
+        n, j = h.frame.shape
+        X = np.tile(h.frame, _STACK_BUDGET // (n * j * j) + 1)
+        assert X.shape[1] > _STACK_BUDGET // (n * j)
+        bad = X.copy()
+        bad[:, -1] += 1e-6 * h.N
+        with pytest.raises(NonTangentError):
+            q.ricci_contraction(h, bad)
+        bad = X.copy()
+        bad[0, -1] = np.nan
+        with pytest.raises(NonFiniteError):
+            q.ricci_contraction(h, bad)
 
     def test_self_adjoint_on_tangent_space(self):
         h = random_hopf(seed=21)

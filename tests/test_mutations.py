@@ -316,7 +316,7 @@ def common_term(monkeypatch):
 
     def mutant(alpha, S, A):
         e_a, e_b = original(alpha, S, A)
-        eye = np.eye(S.shape[0])
+        eye = np.eye(S.shape[-1])
         return e_a + EPS * eye, e_b + EPS * eye
 
     monkeypatch.setattr(classification, "affine_pair_matrices", mutant)

@@ -219,6 +219,22 @@ class TestAmbientCurvature:
                 stacked[:, j], ambient_curvature(model, X, Y[:, j], Z[:, j]), rtol=0.0, atol=1e-13
             )
 
+    def test_broadcast_stacks_match_vector_pairs(self):
+        """Trailing axes broadcast: ``(n, k, 1)`` against ``(n, 1, j)`` and a
+        vector give every ``R(X_a, Y_i) Z``, and ``(n, k)`` pads to ``(n, k, 1)``."""
+        model = build_tangent_model(3)
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((model.dim, 2))
+        Y = rng.standard_normal((model.dim, 3))
+        Z = rng.standard_normal(model.dim)
+        R = ambient_curvature(model, X, Y[:, None, :], Z)
+        assert R.shape == (model.dim, 2, 3)
+        for a in range(2):
+            for i in range(3):
+                npt.assert_allclose(
+                    R[:, a, i], ambient_curvature(model, X[:, a], Y[:, i], Z), rtol=0.0, atol=1e-13
+                )
+
 
 # ---------------------------------------------------------------------------
 # Ambient Jacobi operator
