@@ -44,7 +44,7 @@ rng = np.random.default_rng(7)
 alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(10)]
 report = q.principal_nonexistence_certificate(3, alphas)
 print(f"\ncertificate over {len(alphas)} sampled curvatures (m = 3):")
-for prefix in ("affine_pair_solvable", "forces_identity"):
+for prefix in ("difference_identity", "affine_pair_solvable"):
     checks = [c for c in report.checks if c.name.startswith(prefix)]
     print(f"  {prefix}: {sum(c.passed for c in checks)}/{len(checks)}")
 print(f"  forced trace: {report.params['forced_trace_on_c']:.0f}, required: 0")

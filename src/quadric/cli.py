@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,11 +59,33 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
+def _tol(text: str) -> float:
+    """``--tol``: a finite number > 0; ``inf`` would pass every check."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, as ``np.random.default_rng`` takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_common(parser: argparse.ArgumentParser, default_tol: float | None) -> None:
     """``--seed`` and ``--json``, plus ``--tol`` where the command reads one."""
     if default_tol is not None:
-        parser.add_argument("--tol", type=float, default=default_tol, help="residual tolerance")
-    parser.add_argument("--seed", type=int, default=7, help="seed for all sampling")
+        parser.add_argument("--tol", type=_tol, default=default_tol, help="residual tolerance")
+    parser.add_argument("--seed", type=_seed, default=7, help="seed for all sampling")
     parser.add_argument("--json", metavar="PATH", default=None, help="write the report to PATH")
 
 

@@ -22,9 +22,10 @@ Conventions used throughout:
   so they annihilate the normal direction;
 * the gauge scalar ``q(xi)`` of the conjugation derivative defaults to
   ``2 alpha`` (forced whenever ``g(A xi, xi) != 0``, a free gauge otherwise);
-* the Reeb-curvature differential ``dalpha`` defaults to the closed Hopf
+* the Reeb-curvature differential ``dalpha`` is built as the closed Hopf
   form ``X alpha = (xi alpha) eta(X) + 2 g(A xi, xi) g(X, A N)`` with
-  ``xi alpha = 0`` (both singular normal types have constant Reeb curvature).
+  ``xi alpha = 0`` (both singular normal types have constant Reeb
+  curvature); :meth:`HypersurfaceData.with_dalpha` declares any other.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class HypersurfaceData:
         S: shape operator (ambient matrix, annihilates ``N``).
         alpha: Reeb curvature ``g(S xi, xi)``.
         q_xi: gauge scalar of the conjugation derivative in the Reeb direction.
-        dalpha: metric dual of the Reeb-curvature differential.
+        dalpha: metric dual of the Reeb-curvature differential: the closed
+            Hopf form with ``xi alpha = 0`` unless declared by :meth:`with_dalpha`.
         conj: conjugation adapted to the normal.
         split: tangent/normal splitting of ``conj``.
         projector: orthogonal projection onto the tangent hyperplane.
@@ -223,9 +225,6 @@ def induce_from_normal(
     N: np.ndarray,
     S: np.ndarray,
     q_xi: float | None = None,
-    dalpha: np.ndarray | None = None,
-    xi_alpha: float = 0.0,
-    tol: float = CONSTRUCTION_TOL,
 ) -> HypersurfaceData:
     """Induce the full hypersurface data from a unit normal and shape operator.
 
@@ -243,7 +242,7 @@ def induce_from_normal(
     """
     N = np.asarray(N, dtype=float).copy()
     S = np.asarray(S, dtype=float)
-    _require_finite(normal=N, shape_operator=S, q_xi=q_xi, dalpha=dalpha, xi_alpha=xi_alpha)
+    _require_finite(normal=N, shape_operator=S, q_xi=q_xi)
     if N.shape != (model.dim,):
         raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
     nrm = float(np.linalg.norm(N))
@@ -255,13 +254,13 @@ def induce_from_normal(
     P = np.eye(model.dim) - np.outer(N, N)
     warnings: list[str] = []
     normal_leak = max(float(np.max(np.abs(S @ N))), float(np.max(np.abs(N @ S))))
-    if normal_leak > tol:
+    if normal_leak > CONSTRUCTION_TOL:
         S = _project(S, N)
         warnings.append(f"shape operator projected to the tangent space (leak {normal_leak:.3e})")
     else:
         S = S.copy()
     sym_defect = float(np.max(np.abs(_project(S - S.T, N))))
-    if sym_defect > max(tol, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
+    if sym_defect > max(CONSTRUCTION_TOL, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
         raise AsymmetryError(sym_defect, "shape operator not self-adjoint on the tangent space")
 
     xi = -(model.J @ N)
@@ -287,18 +286,15 @@ def induce_from_normal(
         "g(xi, A N) != 0": abs(float(xi @ A_N)),
     }
     for label, err in checks.items():
-        if err > 100 * tol:
+        if err > 100 * CONSTRUCTION_TOL:
             raise ModelValidationError(f"{label} (defect {err:.3e})")
 
     if q_xi is None:
         q_xi = 2.0 * alpha
-    if dalpha is None:
-        dalpha_vec = xi_alpha * xi + 2.0 * c * A_N
-    else:
-        dalpha_vec = np.asarray(dalpha, dtype=float).copy()
+    dalpha = 2.0 * c * A_N
 
     frame = tangent_frame(N)
-    _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, frame, dalpha_vec)
+    _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, frame, dalpha)
     return HypersurfaceData(
         model=model,
         N=N,
@@ -307,7 +303,7 @@ def induce_from_normal(
         S=S,
         alpha=alpha,
         q_xi=float(q_xi),
-        dalpha=dalpha_vec,
+        dalpha=dalpha,
         conj=conj,
         split=split,
         projector=P,

@@ -116,37 +116,13 @@ def _complex_pair_columns(model: TangentModel, z_indices: list[int]) -> np.ndarr
     return np.column_stack(cols)
 
 
-def _swapped_blocks(model: TangentModel, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complementary invariant blocks exchanged by the conjugation.
-
-    Spanned by ``(Z_a +- J Z_b) / sqrt(2)`` combinations, so the conjugation
-    maps one block onto the other while both stay complex subspaces.
-    """
-    w1, w2 = [], []
-    for j in range(1, k):
-        a = model.zvec(2 + j)
-        b = model.zvec(k + 1 + j)
-        Ja, Jb = model.J @ a, model.J @ b
-        w1 += [(a + Jb) / math.sqrt(2.0), (Ja - b) / math.sqrt(2.0)]
-        w2 += [(a - Jb) / math.sqrt(2.0), (Ja + b) / math.sqrt(2.0)]
-    return np.column_stack(w1), np.column_stack(w2)
-
-
-def build_tube(
-    k: int,
-    r: float,
-    non_vanishing: bool = True,
-    swap_conjugation: bool = False,
-) -> TubeModel:
+def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     """Construct the tube of radius ``r`` in the quadric of complex dimension ``2k``.
 
     Args:
         k: at least 2 (the invariant blocks must be nonempty).
         r: radius in ``(0, pi/2)``.
         non_vanishing: refuse ``r = pi/4`` (vanishing Reeb curvature).
-        swap_conjugation: realize the invariant blocks so the conjugation
-            exchanges them instead of preserving each; all pointwise
-            identities are insensitive to this choice.
 
     Raises:
         InvalidDimensionError: if ``k < 2``.
@@ -174,11 +150,8 @@ def build_tube(
     A_xi = (model.zvec(2) + model.jzvec(1)) / sqrt2
     A_N = (model.zvec(1) - model.jzvec(2)) / sqrt2
 
-    if swap_conjugation:
-        W1, W2 = _swapped_blocks(model, k)
-    else:
-        W1 = _complex_pair_columns(model, list(range(3, k + 2)))
-        W2 = _complex_pair_columns(model, list(range(k + 2, 2 * k + 1)))
+    W1 = _complex_pair_columns(model, list(range(3, k + 2)))
+    W2 = _complex_pair_columns(model, list(range(k + 2, 2 * k + 1)))
 
     alpha = tube_reeb_curvature(r)
     S = (
@@ -196,10 +169,10 @@ def restrict_to_frame(M: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return frame.T @ M @ frame
 
 
-def tube_structure_jacobi_spectrum(tube: TubeModel, tol: float = 1e-12) -> SpectrumReport:
+def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
     """Spectrum of the structure Jacobi operator restricted to the tube's tangent space."""
     R = structure_jacobi(tube.h)
-    return sym_eigen(restrict_to_frame(R, tube.h.frame), tol=tol)
+    return sym_eigen(restrict_to_frame(R, tube.h.frame))
 
 
 def default_radius_grid(points: int = 20) -> list[float]:
@@ -229,18 +202,14 @@ def paired_curvature(alpha: float, lam: float) -> float:
     return (alpha * lam + 2.0) / denom
 
 
-def perturbed_tube(
-    k: int,
-    r: float,
-    rng: np.random.Generator,
-    spread: float = 2.0,
-) -> HypersurfaceData:
+def perturbed_tube(k: int, r: float, rng: np.random.Generator) -> HypersurfaceData:
     """Isotropic Hopf data in the tube frame with re-drawn principal curvatures.
 
     Each complex pair of the invariant complement gets an independent random
-    curvature together with its partner under :func:`paired_curvature`, so
-    the pointwise Hopf consistency identities continue to hold while the
-    Reeb flow is generically no longer isometric.
+    curvature in ``(-2, 2)``, at least 0.1 from ``alpha / 2``, together with
+    its partner under :func:`paired_curvature`, so the pointwise Hopf
+    consistency identities continue to hold while the Reeb flow is
+    generically no longer isometric.
     """
     tube = build_tube(k, r)
     model = tube.h.model
@@ -248,9 +217,9 @@ def perturbed_tube(
     xi = tube.h.xi
     S = alpha * np.outer(xi, xi)
     for i in range(3, 2 * k + 1):
-        lam = float(rng.uniform(-spread, spread))
+        lam = float(rng.uniform(-2.0, 2.0))
         while abs(2.0 * lam - alpha) < 0.2:
-            lam = float(rng.uniform(-spread, spread))
+            lam = float(rng.uniform(-2.0, 2.0))
         mu = paired_curvature(alpha, lam)
         x = model.zvec(i)
         jx = model.jzvec(i)

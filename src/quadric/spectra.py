@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import AsymmetryError, _require_finite
 
+#: Asymmetry bound of every solve, and the unit of its cluster width.
 DEFAULT_TOL = 1e-12
-#: Eigenvalues closer than this multiple of ``tol * max(1, ||op||_2)`` share a cluster.
+#: Eigenvalues within this multiple of ``DEFAULT_TOL * max(1, ||op||_2)`` share a cluster.
 CLUSTER_WIDTH_FACTOR = 10.0
 
 
@@ -35,7 +36,6 @@ class SpectrumReport:
         asymmetry: measured ``max |op - op^T|`` of the input.
         reconstruction_residual: Frobenius norm of ``op - Q diag Q^T``.
         orthogonality_residual: Frobenius norm of ``Q^T Q - I``.
-        tol: tolerance the solve was run at.
     """
 
     eigenvalues: np.ndarray
@@ -44,7 +44,6 @@ class SpectrumReport:
     asymmetry: float
     reconstruction_residual: float
     orthogonality_residual: float
-    tol: float
 
     @property
     def distinct(self) -> tuple[float, ...]:
@@ -65,17 +64,18 @@ def cluster_eigenvalues(values: np.ndarray, width: float) -> tuple[tuple[float, 
     return tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
 
 
-def sym_eigen(op: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrumReport:
+def sym_eigen(op: np.ndarray) -> SpectrumReport:
     """Full spectrum of a self-adjoint operator.
 
     One LAPACK call (``np.linalg.eigh``) on ``(op + op^T) / 2``.  The
     reconstruction and orthogonality residuals of the report certify the
     eigenpairs independently of the solver.  Multiplicities use a cluster
-    width of ``CLUSTER_WIDTH_FACTOR * tol * max(1, ||op||_2)``, with the
-    spectral norm read off the computed eigenvalues.
+    width of ``CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1, ||op||_2)``, with
+    the spectral norm read off the computed eigenvalues.
 
     Raises:
-        AsymmetryError: if ``op`` is not square or ``max |op - op^T| > tol``.
+        AsymmetryError: if ``op`` is not square or
+            ``max |op - op^T| > DEFAULT_TOL``.
         NonFiniteError: if ``op`` has a NaN or infinite entry.
     """
     op = np.asarray(op, dtype=float)
@@ -83,7 +83,7 @@ def sym_eigen(op: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrumReport:
         raise AsymmetryError(float("nan"), f"expected a square matrix, got shape {op.shape}")
     _require_finite(operator=op)
     defect = float(np.max(np.abs(op - op.T))) if op.size else 0.0
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise AsymmetryError(defect)
 
     values, vectors = np.linalg.eigh(0.5 * (op + op.T))
@@ -93,11 +93,10 @@ def sym_eigen(op: np.ndarray, tol: float = DEFAULT_TOL) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=values,
         vectors=vectors,
-        clusters=cluster_eigenvalues(values, CLUSTER_WIDTH_FACTOR * tol * max(1.0, norm2)),
+        clusters=cluster_eigenvalues(values, CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, norm2)),
         asymmetry=defect,
         reconstruction_residual=recon,
         orthogonality_residual=orth,
-        tol=tol,
     )
 
 

@@ -68,17 +68,15 @@ class TangentModel:
         return e
 
 
-def build_tangent_model(m: int, conjugation: np.ndarray | None = None) -> TangentModel:
-    """Construct the model in the standard basis.
+def build_tangent_model(m: int) -> TangentModel:
+    """Construct the model in the standard basis, with the base conjugation ``A``.
 
-    Args:
-        m: complex dimension, ``1 <= m <= MAX_COMPLEX_DIM``.
-        conjugation: optional replacement for the standard conjugation; it
-            must be a symmetric orthogonal involution anti-commuting with J.
-            Used by alternate model-space constructions.
+    A model with another member of the conjugation circle is
+    ``TangentModel(m, J, rotate_conjugation(model, theta))``.
 
     Raises:
-        InvalidDimensionError: if ``m`` is not an integer in range.
+        InvalidDimensionError: if ``m`` is not an integer with
+            ``1 <= m <= MAX_COMPLEX_DIM``.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise InvalidDimensionError(f"complex dimension must be an integer, got {m!r}")
@@ -90,11 +88,7 @@ def build_tangent_model(m: int, conjugation: np.ndarray | None = None) -> Tangen
     eye = np.eye(m)
     zero = np.zeros((m, m))
     J = np.block([[zero, -eye], [eye, zero]])
-    if conjugation is None:
-        A = np.block([[eye, zero], [zero, -eye]])
-    else:
-        A = np.asarray(conjugation, dtype=float)
-        _check_conjugation(J, A)
+    A = np.block([[eye, zero], [zero, -eye]])
     J.flags.writeable = False
     A.flags.writeable = False
     return TangentModel(m=int(m), J=J, A=A)
@@ -104,21 +98,6 @@ def _require_dimension(m: int, command: str) -> None:
     """Refuse ``m`` unless it is an integer with ``2 <= m <= MAX_COMPLEX_DIM``."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or not 2 <= m <= MAX_COMPLEX_DIM:
         raise InvalidDimensionError(f"{command} requires 2 <= m <= {MAX_COMPLEX_DIM}, got {m!r}")
-
-
-def _check_conjugation(J: np.ndarray, A: np.ndarray) -> None:
-    n = J.shape[0]
-    if A.shape != (n, n):
-        raise InvalidDimensionError(f"conjugation must be {n}x{n}, got {A.shape}")
-    checks = {
-        "A not symmetric": A - A.T,
-        "A not an involution": A @ A - np.eye(n),
-        "A does not anti-commute with J": A @ J + J @ A,
-    }
-    for label, defect in checks.items():
-        err = float(np.max(np.abs(defect)))
-        if err > 1e-12:
-            raise InvalidDimensionError(f"{label} (defect {err:.3e})")
 
 
 def rotate_conjugation(model: TangentModel, theta: float) -> np.ndarray:
@@ -150,7 +129,7 @@ class CanonicalAngle:
     kind: str  # "A-principal" | "A-isotropic" | "generic"
 
 
-def canonical_angle(model: TangentModel, U: np.ndarray, eps: float = ANGLE_EPS) -> CanonicalAngle:
+def canonical_angle(model: TangentModel, U: np.ndarray) -> CanonicalAngle:
     """Canonical angle ``t in [0, pi/4]`` of a unit direction.
 
     Every unit vector can be written ``cos(t) Z_1' + sin(t) J Z_2'`` with
@@ -161,7 +140,7 @@ def canonical_angle(model: TangentModel, U: np.ndarray, eps: float = ANGLE_EPS) 
 
     which is invariant under rotating the conjugation (the two pairings
     transform as a cosine/sine pair).  ``t = 0`` tags a principal direction,
-    ``t = pi/4`` an isotropic one.
+    ``t = pi/4`` an isotropic one, each up to ``ANGLE_EPS``.
 
     Raises:
         NonFiniteError: if ``U`` has a NaN or infinite entry.
@@ -176,9 +155,9 @@ def canonical_angle(model: TangentModel, U: np.ndarray, eps: float = ANGLE_EPS) 
     b = float(U @ (model.J @ (model.A @ U)))
     s = min(1.0, math.hypot(a, b))
     t = 0.5 * math.acos(s)
-    if t < eps:
+    if t < ANGLE_EPS:
         kind = "A-principal"
-    elif abs(t - math.pi / 4.0) < eps:
+    elif abs(t - math.pi / 4.0) < ANGLE_EPS:
         kind = "A-isotropic"
     else:
         kind = "generic"

@@ -56,7 +56,7 @@ def test_criterion_2_tube_identity_suite():
         for r in q.default_radius_grid(20):
             tube = q.build_tube(k, r)
             h = tube.h
-            spec = q.sym_eigen(q.restrict_to_frame(h.S, h.frame), tol=1e-12)
+            spec = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
             matched, dev = q.match_spectrum(spec, q.tube_shape_template(k, r), rel_tol=1e-10)
             ok = ok and matched
             track("shape_spectrum", dev)
@@ -145,22 +145,23 @@ def test_criterion_4_reeb_parallel_commutator_equivalence():
 
 
 def test_criterion_5_nonexistence_certificate():
-    """Principal case: the affine pair forces the identity block and the trace
-    conflict, for 25 random nonzero Reeb curvatures per dimension."""
+    """Principal case: the affine pair forces the identity block (difference
+    identity), is solvable with it, and the forced trace conflicts, for 25
+    random nonzero Reeb curvatures per dimension."""
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     ok = True
     details = []
     for m in (3, 4, 5):
         alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(25)]
-        rep = q.principal_nonexistence_certificate(m, alphas, seed=7, tol=1e-10)
-        forcing = [c for c in rep.checks if c.name.startswith("forces_identity")]
+        rep = q.principal_nonexistence_certificate(m, alphas, seed=7)
+        difference = [c for c in rep.checks if c.name.startswith("difference_identity")]
         solvable = [c for c in rep.checks if c.name.startswith("affine_pair_solvable")]
         ok = ok and rep.all_passed
         # The conjuncts of the trace contradiction hold for every sample.
-        ok = ok and len(forcing) == 25 and all(c.passed for c in forcing)
+        ok = ok and len(difference) == 25 and all(c.passed for c in difference)
         ok = ok and len(solvable) == 25 and all(c.passed for c in solvable)
-        ok = ok and max(c.residual for c in forcing) < 1e-10
+        ok = ok and max(c.residual for c in solvable) < 1e-10
         ok = ok and rep.params["forced_trace_on_c"] == 2 * m - 2
         details.append(f"m={m} trace {2 * m - 2}")
     elapsed = time.perf_counter() - start

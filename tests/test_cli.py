@@ -63,11 +63,9 @@ class TestVerifyCommands:
             "curvature_skew_in_last_slots",
             "curvature_pair_symmetry",
             "first_bianchi_identity",
-            "jacobi_self_adjoint[principal]",
             "jacobi_kills_direction[principal]",
             "jacobi_spectrum[principal]",
             "jacobi_trace[principal]",
-            "jacobi_self_adjoint[isotropic]",
             "jacobi_kills_direction[isotropic]",
             "jacobi_spectrum[isotropic]",
             "jacobi_trace[isotropic]",
@@ -430,6 +428,56 @@ class TestToleranceOption:
         assert code == 0
         h = q.from_dict(json.loads(path.read_text(encoding="utf-8")))
         assert out == report_to_json(suites.spectrum_report(h, seed=7))
+
+
+def _argv_for(command, path):
+    """Arguments that run ``command`` to a report; ``path`` is a tube payload."""
+    return {
+        "verify ambient": ["verify", "ambient", "--m", "3"],
+        "verify tube": ["verify", "tube", "--k", "2", "--r", "0.6"],
+        "scan tube": ["scan", "tube", "--k", "2", "--r-min", "0.3", "--r-max", "1.2",
+                      "--steps", "3"],
+        "nonexistence": ["nonexistence", "--m", "3", "--alpha-samples", "2"],
+        "classify": ["classify", str(path)],
+        "spectrum": ["spectrum", str(path)],
+    }[command]
+
+
+class TestSeedAndToleranceValues:
+    """``--seed`` and ``--tol`` values that cannot drive a meaningful run exit 2."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["verify ambient", "verify tube", "scan tube", "nonexistence", "classify", "spectrum"],
+    )
+    def test_negative_seed_exits_two(self, capsys, tmp_path, command):
+        """``np.random.default_rng`` refuses a negative seed; every command
+        refuses it at the parser, including those that draw nothing."""
+        argv = _argv_for(command, write_tube_payload(tmp_path / "tube.json"))
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == "" and "--seed" in err and "integer >= 0" in err
+        assert "Traceback" not in err
+        code, _, _ = run(capsys, *argv, "--seed", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1", "1e400", "x"])
+    @pytest.mark.parametrize("command", ["verify ambient", "verify tube", "scan tube", "classify"])
+    def test_tol_not_finite_positive_exits_two(self, capsys, tmp_path, command, tol):
+        """``inf`` would pass every tolerance-gated check, and ``nan``, ``0``
+        or a negative bound would fail them as if the identity were broken."""
+        argv = _argv_for(command, write_tube_payload(tmp_path / "tube.json"))
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert out == "" and "--tol" in err and "finite number > 0" in err
+
+    @pytest.mark.parametrize("command", ["verify ambient", "verify tube", "scan tube", "classify"])
+    def test_small_positive_tol_runs(self, capsys, tmp_path, command):
+        """A positive bound below every residual is a run that fails, not a refusal."""
+        argv = _argv_for(command, write_tube_payload(tmp_path / "tube.json"))
+        code, out, _ = run(capsys, *argv, "--tol", "1e-300")
+        assert code == 1
+        assert json.loads(out.partition("\n")[2] if command == "classify" else out)
 
 
 class TestParserReuse:

@@ -61,25 +61,6 @@ class TestBuildTube:
             q.build_tube(1, 0.5)
 
 
-class TestSwappedConjugationVariant:
-    def test_conjugation_exchanges_blocks(self):
-        tube = q.build_tube(3, 0.7, swap_conjugation=True)
-        A = tube.h.model.A
-        W1, W2 = tube.bases["W1"], tube.bases["W2"]
-        # A W1 lies in span(W2) and vice versa
-        npt.assert_allclose(W2 @ (W2.T @ (A @ W1)), A @ W1, atol=1e-13)
-        npt.assert_allclose(W1 @ (W1.T @ (A @ W2)), A @ W2, atol=1e-13)
-
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_identity_suite_insensitive_to_variant(self, swap):
-        tube = q.build_tube(2, 1.1, swap_conjugation=swap)
-        h = tube.h
-        assert q.hopf_identity_residual(h) < 1e-11
-        assert q.alpha_gradient_residual(h) < 1e-12
-        assert np.max(np.abs(h.phi @ h.S - h.S @ h.phi)) < 1e-12
-        assert q.reeb_parallel_residual(h) < 1e-11
-
-
 class TestTubeGridInvariants:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_full_radius_grid(self, k):

@@ -322,17 +322,6 @@ def common_term(monkeypatch):
     monkeypatch.setattr(classification, "affine_pair_matrices", mutant)
 
 
-def shifted_root(monkeypatch):
-    """The larger root of ``x^2 - (alpha + 6/alpha) x + 2`` off by ``eps``."""
-    original = classification._quadratic_roots
-
-    def mutant(alpha):
-        hi, lo = original(alpha)
-        return hi + EPS, lo
-
-    monkeypatch.setattr(classification, "_quadratic_roots", mutant)
-
-
 def perturbed_payload(monkeypatch):
     """:func:`~quadric.perturbed_tube`: Hopf and paired, Reeb flow not isometric."""
     return q.perturbed_tube(K, R, np.random.default_rng(5))
@@ -383,7 +372,6 @@ SUITE_MUTATIONS = {
     "nonexistence": {
         "difference_identity": coefficient_slip,
         "affine_pair_solvable": common_term,
-        "forces_identity": shifted_root,
     },
     "classify": {
         "reeb_parallel_structure_jacobi": perturbed_payload,
@@ -397,15 +385,6 @@ SUITE_MUTATIONS = {
 
 #: command -> check name -> why it has no entry in the matrix.
 EXEMPT = {
-    "verify ambient": {
-        "jacobi_self_adjoint": (
-            "sym_eigen refuses max |R_U - R_U^T| > 1e-12, the same measure at the "
-            "same bound, before the report exists, so an asymmetric Jacobi "
-            "operator exits 2 and the check never fails in a report "
-            "(test_asymmetric_jacobi_exits_two); kept while the verify ambient "
-            "check list stays as it is"
-        ),
-    },
     "classify": {
         "classification_admissible": (
             "the verdict written as a 0/1 residual: the only check that fails "
@@ -441,9 +420,9 @@ def run_command(capsys, argv):
     return code, json.loads(out) if out else None
 
 
-#: The report schema of version 0.2.0: top-level keys, check keys, and the
+#: The report schema of version 0.3.0: top-level keys, check keys, and the
 #: ordered check names of each command at the arguments of ``_commands``.
-SCHEMA_VERSION = "0.2.0"
+SCHEMA_VERSION = "0.3.0"
 REPORT_KEYS = ["command", "version", "seed", "params", "checks", "summary"]
 CHECK_KEYS = ["name", "residual", "tol", "pass"]
 CHECK_NAMES = {
@@ -458,11 +437,9 @@ CHECK_NAMES = {
         "curvature_skew_in_last_slots",
         "curvature_pair_symmetry",
         "first_bianchi_identity",
-        "jacobi_self_adjoint[principal]",
         "jacobi_kills_direction[principal]",
         "jacobi_spectrum[principal]",
         "jacobi_trace[principal]",
-        "jacobi_self_adjoint[isotropic]",
         "jacobi_kills_direction[isotropic]",
         "jacobi_spectrum[isotropic]",
         "jacobi_trace[isotropic]",
@@ -472,10 +449,8 @@ CHECK_NAMES = {
     "nonexistence": [
         "difference_identity[alpha=+1.95027]",
         "affine_pair_solvable[alpha=+1.95027]",
-        "forces_identity[alpha=+1.95027]",
         "difference_identity[alpha=+2.37192]",
         "affine_pair_solvable[alpha=+2.37192]",
-        "forces_identity[alpha=+2.37192]",
     ],
     "classify": [
         "classification_admissible",
@@ -524,8 +499,7 @@ def test_suite_mutation_fails_its_check(capsys, monkeypatch, tmp_path, command, 
 
 
 def test_common_term_fails_solvability_alone(capsys, monkeypatch, tmp_path):
-    """A defect shared by ``E_a`` and ``E_b`` cancels in their difference and
-    does not reach the closed-form solutions of the forcing step."""
+    """A defect shared by ``E_a`` and ``E_b`` cancels in their difference."""
     common_term(monkeypatch)
     code, payload = run_command(capsys, _commands(tmp_path)["nonexistence"])
     assert code == 1
@@ -543,8 +517,9 @@ def test_collapsed_blocks_stay_reeb_parallel(capsys, tmp_path):
 
 
 def test_asymmetric_jacobi_exits_two(capsys, monkeypatch):
-    """Why ``jacobi_self_adjoint`` is exempt: the asymmetry it measures is
-    refused by ``sym_eigen`` first, so the command exits 2 without a report."""
+    """``verify ambient`` has no self-adjointness check: the ``sym_eigen``
+    guard is the one measurement of it, and an asymmetric Jacobi operator
+    exits 2 without a report."""
     original = suites.ambient_jacobi
 
     def mutant(model, U):

@@ -1,7 +1,11 @@
 """Deterministic JSON rendering of reports."""
 
 import json
+from pathlib import Path
 
+import pytest
+
+import quadric
 from quadric.report import _escape, render_json
 
 
@@ -36,3 +40,11 @@ def test_escape_matches_the_per_character_rule():
 def test_escaped_strings_round_trip_through_json():
     text = "".join(chr(c) for c in range(0x80)) + "".join(NON_ASCII)
     assert json.loads(render_json({text: [text]})) == {text: [text]}
+
+
+def test_package_version_matches_pyproject():
+    """The report schema version and the package version are bumped together."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == quadric.VERSION

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen
-from quadric.spectra import cluster_eigenvalues
+from quadric.spectra import DEFAULT_TOL, cluster_eigenvalues
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -46,8 +46,8 @@ class TestSymEigen:
         rng = np.random.default_rng(9)
         raw = rng.standard_normal((12, 12))
         a = 0.5 * (raw + raw.T)
-        rep = sym_eigen(a, tol=1e-12)
-        assert rep.reconstruction_residual <= 100 * rep.tol
+        rep = sym_eigen(a)
+        assert rep.reconstruction_residual <= 100 * DEFAULT_TOL
         for lam, v in zip(rep.eigenvalues, rep.vectors.T):
             assert np.linalg.norm(a @ v - lam * v) < 1e-10
         npt.assert_allclose(rep.vectors.T @ rep.vectors, np.eye(12), atol=1e-12)
@@ -83,7 +83,7 @@ class TestSymEigen:
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((15, 15)))
         a = q @ np.diag(np.repeat([400.0, 0.0, -20.0], 5)) @ q.T
-        rep = sym_eigen(0.5 * (a + a.T), tol=1e-12)
+        rep = sym_eigen(0.5 * (a + a.T))
         assert rep.multiplicities == (5, 5, 5)
 
     def test_cluster_width_scales_with_norm(self):
@@ -91,7 +91,7 @@ class TestSymEigen:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         a = q @ np.diag(np.repeat([1e6, 2e6, -1.0], 3)) @ q.T
-        rep = sym_eigen(0.5 * (a + a.T), tol=1e-12)
+        rep = sym_eigen(0.5 * (a + a.T))
         assert rep.multiplicities == (3, 3, 3)
         # backward stable: each eigenvalue is off by a small multiple of eps * ||op||_2
         npt.assert_allclose(rep.distinct, [-1.0, 1e6, 2e6], rtol=0, atol=1e-14 * 2e6)

@@ -11,6 +11,7 @@ from quadric import (
     InvalidDimensionError,
     NonFiniteError,
     NormalizationError,
+    TangentModel,
     ambient_curvature,
     ambient_jacobi,
     build_tangent_model,
@@ -133,7 +134,7 @@ class TestCanonicalAngle:
     def test_invariant_under_circle_rotation(self, theta):
         """Replacing the base conjugation by any member leaves the angle fixed."""
         base = build_tangent_model(3)
-        rotated = build_tangent_model(3, conjugation=rotate_conjugation(base, theta))
+        rotated = TangentModel(3, base.J, rotate_conjugation(base, theta))
         U = math.cos(0.3) * base.zvec(1) + math.sin(0.3) * base.jzvec(2)
         assert abs(canonical_angle(rotated, U).t - 0.3) < 1e-10
 
