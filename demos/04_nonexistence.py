@@ -31,7 +31,7 @@ from quadric.classification import _quadratic_roots
 
 hi, lo = _quadratic_roots(alpha)
 values = [hi, lo, hi] * 2
-forced = q.build_principal_candidate(m, alpha, values, pair=False, identity_conjugation=True)
+forced = q.build_principal_candidate(m, alpha, values, identity_conjugation=True)
 rep = q.principal_chain_residuals(forced)
 print("\nidentity-conjugation candidate with root spectrum:")
 print(f"  affine pair residuals: {rep.residuals['affine_a']:.2e}, {rep.residuals['affine_b']:.2e}")

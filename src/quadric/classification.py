@@ -39,19 +39,6 @@ from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
 # Derived-equation chain for principal candidates
 # ---------------------------------------------------------------------------
 
-#: Chain equation names, in derivation order.
-CHAIN_EQUATIONS = (
-    "reeb_reduction",      # (nabla_xi R_xi) against reeb_derivative_reduced
-    "shape_derivative",    # (nabla_xi S) Y = 2 phi A Y
-    "first_combination",   # alpha phi S Y - S phi S Y + phi Y = 3 phi A Y
-    "hopf_identity",       # 2 S phi S Y = alpha (S phi + phi S) Y + 2 phi Y
-    "commutator",          # alpha (phi S - S phi) Y = 6 phi A Y
-    "sandwich",            # alpha^2 phi S phi X = -2 alpha S^2 X + alpha^2 S X + 2 alpha X + 12 S X
-    "affine_a",            # 3 alpha A X + alpha S^2 X - alpha^2 S X - alpha X - 6 S X = 0
-    "affine_b",            # 3 alpha X + alpha S^2 X - alpha^2 S X - alpha A X - 6 S X = 0
-)
-
-
 @dataclass(frozen=True)
 class ChainReport:
     """Residuals of the principal derived-equation chain.
@@ -114,6 +101,7 @@ def principal_chain_residuals(cand: PrincipalCandidate) -> ChainReport:
     phi_A = phi @ A
     e_a, e_b = affine_pair_matrices(alpha, S, A)
 
+    # The chain equations, in derivation order.
     operators = {
         "reeb_reduction": reeb_covariant_derivative(h) - reeb_derivative_reduced(h),
         "shape_derivative": G - 2.0 * phi_A,

@@ -35,18 +35,28 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _emit(report: CheckReport, json_path: str | None) -> None:
+def _emit(report: CheckReport, json_path: str | None, verdict_line: str | None) -> None:
+    """Write the report to ``json_path`` or stdout, after any verdict line.
+
+    The verdict line goes to stdout only once the report file is written, so
+    a refused ``--json PATH`` prints nothing there.
+    """
     text = report_to_json(report)
     if json_path:
-        Path(json_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(json_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise QuadricError(f"cannot write {json_path}: {exc}") from exc
+        text = ""
+    if verdict_line is not None:
+        text = verdict_line + "\n" + text
+    sys.stdout.write(text)
 
 
 def _load_payload(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuadricError(f"cannot read {path}: {exc}") from exc
     try:
         payload = json.loads(raw)
@@ -54,6 +64,8 @@ def _load_payload(path: str) -> dict:
         raise QuadricError(
             f"malformed JSON in {path}: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from exc
+    except RecursionError as exc:
+        raise QuadricError(f"JSON in {path} is nested too deeply") from exc
     if not isinstance(payload, dict):
         raise QuadricError(f"expected a JSON object in {path}")
     return payload
@@ -156,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
 
+    verdict_line = None
     try:
         # Finite input can still overflow (a shape operator with entries of
         # order 1e200, say); that is refused like a non-finite entry, not
@@ -177,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
                 payload = _load_payload(args.input)
                 h = from_dict(payload)
                 report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
-                print(verdict_line)
             elif args.command == "spectrum":
                 payload = _load_payload(args.input)
                 h = from_dict(payload)
@@ -185,14 +197,13 @@ def main(argv: list[str] | None = None) -> int:
             else:  # pragma: no cover - argparse enforces the choices
                 parser.error(f"unknown command {args.command!r}")
                 return EXIT_USAGE
+        _emit(report, args.json, verdict_line)
     except QuadricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:
         print(f"error: {exc} (input outside the floating-point range)", file=sys.stderr)
         return EXIT_USAGE
-
-    _emit(report, args.json)
     return EXIT_OK if report.all_passed else EXIT_FAILED
 
 

@@ -143,14 +143,14 @@ class HypersurfaceData:
         """Contact form ``eta(X) = g(X, xi)``, one value per vector."""
         return _apply(self.xi, np.asarray(X, dtype=float))
 
-    def is_tangent(self, X: np.ndarray, tol: float = UNIT_TOL) -> bool:
+    def is_tangent(self, X: np.ndarray) -> bool:
         """Whether ``X``, or every vector of a stack (vector index on axis 0), is tangent.
 
-        A vector passes when ``|g(X, N)| <= tol * max(1, |X|)``.
+        A vector passes when ``|g(X, N)| <= UNIT_TOL * max(1, |X|)``.
         """
         X = np.asarray(X, dtype=float)
         X = X.reshape(X.shape[0], -1)
-        bound = tol * np.maximum(1.0, np.linalg.norm(X, axis=0))
+        bound = UNIT_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0))
         return bool(np.all(np.abs(self.N @ X) <= bound))
 
     def require_tangent(self, *vectors: np.ndarray) -> None:
@@ -794,7 +794,8 @@ def from_dict(payload: dict) -> HypersurfaceData:
     Raises:
         ModelValidationError: on malformed payloads (including a non-integer
             ``m``, numbers beyond the float range and arrays of the wrong
-            shape), or a Reeb-curvature mismatch.
+            shape), a Reeb-curvature mismatch, or a gauge ``q_xi`` that
+            differs from ``2 alpha`` where ``g(A xi, xi) != 0`` forces it.
         NormalizationError: if the normal is not unit length.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
@@ -807,7 +808,7 @@ def from_dict(payload: dict) -> HypersurfaceData:
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelValidationError(f"malformed hypersurface payload: {exc}") from exc
-    if m != payload["m"]:
+    if m != payload["m"] or isinstance(payload["m"], bool):
         raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
     _require_finite(N=N, S=S, **scalars)
 
@@ -818,4 +819,10 @@ def from_dict(payload: dict) -> HypersurfaceData:
             raise ModelValidationError(
                 f"stored Reeb curvature {declared:.12g} does not match recomputed {h.alpha:.12g}"
             )
+    # q(xi) g(A xi, xi) = 2 alpha g(A xi, xi); the bound is the one of the alpha cross-check.
+    if abs((h.q_xi - 2.0 * h.alpha) * h.split.g_axixi) > 1e-8 * max(1.0, abs(h.alpha)):
+        raise ModelValidationError(
+            f"gauge q_xi = {h.q_xi:.12g} contradicts its forced value 2 alpha = {2.0 * h.alpha:.12g}"
+            f" (g(A xi, xi) = {h.split.g_axixi:.3e})"
+        )
     return h

@@ -11,9 +11,8 @@ curvatures
     cot(r)     on the complementary block     (multiplicity 2k-2).
 
 Candidates with a principal normal (``A N = N``, ``A xi = -xi``) are built
-synthetically for the nonexistence analysis; the shape operator on the
-maximal complex subbundle is free, optionally constrained to pointwise
-consistency relations.
+synthetically for the nonexistence analysis, with a prescribed spectrum of
+the shape operator on the maximal complex subbundle.
 """
 
 from __future__ import annotations
@@ -282,52 +281,36 @@ class PrincipalCandidate:
 
     ``conj_c`` is the conjugation used by the derived-equation suite on the
     maximal complex subbundle; it equals the model conjugation unless the
-    identity block was imposed for the contradiction analysis.  ``imposed``
-    records which constraints shaped the candidate.
+    identity block was imposed for the contradiction analysis.
     """
 
     h: HypersurfaceData
     conj_c: np.ndarray
-    imposed: tuple[str, ...]
-
-    @property
-    def alpha(self) -> float:
-        return self.h.alpha
 
     def complex_subbundle_frame(self) -> np.ndarray:
         """Orthonormal basis of the maximal complex subbundle, one per column."""
-        model = self.h.model
-        cols = [model.zvec(i) for i in range(2, model.m + 1)]
-        cols += [model.jzvec(i) for i in range(2, model.m + 1)]
-        return np.column_stack(cols)
+        return _complex_pair_columns(self.h.model, list(range(2, self.h.model.m + 1)))
 
 
 def build_principal_candidate(
     m: int,
     alpha: float,
-    curvatures: list[float] | None = None,
-    pair: bool = True,
+    curvatures: list[float],
     identity_conjugation: bool = False,
-    fix_conjugation_range: bool = False,
 ) -> PrincipalCandidate:
     """Build a principal-normal Hopf candidate with prescribed shape spectrum.
 
     Args:
         m: complex dimension (>= 3 for the suites).
         alpha: nonzero Reeb curvature.
-        curvatures: eigenvalues on the complex subbundle.  With ``pair``
-            set, one value per complex direction; its partner direction gets
-            :func:`paired_curvature`.  Without ``pair``, an explicit list of
-            ``2(m-1)`` values.  Defaults to ones (paired).
+        curvatures: the ``2(m-1)`` eigenvalues on the complex subbundle, on
+            ``Z_2..Z_m`` and then on ``J Z_2..J Z_m``.
         identity_conjugation: impose the identity block on the complex
             subbundle for the derived-equation suite.
-        fix_conjugation_range: force the shape operator to map into the
-            fixed space of the conjugation (zero on the anti-fixed block),
-            the pointwise consequence of differentiating ``A N = N``.
 
     Raises:
-        ExcludedParameterError: if ``alpha`` is zero, or a paired curvature
-            hits the excluded value ``alpha / 2``.
+        ExcludedParameterError: if ``alpha`` is zero.
+        ModelValidationError: if ``curvatures`` does not have ``2(m-1)`` entries.
     """
     if alpha == 0.0:
         raise ExcludedParameterError("alpha must be nonzero (non-vanishing geodesic Reeb flow)")
@@ -335,40 +318,20 @@ def build_principal_candidate(
     N = model.zvec(1)
     xi = -model.jzvec(1)
 
-    if curvatures is None:
-        curvatures = [1.0] * (m - 1)
-    imposed: list[str] = []
+    if len(curvatures) != 2 * (m - 1):
+        raise ModelValidationError(f"expected {2 * (m - 1)} curvatures, got {len(curvatures)}")
     S = alpha * np.outer(xi, xi)
-    if fix_conjugation_range:
-        if len(curvatures) != m - 1:
-            raise ModelValidationError(f"expected {m - 1} curvatures, got {len(curvatures)}")
-        for j, lam in enumerate(curvatures, start=2):
-            z = model.zvec(j)
-            S += lam * np.outer(z, z)
-        imposed.append("conjugation-fixed-range")
-    elif pair:
-        if len(curvatures) != m - 1:
-            raise ModelValidationError(f"expected {m - 1} curvatures, got {len(curvatures)}")
-        for j, lam in enumerate(curvatures, start=2):
-            mu = paired_curvature(alpha, lam)
-            z, jz = model.zvec(j), model.jzvec(j)
-            S += lam * np.outer(z, z) + mu * np.outer(jz, jz)
-        imposed.append("partner-pairing")
-    else:
-        if len(curvatures) != 2 * (m - 1):
-            raise ModelValidationError(f"expected {2 * (m - 1)} curvatures, got {len(curvatures)}")
-        for j in range(2, m + 1):
-            z, jz = model.zvec(j), model.jzvec(j)
-            S += curvatures[j - 2] * np.outer(z, z)
-            S += curvatures[m - 1 + j - 2] * np.outer(jz, jz)
+    for j in range(2, m + 1):
+        z, jz = model.zvec(j), model.jzvec(j)
+        S += curvatures[j - 2] * np.outer(z, z)
+        S += curvatures[m - 1 + j - 2] * np.outer(jz, jz)
 
     h = induce_from_normal(model, N, S)
     if identity_conjugation:
         conj_c = np.eye(model.dim) - 2.0 * np.outer(xi, xi)
-        imposed.append("identity-conjugation")
     else:
         conj_c = model.A
-    return PrincipalCandidate(h=h, conj_c=conj_c, imposed=tuple(imposed))
+    return PrincipalCandidate(h=h, conj_c=conj_c)
 
 
 def reeb_parallel_principal_candidate(m: int, alpha: float) -> PrincipalCandidate:
@@ -388,4 +351,4 @@ def reeb_parallel_principal_candidate(m: int, alpha: float) -> PrincipalCandidat
     lam = 0.5 * (s + math.sqrt(s * s - 8.0))
     mu = lam - 6.0 / alpha
     curvatures = [lam] * (m - 1) + [mu] * (m - 1)
-    return build_principal_candidate(m, alpha, curvatures, pair=False)
+    return build_principal_candidate(m, alpha, curvatures)

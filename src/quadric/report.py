@@ -36,7 +36,6 @@ class CheckReport:
     params: dict
     checks: list[Check]
     seed: int = 7
-    version: str = VERSION
 
     @property
     def summary(self) -> dict:
@@ -56,7 +55,7 @@ class CheckReport:
     def to_payload(self) -> dict:
         return {
             "command": self.command,
-            "version": self.version,
+            "version": VERSION,
             "seed": self.seed,
             "params": self.params,
             "checks": [

@@ -33,7 +33,6 @@ class SpectrumReport:
         vectors: orthonormal eigenvectors, one per column, same order.
         clusters: ``(value, multiplicity)`` pairs, ascending; each value is
             the mean of its cluster.
-        asymmetry: measured ``max |op - op^T|`` of the input.
         reconstruction_residual: Frobenius norm of ``op - Q diag Q^T``.
         orthogonality_residual: Frobenius norm of ``Q^T Q - I``.
     """
@@ -41,7 +40,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple[tuple[float, int], ...]
-    asymmetry: float
     reconstruction_residual: float
     orthogonality_residual: float
 
@@ -94,7 +92,6 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
         eigenvalues=values,
         vectors=vectors,
         clusters=cluster_eigenvalues(values, CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, norm2)),
-        asymmetry=defect,
         reconstruction_residual=recon,
         orthogonality_residual=orth,
     )

@@ -48,6 +48,12 @@ from .tangent import (
     rotate_conjugation,
 )
 
+#: Largest ``--alpha-samples`` of ``nonexistence`` and ``--steps`` of ``scan
+#: tube``.  Each sample or radius costs milliseconds even at the dimension
+#: cap, so a run at the cap ends within minutes; a larger count is refused
+#: before anything is allocated for it.
+MAX_COUNT = 10_000
+
 
 def principal_jacobi_template(m: int) -> list[tuple[float, int]]:
     """Ambient Jacobi spectrum of a principal unit direction: 0 and 2, each m-fold."""
@@ -190,10 +196,13 @@ def scan_tube(
 
     Raises:
         ExcludedParameterError: if ``steps < 1`` or every grid point lies in
-            the exclusion window, since a report of no radii certifies nothing.
+            the exclusion window, since a report of no radii certifies
+            nothing, or if ``steps > MAX_COUNT``.
     """
     if steps < 1:
         raise ExcludedParameterError(f"scan tube needs steps >= 1, got {steps}")
+    if steps > MAX_COUNT:
+        raise ExcludedParameterError(f"scan tube takes at most {MAX_COUNT} steps, got {steps}")
     grid = [float(r) for r in np.linspace(r_min, r_max, steps)]
     skipped = [r for r in grid if abs(r - math.pi / 4.0) < RADIUS_EXCLUSION_HALFWIDTH]
     kept = [r for r in grid if r not in skipped]
@@ -221,20 +230,29 @@ def scan_tube(
 
 
 def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
-    """Nonexistence certificate with sampled Reeb curvatures."""
+    """Nonexistence certificate with sampled Reeb curvatures.
+
+    Raises:
+        ExcludedParameterError: if ``samples > MAX_COUNT``; the certificate
+            refuses the other invalid inputs.
+    """
+    if samples > MAX_COUNT:
+        raise ExcludedParameterError(
+            f"nonexistence takes at most {MAX_COUNT} alpha samples, got {samples}"
+        )
     rng = np.random.default_rng(seed)
     alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(samples)]
     return principal_nonexistence_certificate(m, alphas, seed=seed)
 
 
-def ricci_consistency(h: HypersurfaceData, tol: float = 1e-9) -> Check:
+def ricci_consistency(h: HypersurfaceData) -> Check:
     """Closed-form Ricci against the direct curvature contraction, over the tangent frame.
 
     Both routes take the whole frame as one stack; the contraction bounds
     its own working set (see :func:`~quadric.hypersurface.ricci_contraction`).
     """
     worst = float(np.max(np.abs(ricci(h, h.frame) - ricci_contraction(h, h.frame))))
-    return Check("ricci_contraction", worst, tol)
+    return Check("ricci_contraction", worst, 1e-9)
 
 
 def classify_report(h: HypersurfaceData, tol: float = 1e-8, seed: int = 7) -> tuple[CheckReport, str]:

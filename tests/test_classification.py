@@ -12,13 +12,15 @@ from quadric.classification import affine_pair_matrices, _quadratic_roots
 from quadric.report import Check
 from quadric.tangent import _STACK_BUDGET
 
+from conftest import paired_candidate
+
 
 def quadratic_root_candidate(m, alpha, seed=0):
     """Identity-conjugation candidate whose shape spectrum solves the affine pair."""
     rng = np.random.default_rng(seed)
     hi, lo = _quadratic_roots(alpha)
     values = [float(rng.choice([hi, lo])) for _ in range(2 * (m - 1))]
-    return q.build_principal_candidate(m, alpha, values, pair=False, identity_conjugation=True)
+    return q.build_principal_candidate(m, alpha, values, identity_conjugation=True)
 
 
 def _reference_affine_pair(alpha, S, A):
@@ -90,14 +92,14 @@ class TestChainResiduals:
     def test_generic_paired_candidate_fails_commutator_equation(self):
         """No consistent shape operator satisfies the full chain: for a generic
         paired spectrum the commutator equation has an order-one residual."""
-        cand = q.build_principal_candidate(3, 1.0, [0.7, -1.3])
+        cand = paired_candidate(1.0, [0.7, -1.3])
         rep = q.principal_chain_residuals(cand)
         assert rep.residuals["hopf_identity"] < 1e-11
         assert rep.residuals["commutator"] > 0.1
         assert rep.verdict == "consistent"
 
     def test_reduction_is_exact_for_any_principal_candidate(self):
-        cand = q.build_principal_candidate(5, -0.8, [0.3, 1.9, -2.0, 0.9])
+        cand = paired_candidate(-0.8, [0.3, 1.9, -2.0, 0.9])
         rep = q.principal_chain_residuals(cand)
         assert rep.residuals["reeb_reduction"] < 1e-12
 
@@ -115,7 +117,7 @@ class TestChainResiduals:
 
     def test_zero_alpha_rejected(self):
         model_free = q.build_tube(2, math.pi / 4.0, non_vanishing=False).h
-        cand = q.PrincipalCandidate(h=model_free, conj_c=model_free.model.A, imposed=())
+        cand = q.PrincipalCandidate(h=model_free, conj_c=model_free.model.A)
         with pytest.raises(ExcludedParameterError):
             q.principal_chain_residuals(cand)
 
@@ -135,9 +137,7 @@ class TestAffinePairAlgebra:
     def test_conjugation_transport_with_fixed_range_shape(self):
         """With the shape operator mapping into the conjugation-fixed block,
         conjugating the first affine equation reproduces the second."""
-        cand = q.build_principal_candidate(
-            4, 1.1, [0.6, -0.4, 1.3], fix_conjugation_range=True
-        )
+        cand = q.build_principal_candidate(4, 1.1, [0.6, -0.4, 1.3] + [0.0] * 3)
         h = cand.h
         C = cand.complex_subbundle_frame()
         A_c = q.restrict_to_frame(h.conj, C)

@@ -5,6 +5,10 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,8 +149,16 @@ class TestVerifyCommands:
              "steps >= 1"),
             (["scan", "tube", "--k", "3", "--r-min", "0.78", "--r-max", "0.79", "--steps", "3"],
              "of pi/4"),
+            (["nonexistence", "--m", "3", "--alpha-samples", str(suites.MAX_COUNT + 1)],
+             "at most"),
+            (["nonexistence", "--m", "3", "--alpha-samples", str(10**11)], "at most"),
+            (["scan", "tube", "--k", "2", "--r-min", "0.1", "--r-max", "1.5",
+              "--steps", str(suites.MAX_COUNT + 1)], "at most"),
+            (["scan", "tube", "--k", "2", "--r-min", "0.1", "--r-max", "1.5",
+              "--steps", str(10**11)], "at most"),
         ],
-        ids=["m1", "m65", "no-samples", "negative-samples", "steps0", "steps-1", "all-excluded"],
+        ids=["m1", "m65", "no-samples", "negative-samples", "steps0", "steps-1", "all-excluded",
+             "samples-cap", "samples-1e11", "steps-cap", "steps-1e11"],
     )
     def test_vacuous_or_invalid_count_exits_two(self, capsys, argv, message):
         """A count that leaves nothing to certify, or cannot be evaluated, is
@@ -227,11 +239,12 @@ class TestClassifyCommand:
             ("m", math.inf),
             ("m", 4.5),
             ("m", "4"),
+            ("m", True),
             ("N", 10**400),
             ("S", 1e300),
             ("q_xi", 1e300),
         ],
-        ids=["m-inf", "m-4.5", "m-str", "N-bigint", "S-1e300", "q_xi-1e300"],
+        ids=["m-inf", "m-4.5", "m-str", "m-bool", "N-bigint", "S-1e300", "q_xi-1e300"],
     )
     def test_out_of_range_payload_exits_two(self, capsys, tmp_path, field, value):
         """Before, an infinite m or an integer beyond the float range raised
@@ -270,6 +283,33 @@ class TestClassifyCommand:
         assert code == 2
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("not-utf8", "cannot read"),
+            ("deep-json", "nested too deeply"),
+            ("unwritable-json", "cannot write"),
+            ("unwritable-json-classify", "cannot write"),
+        ],
+    )
+    def test_file_error_exits_two(self, capsys, tmp_path, case, message):
+        """Before, each of these ended in a traceback with exit 1."""
+        code, out, err = run(capsys, *_refusal_argv(case, tmp_path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["classify", "spectrum"])
+    def test_contradicting_gauge_exits_two(self, capsys, tmp_path, command):
+        """With g(A xi, xi) != 0 the gauge is forced to 2 alpha; before, a
+        shifted one was read and the principal data classified as
+        outside-hypotheses."""
+        path = tmp_path / "principal.json"
+        path.write_text(json.dumps(_principal_payload()), encoding="utf-8")
+        assert run(capsys, command, str(path))[0] == 0
+        code, out, err = run(capsys, *_refusal_argv("gauge", tmp_path, command))
+        assert code == 2
+        assert out == "" and "contradicts its forced value" in err
+
     def test_spectrum_command(self, capsys, tmp_path):
         path = write_tube_payload(tmp_path / "tube.json")
         code, out, _ = run(capsys, "spectrum", str(path))
@@ -288,6 +328,40 @@ def _tube_payload():
     payload = q.to_dict(q.build_tube(2, 0.6).h)
     payload.update({"family": "T_A", "k": 2, "r": 0.6})
     return payload
+
+
+def _principal_payload():
+    """Principal data with ``g(A xi, xi) = -1``, which forces ``q_xi = 2 alpha``."""
+    return q.to_dict(q.reeb_parallel_principal_candidate(3, 1.2).h)
+
+
+def _refusal_argv(case, tmp_path, command="classify"):
+    """Command line of one input that the CLI refuses with exit 2, with any
+    file it reads written under ``tmp_path``."""
+    missing = str(tmp_path / "missing" / "out.json")
+    if case == "unwritable-json":
+        return ["verify", "tube", "--k", "2", "--r", "0.6", "--json", missing]
+    if case == "unwritable-json-classify":
+        return ["classify", str(write_tube_payload(tmp_path / "tube.json")), "--json", missing]
+    if case == "samples-cap":
+        return ["nonexistence", "--m", "3", "--alpha-samples", str(suites.MAX_COUNT + 1)]
+    if case == "steps-cap":
+        return ["scan", "tube", "--k", "2", "--r-min", "0.1", "--r-max", "1.5",
+                "--steps", str(suites.MAX_COUNT + 1)]
+    path = tmp_path / f"{case}.json"
+    if case == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"m": 4}')
+    elif case == "deep-json":
+        path.write_text("[" * 200000, encoding="utf-8")
+    elif case == "bool-m":
+        # Shaped for m = 1, which the boolean would otherwise be read as.
+        payload = {"m": True, "N": [1.0, 0.0], "S": [[0.0, 0.0], [0.0, 0.0]]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    elif case == "gauge":
+        payload = _principal_payload()
+        payload["q_xi"] += 1.0
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return [command, str(path)]
 
 
 #: Valid payloads to mutate: a tube (classify exits 0) and a perturbed tube
@@ -403,6 +477,33 @@ class TestPayloadFuzz:
             code, out, err = run_quiet(command, str(payload_path))
             assert code == 2, (command, err)
             assert out == "" and err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Exit status of the process
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["not-utf8", "deep-json", "unwritable-json", "unwritable-json-classify", "bool-m", "gauge",
+     "samples-cap", "steps-cap"],
+)
+def test_refusal_is_the_process_exit_status(tmp_path, case):
+    """An exception that escapes ``main`` fails an in-process test as an
+    error, but ends the process with exit 1 and a traceback; the exit status
+    is what the command-line contract promises."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "quadric.cli", *_refusal_argv(case, tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from quadric import (
 from quadric.hypersurface import reeb_covariant_derivative, reeb_derivative_reduced
 from quadric.tangent import _STACK_BUDGET
 
+from conftest import paired_candidate
+
 
 @pytest.fixture(scope="module")
 def tube():
@@ -28,7 +30,7 @@ def tube():
 
 @pytest.fixture(scope="module")
 def principal_paired():
-    return q.build_principal_candidate(3, 1.0, [0.7, -1.3])
+    return paired_candidate(1.0, [0.7, -1.3])
 
 
 def random_hopf(m=4, kind="generic", seed=0):

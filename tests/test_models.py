@@ -9,6 +9,8 @@ import pytest
 import quadric as q
 from quadric import ExcludedParameterError, InvalidDimensionError
 
+from conftest import paired_candidate
+
 
 class TestBuildTube:
     def test_reeb_curvature_value(self):
@@ -144,18 +146,18 @@ class TestPerturbedTube:
 
 class TestPrincipalCandidates:
     def test_paired_construction_satisfies_hopf_identity(self):
-        cand = q.build_principal_candidate(3, 1.0, [0.7, -1.3])
+        cand = paired_candidate(1.0, [0.7, -1.3])
         assert q.hopf_identity_residual(cand.h) < 1e-11
 
     def test_normal_is_conjugation_fixed(self):
-        cand = q.build_principal_candidate(4, 0.8, [1.0, 2.0, -0.5])
+        cand = paired_candidate(0.8, [1.0, 2.0, -0.5])
         h = cand.h
         for i in range(h.frame.shape[1]):
             X = h.frame[:, i]
             assert abs(float((h.conj @ X) @ h.N)) < 1e-14
 
     def test_conjugation_traces(self):
-        cand = q.build_principal_candidate(4, 1.0, [1.0, 1.0, 1.0])
+        cand = paired_candidate(1.0, [1.0, 1.0, 1.0])
         h = cand.h
         A = h.conj
         trace_tm = float(np.trace(h.frame.T @ A @ h.frame))
@@ -165,11 +167,11 @@ class TestPrincipalCandidates:
 
     def test_zero_alpha_excluded(self):
         with pytest.raises(ExcludedParameterError):
-            q.build_principal_candidate(3, 0.0, [1.0, 1.0])
+            paired_candidate(0.0, [1.0, 1.0])
 
     def test_half_alpha_curvature_excluded(self):
         with pytest.raises(ExcludedParameterError):
-            q.build_principal_candidate(3, 1.0, [0.5, 1.0])
+            paired_candidate(1.0, [0.5, 1.0])
 
     def test_reeb_parallel_candidate_has_zero_residual(self):
         cand = q.reeb_parallel_principal_candidate(3, 1.5)
