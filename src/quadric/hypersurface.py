@@ -4,9 +4,9 @@ A unit normal ``N`` induces the almost-contact structure on the tangent
 hyperplane: the Reeb direction ``xi = -J N``, its dual 1-form ``eta``, and
 the structure tensor ``phi`` (tangential part of ``J``).  Together with a
 self-adjoint shape operator ``S`` this fixes every pointwise identity of the
-geometry: the induced curvature via the Gauss equation, the Codazzi relation,
-the Ricci operator, the structure Jacobi operator ``R_xi = R(., xi) xi`` and
-its covariant derivative along the Reeb direction.
+geometry: the induced curvature via the Gauss equation, the Ricci operator,
+the structure Jacobi operator ``R_xi = R(., xi) xi`` and its covariant
+derivative along the Reeb direction.
 
 The conjugation bookkeeping follows the canonical form of the normal: the
 model's conjugation circle is rotated so that ``g(J A N, N) = 0`` and
@@ -30,8 +30,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -59,9 +59,6 @@ IDENTITY_TOL = 1e-11
 
 #: Default tolerance for construction residuals (exact arithmetic expected).
 CONSTRUCTION_TOL = 1e-13
-
-#: Relative symmetry slack accepted on caller-supplied operators.
-OPERATOR_ASYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -418,33 +415,6 @@ def ricci_contraction(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
     return np.concatenate(slices, axis=1).reshape(X.shape)
 
 
-def codazzi_rhs(h: HypersurfaceData, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Geometric side of the Codazzi equation, ``(nabla_X S)Y - (nabla_Y S)X``.
-
-        eta(X) phi Y - eta(Y) phi X - 2 g(JX,Y) xi
-        + rho(X) B Y - rho(Y) B X
-        + eta(AX) phi B Y - eta(AX) rho(Y) xi
-        - eta(AY) phi B X + eta(AY) rho(X) xi.
-    """
-    h.require_tangent(X, Y)
-    phi, B, xi = h.phi, h.split.B, h.xi
-    A_xi = h.split.A_xi
-    rho_X, rho_Y = h.split.rho(X), h.split.rho(Y)
-    eta_AX = float(X @ A_xi)
-    eta_AY = float(Y @ A_xi)
-    return (
-        h.eta(X) * (phi @ Y)
-        - h.eta(Y) * (phi @ X)
-        - 2.0 * float((h.model.J @ X) @ Y) * xi
-        + rho_X * (B @ Y)
-        - rho_Y * (B @ X)
-        + eta_AX * (phi @ (B @ Y))
-        - eta_AX * rho_Y * xi
-        - eta_AY * (phi @ (B @ X))
-        + eta_AY * rho_X * xi
-    )
-
-
 # ---------------------------------------------------------------------------
 # Shape-operator derivative along the Reeb direction
 # ---------------------------------------------------------------------------
@@ -501,19 +471,6 @@ def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
     return _project(G, h.N, left=False)
 
 
-def nabla_Axi(h: HypersurfaceData, X: np.ndarray, q_X: float) -> np.ndarray:
-    """Tangential part of the ambient derivative of ``A xi`` along ``X``.
-
-        nabla_X (A xi) = q(X) phi A xi + B phi S X - g(S X, xi) phi A xi.
-
-    The gauge scalar for the direction ``X`` is supplied by the caller.
-    """
-    h.require_tangent(X)
-    phi_A_xi = h.phi @ h.split.A_xi
-    SX = h.S @ np.asarray(X, dtype=float)
-    return q_X * phi_A_xi + h.split.B @ (h.phi @ SX) - float(SX @ h.xi) * phi_A_xi
-
-
 # ---------------------------------------------------------------------------
 # Structure Jacobi operator and its Reeb derivative
 # ---------------------------------------------------------------------------
@@ -548,21 +505,19 @@ def _conjugation_product(h: HypersurfaceData) -> np.ndarray:
     return _memoized(h, "J_conj", lambda h: h.model.J @ h.conj)
 
 
-def _cov_deriv_matrix(
-    h: HypersurfaceData,
-    X: np.ndarray,
-    q_X: float,
-    nablaS_X: np.ndarray,
-    dalpha_X: float,
-) -> np.ndarray:
-    """Assemble the ambient-valued expansion of ``Y -> (nabla_X R_xi) Y``.
+def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
+    """Assemble the ambient-valued expansion of ``Y -> (nabla_X R_xi) Y`` at ``X = xi``.
 
     Term-by-term transcription of the product-rule expansion of the
     structure Jacobi operator, with the derivative of the conjugation
     expressed through the gauge scalar ``q(X)`` and the derivative of the
-    tangential conjugation part expanded in hypersurface data.  The caller
-    supplies the directional inputs the pointwise data cannot determine:
-    ``q(X)``, ``(nabla_X S)`` and ``X alpha``.  Each rank-one term is one
+    tangential conjugation part expanded in hypersurface data.  It reads
+    the directional inputs that the pointwise data cannot determine in an
+    arbitrary direction from ``h``, for ``X = xi``: the stored gauge
+    ``q(xi)``, ``nabla_xi S`` from :func:`reeb_shape_derivative` and
+    ``xi alpha`` from the declared ``dalpha``.  The expansion is not reduced
+    at ``X = xi``, so it stays a route to ``nabla_xi R_xi`` independent of
+    :func:`reeb_derivative_reduced`.  Each rank-one term is one
     ``(left, right)`` pair of the sum.
     """
     phi, S, B, xi, N = h.phi, h.S, h.split.B, h.xi, h.N
@@ -570,7 +525,9 @@ def _cov_deriv_matrix(
     alpha = h.alpha
     phi_A_xi = phi @ A_xi
 
-    X = np.asarray(X, dtype=float)
+    X, q_X = xi, h.q_xi
+    nablaS_X = reeb_shape_derivative(h)
+    dalpha_X = float(xi @ h.dalpha)
     SX = S @ X
     phiSX = phi @ SX
     BphiSX = B @ phiSX
@@ -604,34 +561,6 @@ def _cov_deriv_matrix(
     return _project(M, N, left=False)
 
 
-def cov_deriv_structure_jacobi(
-    h: HypersurfaceData,
-    X: np.ndarray,
-    q_X: float,
-    nablaS_X: np.ndarray,
-    dalpha_X: float,
-) -> np.ndarray:
-    """Covariant derivative ``Y -> (nabla_X R_xi) Y`` as an ambient-valued matrix.
-
-    For Hopf data and ``X = xi`` the normal component of the output cancels
-    identically.  The caller supplies the directional data ``q(X)``,
-    ``nabla_X S`` (self-adjoint on the tangent space) and ``X alpha``; there
-    is no pointwise closed form for these in an arbitrary direction.
-
-    Raises:
-        NonTangentError: if ``X`` is not tangent.
-        AsymmetryError: if ``nablaS_X`` is not self-adjoint on the tangent space.
-    """
-    h.require_tangent(X)
-    nablaS_X = np.asarray(nablaS_X, dtype=float)
-    restricted = _project(nablaS_X, h.N)
-    defect = float(np.max(np.abs(restricted - restricted.T)))
-    scale = max(1.0, float(np.max(np.abs(restricted))))
-    if defect > OPERATOR_ASYM_TOL * scale:
-        raise AsymmetryError(defect, "nabla_X S must be self-adjoint on the tangent space")
-    return _cov_deriv_matrix(h, X, q_X, nablaS_X, dalpha_X)
-
-
 def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
     """Matrix of ``Y -> (nabla_xi R_xi) Y`` for Hopf data.
 
@@ -641,11 +570,6 @@ def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
     """
     _require_hopf(h)
     return _memoized(h, "reeb_covariant_derivative", _reeb_covariant_matrix)
-
-
-def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
-    G = reeb_shape_derivative(h)
-    return _cov_deriv_matrix(h, h.xi, h.q_xi, G, float(h.xi @ h.dalpha))
 
 
 def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
@@ -793,8 +717,9 @@ def from_dict(payload: dict) -> HypersurfaceData:
 
     Raises:
         ModelValidationError: on malformed payloads (including a non-integer
-            ``m``, numbers beyond the float range and arrays of the wrong
-            shape), a Reeb-curvature mismatch, or a gauge ``q_xi`` that
+            ``m``, an entry of ``N``, ``S``, ``alpha`` or ``q_xi`` that is not
+            a JSON number, numbers beyond the float range and arrays of the
+            wrong shape), a Reeb-curvature mismatch, or a gauge ``q_xi`` that
             differs from ``2 alpha`` where ``g(A xi, xi) != 0`` forces it.
         NormalizationError: if the normal is not unit length.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
@@ -811,6 +736,15 @@ def from_dict(payload: dict) -> HypersurfaceData:
     if m != payload["m"] or isinstance(payload["m"], bool):
         raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
     _require_finite(N=N, S=S, **scalars)
+    # float() also reads strings and booleans; a payload must hold JSON numbers.
+    for key, value in (("N", N), ("S", S), *scalars.items()):
+        leaves = [payload[key]]
+        for _ in range(np.ndim(value)):
+            leaves = chain.from_iterable(leaves)
+        kinds = set(map(type, leaves)) - {int, float}
+        if kinds:
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise ModelValidationError(f"{key} must hold JSON numbers only, got {names}")
 
     h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
     if "alpha" in scalars:

@@ -4,12 +4,10 @@ Each test prints a single pass/fail line (visible with ``pytest -s`` or in
 the captured output of a failing run) before asserting.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 import quadric as q
 from quadric.cli import main as cli_main

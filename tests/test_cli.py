@@ -243,16 +243,38 @@ class TestClassifyCommand:
             ("N", 10**400),
             ("S", 1e300),
             ("q_xi", 1e300),
+            ("q_xi", True),
+            ("q_xi", "3.5"),
+            ("alpha", str),
+            ("N", lambda N: [str(x) for x in N]),
+            ("S", lambda S: [[bool(x) if x in (0.0, 1.0) else x for x in row] for row in S]),
         ],
-        ids=["m-inf", "m-4.5", "m-str", "m-bool", "N-bigint", "S-1e300", "q_xi-1e300"],
+        ids=[
+            "m-inf",
+            "m-4.5",
+            "m-str",
+            "m-bool",
+            "N-bigint",
+            "S-1e300",
+            "q_xi-1e300",
+            "q_xi-bool",
+            "q_xi-str",
+            "alpha-str",
+            "N-str",
+            "S-bool",
+        ],
     )
     def test_out_of_range_payload_exits_two(self, capsys, tmp_path, field, value):
         """Before, an infinite m or an integer beyond the float range raised
-        OverflowError, m = 4.5 and "4" were read as 4, and finite entries
-        that overflow in the arithmetic gave reports built on inf."""
+        OverflowError, m = 4.5 and "4" were read as 4, finite entries that
+        overflow in the arithmetic gave reports built on inf, and strings and
+        booleans in N, S, alpha or q_xi were read as numbers.  A callable
+        value rewrites the whole field."""
 
         def mutate(payload):
-            if field == "N":
+            if callable(value):
+                payload[field] = value(payload[field])
+            elif field == "N":
                 payload["N"][0] = value
             elif field == "S":
                 payload["S"][1][1] = value

@@ -1,4 +1,4 @@
-"""Hypersurface calculus: induced structure, Gauss/Codazzi/Ricci, the structure
+"""Hypersurface calculus: induced structure, Gauss/Ricci, the structure
 Jacobi operator and its Reeb derivative, residual gauges, serialization."""
 
 import math
@@ -119,7 +119,7 @@ class TestInduceFromNormal:
 
 
 # ---------------------------------------------------------------------------
-# Induced curvature, Ricci, Codazzi
+# Induced curvature, Ricci
 # ---------------------------------------------------------------------------
 
 class TestInducedCurvature:
@@ -315,33 +315,6 @@ class TestRicci:
             npt.assert_allclose(q.ricci(h, X), q.ricci_contraction(h, X), atol=1e-10)
 
 
-class TestCodazzi:
-    def test_vanishes_on_equal_arguments(self, tube):
-        X = tube.h.frame[:, 2]
-        npt.assert_allclose(q.codazzi_rhs(tube.h, X, X), 0.0, atol=1e-14)
-
-    def test_isotropic_reeb_slot(self, tube):
-        """X = xi on isotropic data: phi Y + g(A xi, Y) A N - g(A N, Y) A xi."""
-        h = tube.h
-        for i in range(h.frame.shape[1]):
-            Y = h.frame[:, i]
-            expected = (
-                h.phi @ Y
-                + float(h.split.A_xi @ Y) * h.split.A_N
-                - float(h.split.A_N @ Y) * h.split.A_xi
-            )
-            npt.assert_allclose(q.codazzi_rhs(h, h.xi, Y), expected, atol=1e-13)
-
-    def test_principal_reeb_slot(self, principal_paired):
-        """X = xi on principal data reduces to phi Y - phi A Y."""
-        h = principal_paired.h
-        A = h.conj
-        for i in range(h.frame.shape[1]):
-            Y = h.frame[:, i]
-            expected = h.phi @ Y - h.phi @ (A @ Y)
-            npt.assert_allclose(q.codazzi_rhs(h, h.xi, Y), expected, atol=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # Shape derivative along the Reeb direction
 # ---------------------------------------------------------------------------
@@ -373,30 +346,6 @@ class TestNablaSAtXi:
         assert not h.hopf
         with pytest.raises(HopfRequiredError):
             q.reeb_shape_derivative(h)
-
-
-class TestNablaAxi:
-    def test_reeb_direction_hopf(self):
-        """X = xi on Hopf data: (q(xi) - alpha) phi A xi."""
-        h = random_hopf(kind="generic", seed=40)
-        phi_A_xi = h.phi @ h.split.A_xi
-        expected = (h.q_xi - h.alpha) * phi_A_xi
-        npt.assert_allclose(q.nabla_Axi(h, h.xi, h.q_xi), expected, atol=1e-13)
-
-    def test_principal_reduces_to_shape_term(self, principal_paired):
-        """phi A xi = 0 for principal normals, leaving B phi S X."""
-        h = principal_paired.h
-        X = h.frame[:, 1]
-        expected = h.split.B @ (h.phi @ (h.S @ X))
-        npt.assert_allclose(q.nabla_Axi(h, X, 3.3), expected, atol=1e-13)
-
-    def test_zero_shape_keeps_gauge_term(self):
-        model = q.build_tangent_model(3)
-        N = math.cos(0.2) * model.zvec(1) + math.sin(0.2) * model.jzvec(2)
-        h = q.induce_from_normal(model, N, np.zeros((6, 6)))
-        X = h.frame[:, 2]
-        expected = 4.2 * (h.phi @ h.split.A_xi)
-        npt.assert_allclose(q.nabla_Axi(h, X, 4.2), expected, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +382,13 @@ class TestCovDerivStructureJacobi:
         assert np.max(np.abs(M)) < 1e-11
 
     def test_all_terms_vanish_without_shape_and_pairing(self):
-        """Isotropic, S = 0, alpha = 0: every term carries S, alpha or the pairing."""
+        """Isotropic, S = 0, alpha = 0: every term carries S, alpha or the pairing
+        (``nabla_xi S`` enters only as ``alpha nabla_xi S``)."""
         model = q.build_tangent_model(3)
         h = q.induce_from_normal(model, q.isotropic_vector(model), np.zeros((6, 6)))
-        M = q.cov_deriv_structure_jacobi(h, h.xi, h.q_xi, np.zeros((6, 6)), 0.0)
+        assert h.hopf and h.alpha == h.q_xi == float(h.xi @ h.dalpha) == 0.0
+        M = reeb_covariant_derivative(h)
         assert np.max(np.abs(M)) < 1e-14
-
-    def test_matches_public_entry_point(self, tube):
-        h = tube.h
-        G = q.reeb_shape_derivative(h)
-        M = q.cov_deriv_structure_jacobi(h, h.xi, h.q_xi, G, 0.0)
-        npt.assert_allclose(M, reeb_covariant_derivative(h), atol=1e-15)
-
-    def test_rejects_asymmetric_shape_derivative(self, tube):
-        h = tube.h
-        bad = np.zeros((h.model.dim, h.model.dim))
-        bad[1, 2] = 1.0
-        with pytest.raises(AsymmetryError):
-            q.cov_deriv_structure_jacobi(h, h.xi, h.q_xi, bad, 0.0)
 
     @pytest.mark.parametrize("kind", ["generic", "principal", "isotropic"])
     def test_normal_component_cancellation(self, kind):

@@ -102,13 +102,13 @@ def normal_row_mutant(tube, rng, monkeypatch):
     of ``nabla_xi R_xi`` cancels identically for Hopf data, and it stays below
     1e-14 on random generic, principal and isotropic data at m up to 16, with
     any gauge.  The defect it guards against is in the code, so the entry is
-    a mutant of ``_cov_deriv_matrix`` that adds a term in the normal row."""
-    original = hypersurface._cov_deriv_matrix
+    a mutant of ``_reeb_covariant_matrix(h)`` that adds a term in the normal row."""
+    original = hypersurface._reeb_covariant_matrix
 
-    def mutant(h, *args):
-        return original(h, *args) + EPS * np.outer(h.N, h.xi)
+    def mutant(h):
+        return original(h) + EPS * np.outer(h.N, h.xi)
 
-    monkeypatch.setattr(hypersurface, "_cov_deriv_matrix", mutant)
+    monkeypatch.setattr(hypersurface, "_reeb_covariant_matrix", mutant)
     return tube.h
 
 
