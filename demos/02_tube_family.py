@@ -27,9 +27,9 @@ print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in q.
 
 print("\npointwise identities at this radius:")
 print(f"  Hopf defect                 {np.linalg.norm(h.S @ h.xi - h.alpha * h.xi):.2e}")
-print(f"  isotropy g(A xi, xi)        {abs(h.split.g_axixi):.2e}")
-print(f"  S (A xi), S (A N)           {np.linalg.norm(h.S @ h.split.A_xi):.2e}, "
-      f"{np.linalg.norm(h.S @ h.split.A_N):.2e}")
+print(f"  isotropy g(A xi, xi)        {abs(h.g_axixi):.2e}")
+print(f"  S (A xi), S (A N)           {np.linalg.norm(h.S @ h.A_xi):.2e}, "
+      f"{np.linalg.norm(h.S @ h.A_N):.2e}")
 print(f"  commutator |phi S - S phi|  {np.max(np.abs(h.phi @ h.S - h.S @ h.phi)):.2e}")
 print(f"  quadratic Hopf identity     {q.hopf_identity_residual(h):.2e}")
 print(f"  Reeb-curvature gradient     {q.alpha_gradient_residual(h):.2e}")

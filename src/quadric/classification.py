@@ -28,8 +28,9 @@ from .hypersurface import (
     reeb_derivative_reduced,
     reeb_parallel_residual,
     reeb_shape_derivative,
+    restrict_to_frame,
 )
-from .models import PrincipalCandidate, restrict_to_frame, tube_shape_template
+from .models import PrincipalCandidate, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
 from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
@@ -161,13 +162,6 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
 def _max_abs(M: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each matrix of a ``(k, n, n)`` stack."""
     return np.max(np.abs(M), axis=(-2, -1))
-
-
-def _quadratic_roots(alpha: float) -> tuple[float, float]:
-    """Roots of ``x^2 - (alpha + 6/alpha) x + 2 = 0`` (always real)."""
-    s = alpha + 6.0 / alpha
-    d = math.sqrt(s * s - 8.0)
-    return 0.5 * (s + d), 0.5 * (s - d)
 
 
 def _draw_stack(

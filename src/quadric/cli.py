@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QuadricError
-from .hypersurface import from_dict
+from .hypersurface import HypersurfaceData, from_dict
 from .report import CheckReport, report_to_json
 from . import suites
 
@@ -53,7 +53,8 @@ def _emit(report: CheckReport, json_path: str | None, verdict_line: str | None) 
     sys.stdout.write(text)
 
 
-def _load_payload(path: str) -> dict:
+def _load_hypersurface(path: str) -> HypersurfaceData:
+    """Read a hypersurface JSON payload and rebuild its data with :func:`from_dict`."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -68,7 +69,7 @@ def _load_payload(path: str) -> dict:
         raise QuadricError(f"JSON in {path} is nested too deeply") from exc
     if not isinstance(payload, dict):
         raise QuadricError(f"expected a JSON object in {path}")
-    return payload
+    return from_dict(payload)
 
 
 def _tol(text: str) -> float:
@@ -187,16 +188,10 @@ def main(argv: list[str] | None = None) -> int:
             elif args.command == "nonexistence":
                 report = suites.nonexistence(args.m, samples=args.alpha_samples, seed=args.seed)
             elif args.command == "classify":
-                payload = _load_payload(args.input)
-                h = from_dict(payload)
+                h = _load_hypersurface(args.input)
                 report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
-            elif args.command == "spectrum":
-                payload = _load_payload(args.input)
-                h = from_dict(payload)
-                report = suites.spectrum_report(h, seed=args.seed)
-            else:  # pragma: no cover - argparse enforces the choices
-                parser.error(f"unknown command {args.command!r}")
-                return EXIT_USAGE
+            else:  # argparse admits only "spectrum" here
+                report = suites.spectrum_report(_load_hypersurface(args.input), seed=args.seed)
         _emit(report, args.json, verdict_line)
     except QuadricError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,26 +62,6 @@ CONSTRUCTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
-class ConjugationSplit:
-    """Tangent/normal splitting of the adapted conjugation on the hypersurface.
-
-    ``B`` is the tangential part of ``A`` (as an ambient matrix annihilating
-    the normal), ``A_xi`` and ``A_N`` the images of the Reeb direction and of
-    the normal, and ``g_axixi = g(A xi, xi)`` the conjugation pairing that
-    separates the principal (``-1``), isotropic (``0``) and generic cases.
-    """
-
-    B: np.ndarray
-    A_xi: np.ndarray
-    A_N: np.ndarray
-    g_axixi: float
-
-    def rho(self, X: np.ndarray) -> float | np.ndarray:
-        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per vector."""
-        return _apply(self.A_N, np.asarray(X, dtype=float))
-
-
-@dataclass(frozen=True)
 class HypersurfaceData:
     """Pointwise data of a real hypersurface of the quadric.
 
@@ -96,17 +76,18 @@ class HypersurfaceData:
         dalpha: metric dual of the Reeb-curvature differential: the closed
             Hopf form with ``xi alpha = 0`` unless declared by :meth:`with_dalpha`.
         conj: conjugation adapted to the normal.
-        split: tangent/normal splitting of ``conj``.
+        B: tangential part of ``conj``: ``conj X = B X + rho(X) N`` on tangent ``X``.
+        A_xi, A_N: images ``A xi`` and ``A N`` under ``conj``.
+        g_axixi: ``g(A xi, xi)``; -1 for a principal and 0 for an isotropic normal.
         projector: orthogonal projection onto the tangent hyperplane.
         frame: orthonormal tangent basis, one vector per column.
         hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
-    Derived operators that several checks share (the Reeb derivatives and
-    the product ``J conj``) are computed on first use and kept on the
-    instance, read-only.  The store is not an init field, so the copies made
-    by :meth:`with_gauge` and :meth:`with_dalpha` start empty and compute
-    their own.
+    Derived operators that several checks share (the two Reeb derivatives)
+    are computed on first use and kept on the instance, read-only.  The
+    store is not an init field, so the copies made by :meth:`with_gauge` and
+    :meth:`with_dalpha` start empty and compute their own.
     """
 
     model: TangentModel
@@ -118,7 +99,10 @@ class HypersurfaceData:
     q_xi: float
     dalpha: np.ndarray
     conj: np.ndarray
-    split: ConjugationSplit
+    B: np.ndarray
+    A_xi: np.ndarray
+    A_N: np.ndarray
+    g_axixi: float
     projector: np.ndarray
     frame: np.ndarray
     hopf_defect: float
@@ -140,18 +124,15 @@ class HypersurfaceData:
         """Contact form ``eta(X) = g(X, xi)``, one value per vector."""
         return _apply(self.xi, np.asarray(X, dtype=float))
 
-    def is_tangent(self, X: np.ndarray) -> bool:
-        """Whether ``X``, or every vector of a stack (vector index on axis 0), is tangent.
-
-        A vector passes when ``|g(X, N)| <= UNIT_TOL * max(1, |X|)``.
-        """
-        X = np.asarray(X, dtype=float)
-        X = X.reshape(X.shape[0], -1)
-        bound = UNIT_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0))
-        return bool(np.all(np.abs(self.N @ X) <= bound))
+    def rho(self, X: np.ndarray) -> float | np.ndarray:
+        """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per vector."""
+        return _apply(self.A_N, np.asarray(X, dtype=float))
 
     def require_tangent(self, *vectors: np.ndarray) -> None:
         """Check every vector, and every vector of every stack, for tangency.
+
+        The vector index is on axis 0.  A vector passes when
+        ``|g(X, N)| <= UNIT_TOL * max(1, |X|)``.
 
         Raises:
             NonFiniteError: if an input has a NaN or infinite entry.
@@ -160,8 +141,10 @@ class HypersurfaceData:
         for X in vectors:
             X = np.asarray(X, dtype=float)
             _require_finite(vector=X)
-            if not self.is_tangent(X):
-                normal = self.N @ X.reshape(X.shape[0], -1)
+            X = X.reshape(X.shape[0], -1)
+            bound = UNIT_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0))
+            normal = self.N @ X
+            if not np.all(np.abs(normal) <= bound):
                 worst = float(normal[np.argmax(np.abs(normal))])
                 raise NonTangentError(f"vector has a normal component (g(X, N) = {worst:.3e})")
 
@@ -239,7 +222,7 @@ def induce_from_normal(
     """
     N = np.asarray(N, dtype=float).copy()
     S = np.asarray(S, dtype=float)
-    _require_finite(normal=N, shape_operator=S, q_xi=q_xi)
+    _require_finite(N=N, S=S, q_xi=q_xi)
     if N.shape != (model.dim,):
         raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
     nrm = float(np.linalg.norm(N))
@@ -264,12 +247,11 @@ def induce_from_normal(
     phi = _project(model.J, N)
     alpha = float(xi @ (S @ xi))
 
-    conj, _ = adapted_conjugation(model, N)
+    conj = adapted_conjugation(model, N)
     A_xi = conj @ xi
     A_N = conj @ N
     B = _project(conj, N)
     c = float(A_xi @ xi)
-    split = ConjugationSplit(B=B, A_xi=A_xi, A_N=A_N, g_axixi=c)
 
     # Construction invariants; all exact up to round-off by design.
     checks = {
@@ -302,7 +284,10 @@ def induce_from_normal(
         q_xi=float(q_xi),
         dalpha=dalpha,
         conj=conj,
-        split=split,
+        B=B,
+        A_xi=A_xi,
+        A_N=A_N,
+        g_axixi=c,
         projector=P,
         frame=frame,
         hopf_defect=float(np.linalg.norm(S @ xi - alpha * xi)),
@@ -340,7 +325,7 @@ def induced_curvature(
     h.require_tangent(X, Y, Z)
     (X, Y, Z), batched = _as_columns(X, Y, Z)
     J, A = h.model.J, h.conj
-    phi, B, S = h.phi, h.split.B, h.S
+    phi, B, S = h.phi, h.B, h.S
     JX, JY = _apply(J, X), _apply(J, Y)
     AX, AY = _apply(A, X), _apply(A, Y)
     JAX, JAY = _apply(J, AX), _apply(J, AY)
@@ -358,7 +343,7 @@ def induced_curvature(
         - _col_dot(AX, Z) * BY
         + g_JAY_Z * _apply(phi, BX)
         - g_JAX_Z * _apply(phi, BY)
-        + xi * (g_JAX_Z * h.split.rho(Y) - g_JAY_Z * h.split.rho(X))
+        + xi * (g_JAX_Z * h.rho(Y) - g_JAY_Z * h.rho(X))
         + _col_dot(SY, Z) * SX
         - _col_dot(SX, Z) * SY
     )
@@ -377,13 +362,13 @@ def ricci(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
     h.require_tangent(X)
     (X,), batched = _as_columns(X)
     m = h.model.m
-    A_xi = h.split.A_xi
+    A_xi = h.A_xi
     SX = h.S @ X
     R = (
         (2 * m - 1) * X
         - 3.0 * np.outer(h.xi, h.eta(X))
-        + h.split.g_axixi * (h.split.B @ X)
-        - np.outer(h.phi @ A_xi, h.split.rho(X))
+        + h.g_axixi * (h.B @ X)
+        - np.outer(h.phi @ A_xi, h.rho(X))
         + np.outer(A_xi, A_xi @ X)
         + float(np.trace(h.S)) * SX
         - h.S @ SX
@@ -453,8 +438,8 @@ def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
 
 
 def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
-    phi, S, B, xi = h.phi, h.S, h.split.B, h.xi
-    A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
+    phi, S, B, xi = h.phi, h.S, h.B, h.xi
+    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     phi_S = phi @ S
     G = (
         h.alpha * phi_S
@@ -484,11 +469,11 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
     Self-adjoint; annihilates ``xi`` for Hopf data.
     """
     xi = h.xi
-    A_xi = h.split.A_xi
+    A_xi = h.A_xi
     phi_A_xi = h.phi @ A_xi
     M = (
         h.projector
-        + h.split.g_axixi * h.split.B
+        + h.g_axixi * h.B
         + h.alpha * h.S
         + _rank_sum(
             (-xi, xi),
@@ -498,11 +483,6 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
         )
     )
     return _project(M, h.N)
-
-
-def _conjugation_product(h: HypersurfaceData) -> np.ndarray:
-    """``J conj``, computed once per instance and kept read-only."""
-    return _memoized(h, "J_conj", lambda h: h.model.J @ h.conj)
 
 
 def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
@@ -520,8 +500,8 @@ def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
     :func:`reeb_derivative_reduced`.  Each rank-one term is one
     ``(left, right)`` pair of the sum.
     """
-    phi, S, B, xi, N = h.phi, h.S, h.split.B, h.xi, h.N
-    A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
+    phi, S, B, xi, N = h.phi, h.S, h.B, h.xi, h.N
+    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     alpha = h.alpha
     phi_A_xi = phi @ A_xi
 
@@ -537,7 +517,7 @@ def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
     u = c * SX - float(SX @ A_xi) * xi
 
     M = (float(BphiSX @ xi) + float(A_xi @ phiSX)) * B
-    M += c * q_X * _conjugation_product(h)
+    M += c * q_X * (h.model.J @ h.conj)
     M += dalpha_X * S + alpha * nablaS_X
     M += _rank_sum(
         (-xi, phiSX),
@@ -587,12 +567,12 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
     """
     _require_hopf(h)
     xi, N = h.xi, h.N
-    A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
+    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     alpha, q = h.alpha, h.q_xi
     xi_alpha = float(xi @ h.dalpha)
     phi_A_xi = h.phi @ A_xi
     G = reeb_shape_derivative(h)
-    M = c * q * _conjugation_product(h) + xi_alpha * h.S + alpha * G
+    M = c * q * (h.model.J @ h.conj) + xi_alpha * h.S + alpha * G
     M += _rank_sum(
         (c * alpha * A_N, xi),
         (-c * q * N, A_xi),
@@ -608,6 +588,11 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Residual gauges
 # ---------------------------------------------------------------------------
+
+def restrict_to_frame(M: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Matrix of an operator in the given orthonormal frame."""
+    return frame.T @ M @ frame
+
 
 def _frame_max_norm(M: np.ndarray, frame: np.ndarray) -> float:
     """Largest image norm of ``M`` over the columns of an orthonormal frame."""
@@ -660,7 +645,7 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     """
     _require_hopf(h)
     phi, S, xi = h.phi, h.S, h.xi
-    A_xi, A_N, c = h.split.A_xi, h.split.A_N, h.split.g_axixi
+    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     J_A_xi = h.model.J @ A_xi
     S_phi = S @ phi
     M = (
@@ -676,8 +661,7 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
             (2.0 * c * A_N, xi),
         )
     )
-    restricted = h.frame.T @ M @ h.frame
-    return float(np.max(np.abs(restricted)))
+    return float(np.max(np.abs(restrict_to_frame(M, h.frame))))
 
 
 def alpha_gradient_residual(h: HypersurfaceData) -> float:
@@ -690,7 +674,7 @@ def alpha_gradient_residual(h: HypersurfaceData) -> float:
     """
     _require_hopf(h)
     xi_alpha = float(h.xi @ h.dalpha)
-    v = h.dalpha - xi_alpha * h.xi - 2.0 * h.split.g_axixi * h.split.A_N
+    v = h.dalpha - xi_alpha * h.xi - 2.0 * h.g_axixi * h.A_N
     return float(np.max(np.abs(v @ h.frame)))
 
 
@@ -735,8 +719,10 @@ def from_dict(payload: dict) -> HypersurfaceData:
         raise ModelValidationError(f"malformed hypersurface payload: {exc}") from exc
     if m != payload["m"] or isinstance(payload["m"], bool):
         raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
-    _require_finite(N=N, S=S, **scalars)
-    # float() also reads strings and booleans; a payload must hold JSON numbers.
+    h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
+    _require_finite(alpha=scalars.get("alpha"))  # induce_from_normal checks N, S and q_xi
+    # float() also reads strings and booleans; a payload must hold JSON numbers.  The
+    # scan follows the finite checks, so a NaN stored as "nan" is refused as non-finite.
     for key, value in (("N", N), ("S", S), *scalars.items()):
         leaves = [payload[key]]
         for _ in range(np.ndim(value)):
@@ -745,8 +731,6 @@ def from_dict(payload: dict) -> HypersurfaceData:
         if kinds:
             names = ", ".join(sorted(kind.__name__ for kind in kinds))
             raise ModelValidationError(f"{key} must hold JSON numbers only, got {names}")
-
-    h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
     if "alpha" in scalars:
         declared = scalars["alpha"]
         if abs(declared - h.alpha) > 1e-8 * max(1.0, abs(h.alpha)):
@@ -754,9 +738,9 @@ def from_dict(payload: dict) -> HypersurfaceData:
                 f"stored Reeb curvature {declared:.12g} does not match recomputed {h.alpha:.12g}"
             )
     # q(xi) g(A xi, xi) = 2 alpha g(A xi, xi); the bound is the one of the alpha cross-check.
-    if abs((h.q_xi - 2.0 * h.alpha) * h.split.g_axixi) > 1e-8 * max(1.0, abs(h.alpha)):
+    if abs((h.q_xi - 2.0 * h.alpha) * h.g_axixi) > 1e-8 * max(1.0, abs(h.alpha)):
         raise ModelValidationError(
             f"gauge q_xi = {h.q_xi:.12g} contradicts its forced value 2 alpha = {2.0 * h.alpha:.12g}"
-            f" (g(A xi, xi) = {h.split.g_axixi:.3e})"
+            f" (g(A xi, xi) = {h.g_axixi:.3e})"
         )
     return h

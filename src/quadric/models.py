@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
-from .hypersurface import HypersurfaceData, induce_from_normal, structure_jacobi
+from .hypersurface import HypersurfaceData, induce_from_normal, restrict_to_frame, structure_jacobi
 from .spectra import (
     CLUSTER_WIDTH_FACTOR,
     DEFAULT_TOL,
@@ -161,11 +161,6 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     h = induce_from_normal(model, N, S)
     bases = {"xi": xi[:, None], "A_xi": A_xi[:, None], "A_N": A_N[:, None], "W1": W1, "W2": W2}
     return TubeModel(k=int(k), r=float(r), h=h, alpha=alpha, bases=bases)
-
-
-def restrict_to_frame(M: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Matrix of an operator in the given orthonormal frame."""
-    return frame.T @ M @ frame
 
 
 def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
@@ -334,6 +329,13 @@ def build_principal_candidate(
     return PrincipalCandidate(h=h, conj_c=conj_c)
 
 
+def _quadratic_roots(alpha: float) -> tuple[float, float]:
+    """Roots of ``x^2 - (alpha + 6/alpha) x + 2 = 0`` (always real)."""
+    s = alpha + 6.0 / alpha
+    d = math.sqrt(s * s - 8.0)
+    return 0.5 * (s + d), 0.5 * (s - d)
+
+
 def reeb_parallel_principal_candidate(m: int, alpha: float) -> PrincipalCandidate:
     """Principal candidate whose structure Jacobi operator is Reeb parallel.
 
@@ -347,8 +349,7 @@ def reeb_parallel_principal_candidate(m: int, alpha: float) -> PrincipalCandidat
     """
     if alpha == 0.0:
         raise ExcludedParameterError("alpha must be nonzero (non-vanishing geodesic Reeb flow)")
-    s = alpha + 6.0 / alpha
-    lam = 0.5 * (s + math.sqrt(s * s - 8.0))
+    lam, _ = _quadratic_roots(alpha)
     mu = lam - 6.0 / alpha
     curvatures = [lam] * (m - 1) + [mu] * (m - 1)
     return build_principal_candidate(m, alpha, curvatures)

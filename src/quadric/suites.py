@@ -22,6 +22,7 @@ from .hypersurface import (
     normal_component_residual,
     reeb_parallel_residual,
     reeb_shape_residual,
+    restrict_to_frame,
     ricci,
     ricci_contraction,
     structure_jacobi,
@@ -30,7 +31,6 @@ from .models import (
     RADIUS_EXCLUSION_HALFWIDTH,
     build_tube,
     paired_curvature,
-    restrict_to_frame,
     tube_jacobi_template,
     tube_shape_template,
     tube_structure_jacobi_spectrum,
@@ -53,20 +53,6 @@ from .tangent import (
 #: cap, so a run at the cap ends within minutes; a larger count is refused
 #: before anything is allocated for it.
 MAX_COUNT = 10_000
-
-
-def principal_jacobi_template(m: int) -> list[tuple[float, int]]:
-    """Ambient Jacobi spectrum of a principal unit direction: 0 and 2, each m-fold."""
-    return [(0.0, m), (2.0, m)]
-
-
-def isotropic_jacobi_template(m: int) -> list[tuple[float, int]]:
-    """Ambient Jacobi spectrum of an isotropic unit direction: 0, 1, 4.
-
-    Multiplicities 3, 2m-4, 1; the middle entry disappears at m = 2.
-    """
-    template = [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]
-    return [(v, k) for v, k in template if k > 0]
 
 
 def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
@@ -109,10 +95,14 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     checks.append(Check("curvature_pair_symmetry", pair_sym, 1e-11))
     checks.append(Check("first_bianchi_identity", bianchi, 1e-11))
 
+    # Ambient Jacobi spectra: 0 and 2, each m-fold, for a principal direction;
+    # 0, 1, 4 with multiplicities 3, 2m-4, 1 for an isotropic one, whose
+    # middle entry disappears at m = 2.
     for label, U, template in (
-        ("principal", principal_vector(model), principal_jacobi_template(m)),
-        ("isotropic", isotropic_vector(model), isotropic_jacobi_template(m)),
+        ("principal", principal_vector(model), [(0.0, m), (2.0, m)]),
+        ("isotropic", isotropic_vector(model), [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]),
     ):
+        template = [(v, k) for v, k in template if k > 0]
         # sym_eigen below refuses an R_U that is not self-adjoint (exit 2).
         R_U = ambient_jacobi(model, U)
         checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.max(np.abs(R_U @ U))), 1e-13))
@@ -137,9 +127,9 @@ def _tube_point_checks(k: int, r: float, tol: float, non_vanishing: bool = True)
     S_phi = h.S @ h.phi
     checks = [
         Check("hopf", h.hopf_defect, 1e-12),
-        Check("isotropic_normal", abs(h.split.g_axixi), 1e-12),
-        Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.split.A_xi)), 1e-12),
-        Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.split.A_N)), 1e-12),
+        Check("isotropic_normal", abs(h.g_axixi), 1e-12),
+        Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.A_xi)), 1e-12),
+        Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.A_N)), 1e-12),
         Check("isometric_reeb_flow", float(np.max(np.abs(h.phi @ h.S - S_phi))), 1e-12),
     ]
     # These gauges are defined for Hopf data only; other data fails them.
@@ -204,8 +194,9 @@ def scan_tube(
     if steps > MAX_COUNT:
         raise ExcludedParameterError(f"scan tube takes at most {MAX_COUNT} steps, got {steps}")
     grid = [float(r) for r in np.linspace(r_min, r_max, steps)]
-    skipped = [r for r in grid if abs(r - math.pi / 4.0) < RADIUS_EXCLUSION_HALFWIDTH]
-    kept = [r for r in grid if r not in skipped]
+    kept, skipped = [], []
+    for r in grid:
+        (skipped if abs(r - math.pi / 4.0) < RADIUS_EXCLUSION_HALFWIDTH else kept).append(r)
     if not kept:
         raise ExcludedParameterError(
             f"every radius of the grid lies within {RADIUS_EXCLUSION_HALFWIDTH} of pi/4"

@@ -164,22 +164,21 @@ def canonical_angle(model: TangentModel, U: np.ndarray) -> CanonicalAngle:
     return CanonicalAngle(t=t, kind=kind)
 
 
-def adapted_conjugation(model: TangentModel, U: np.ndarray) -> tuple[np.ndarray, float]:
+def adapted_conjugation(model: TangentModel, U: np.ndarray) -> np.ndarray:
     """Member of the conjugation circle adapted to a unit direction.
 
-    Returns the rotated conjugation ``A*`` (and its rotation angle) for which
-    ``g(A*U, U) = cos(2t) >= 0`` and ``g(J A*U, U) = 0``; with respect to
-    ``A*`` the direction takes the canonical form ``cos(t) Z_1 + sin(t) J Z_2``.
-    For an isotropic ``U`` both pairings already vanish for every member and
-    the base conjugation is returned unchanged.
+    Returns the rotated conjugation ``A*`` for which ``g(A*U, U) = cos(2t) >= 0``
+    and ``g(J A*U, U) = 0``; with respect to ``A*`` the direction takes the
+    canonical form ``cos(t) Z_1 + sin(t) J Z_2``.  For an isotropic ``U`` both
+    pairings already vanish for every member and a copy of the base
+    conjugation is returned.
     """
     U = np.asarray(U, dtype=float)
     a = float(U @ (model.A @ U))
     b = float(U @ (model.J @ (model.A @ U)))
     if math.hypot(a, b) < 1e-15:
-        return model.A.copy(), 0.0
-    theta = math.atan2(b, a)
-    return rotate_conjugation(model, theta), theta
+        return model.A.copy()
+    return rotate_conjugation(model, math.atan2(b, a))
 
 
 #: Largest stacked temporary, in float entries, that a stacked evaluation may

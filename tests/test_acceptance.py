@@ -59,8 +59,8 @@ def test_criterion_2_tube_identity_suite():
             ok = ok and matched
             track("shape_spectrum", dev)
             track("hopf_identity", q.hopf_identity_residual(h))
-            track("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.split.A_xi)))
-            track("shape_kills_A_N", float(np.linalg.norm(h.S @ h.split.A_N)))
+            track("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.A_xi)))
+            track("shape_kills_A_N", float(np.linalg.norm(h.S @ h.A_N)))
             track("isometric_flow", float(np.max(np.abs(h.phi @ h.S - h.S @ h.phi))))
             track("reeb_parallel_shape", q.reeb_shape_residual(h))
             track("reeb_parallel", q.reeb_parallel_residual(h))

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError, classification, hypersurface
+from quadric import ExcludedParameterError, classification
 from quadric.classification import affine_pair_matrices, _quadratic_roots
 from quadric.report import Check
 from quadric.tangent import _STACK_BUDGET
@@ -225,28 +225,6 @@ class TestNonexistenceCertificate:
         for count in counts:
             report = q.principal_nonexistence_certificate(m, alphas[:count], seed=seed)
             assert report.checks == reference[: 2 * count]
-
-
-class TestConjugationProduct:
-    def test_chain_forms_j_conj_once(self, monkeypatch):
-        """Both Reeb derivatives of a chain evaluation share one ``J @ conj``,
-        the product they formed inline; a ``with_gauge`` copy forms its own."""
-        built = []
-        memoized = hypersurface._memoized
-
-        def counting(h, key, build):
-            if key not in h._derived:
-                built.append(key)
-            return memoized(h, key, build)
-
-        monkeypatch.setattr(hypersurface, "_memoized", counting)
-        cand = quadratic_root_candidate(4, 1.5)
-        q.principal_chain_residuals(cand)
-        assert built.count("J_conj") == 1
-        h = cand.h
-        assert np.array_equal(hypersurface._conjugation_product(h), h.model.J @ h.conj)
-        q.reeb_derivative_reduced(h.with_gauge(0.5))
-        assert built.count("J_conj") == 2
 
 
 class TestClassify:

@@ -50,15 +50,15 @@ class TestInduceFromNormal:
         expected_xi = (model.zvec(2) - model.jzvec(1)) / math.sqrt(2.0)
         npt.assert_allclose(h.xi, expected_xi, atol=1e-15)
         assert h.alpha == 0.0
-        assert abs(h.split.g_axixi) < 1e-15
+        assert abs(h.g_axixi) < 1e-15
 
     def test_principal_conjugation_values(self):
         """N = Z_1: the adapted conjugation fixes N and negates xi."""
         model = q.build_tangent_model(3)
         h = q.induce_from_normal(model, model.zvec(1), np.zeros((6, 6)))
-        npt.assert_allclose(h.split.A_N, h.N, atol=1e-15)
-        npt.assert_allclose(h.split.A_xi, -h.xi, atol=1e-15)
-        assert h.split.g_axixi == pytest.approx(-1.0)
+        npt.assert_allclose(h.A_N, h.N, atol=1e-15)
+        npt.assert_allclose(h.A_xi, -h.xi, atol=1e-15)
+        assert h.g_axixi == pytest.approx(-1.0)
 
     def test_almost_contact_identity(self):
         h = random_hopf(kind="generic", seed=3)
@@ -72,8 +72,8 @@ class TestInduceFromNormal:
         model = q.build_tangent_model(3)
         N = math.cos(0.4) * model.zvec(1) + math.sin(0.4) * model.jzvec(1)
         h = q.induce_from_normal(model, N, np.zeros((6, 6)))
-        assert abs(float(h.xi @ h.split.A_N)) < 1e-14
-        assert float(h.split.A_N @ h.N) >= 0.0
+        assert abs(float(h.xi @ h.A_N)) < 1e-14
+        assert float(h.A_N @ h.N) >= 0.0
 
     def test_non_unit_normal_rejected(self):
         model = q.build_tangent_model(3)
@@ -89,8 +89,10 @@ class TestInduceFromNormal:
         model = q.build_tangent_model(3)
         S = np.zeros((6, 6))
         S[2, 3] = S[3, 2] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError, match="S has non-finite"):
             q.induce_from_normal(model, model.zvec(1), S)
+        with pytest.raises(NonFiniteError, match="N has non-finite"):
+            q.induce_from_normal(model, np.full(6, np.nan), np.zeros((6, 6)))
         with pytest.raises(NonFiniteError):
             q.induce_from_normal(model, model.zvec(1), np.zeros((6, 6)), q_xi=np.inf)
 
@@ -113,7 +115,7 @@ class TestInduceFromNormal:
         defining relation q(xi) g(A xi, xi) = 2 alpha g(A xi, xi) is exact."""
         h = random_hopf(kind="generic", seed=8)
         assert h.q_xi == 2.0 * h.alpha
-        c = h.split.g_axixi
+        c = h.g_axixi
         assert c != 0.0
         assert h.q_xi * c == 2.0 * h.alpha * c
 
@@ -204,7 +206,7 @@ class TestInducedCurvature:
         """``eta`` and ``rho`` give one value per vector of any stack."""
         h = random_hopf(m=3, seed=20)
         X = h.frame[:, :4, None]
-        for pairing in (h.eta, h.split.rho):
+        for pairing in (h.eta, h.rho):
             values = pairing(X)
             assert values.shape == (4, 1)
             expected = [pairing(x) for x in X[:, :, 0].T]
@@ -217,7 +219,8 @@ class TestInducedCurvature:
         X = h.frame[:, :3].copy()
         X[:, column] += 1e-6 * h.N
         E = h.frame[:, None, :]
-        assert not h.is_tangent(X[:, :, None])
+        with pytest.raises(NonTangentError):
+            h.require_tangent(X[:, :, None])
         with pytest.raises(NonTangentError):
             q.induced_curvature(h, X[:, :, None], E, E)
         with pytest.raises(NonTangentError):

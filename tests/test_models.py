@@ -73,8 +73,8 @@ class TestTubeGridInvariants:
             assert q.alpha_gradient_residual(h) < 1e-12
             assert np.max(np.abs(h.phi @ h.S - h.S @ h.phi)) < 1e-12
             assert q.reeb_parallel_residual(h) < 1e-11
-            assert float(np.linalg.norm(h.S @ h.split.A_xi)) < 1e-12
-            assert float(np.linalg.norm(h.S @ h.split.A_N)) < 1e-12
+            assert float(np.linalg.norm(h.S @ h.A_xi)) < 1e-12
+            assert float(np.linalg.norm(h.S @ h.A_N)) < 1e-12
 
     def test_partner_curvature_fixed_points_on_grid(self):
         """Both invariant-block curvatures are fixed by the partner map."""
@@ -133,10 +133,10 @@ class TestPerturbedTube:
         rng = np.random.default_rng(5)
         h = q.perturbed_tube(2, 0.6, rng)
         assert h.hopf
-        assert abs(h.split.g_axixi) < 1e-14
+        assert abs(h.g_axixi) < 1e-14
         assert q.hopf_identity_residual(h) < 1e-12
-        assert float(np.linalg.norm(h.S @ h.split.A_xi)) < 1e-13
-        assert float(np.linalg.norm(h.S @ h.split.A_N)) < 1e-13
+        assert float(np.linalg.norm(h.S @ h.A_xi)) < 1e-13
+        assert float(np.linalg.norm(h.S @ h.A_N)) < 1e-13
 
     def test_generically_breaks_isometric_flow(self):
         rng = np.random.default_rng(6)

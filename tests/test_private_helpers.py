@@ -1,0 +1,53 @@
+"""Every private module-level helper of the package has a caller.
+
+A deletion that removes the last caller of a ``_name`` function or class
+leaves dead code behind; this test names it.
+"""
+
+import ast
+from pathlib import Path
+
+import quadric
+
+SOURCES = sorted(Path(quadric.__file__).parent.glob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _references(tree: ast.AST, skip: ast.AST | None) -> set[str]:
+    """Names read as ``name`` or ``obj.name`` in ``tree``, outside the node ``skip``."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {"hypersurface.py", "tangent.py", "cli.py"} <= set(trees)
+    orphans = []
+    for module, tree in trees.items():
+        for node in _private_definitions(tree):
+            used = any(
+                node.name in _references(other, node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                orphans.append(f"{module}:{node.name}")
+    assert orphans == []
