@@ -47,8 +47,7 @@ for gauge in (0.0, h.alpha, 2.0 * h.alpha, 10.0):
     print(f"  q(xi) = {gauge:>7.3f}: residual {val:.12e}  (drift {abs(val - base):.1e})")
 
 # For a principal normal the pairing is -1 and the gauge does matter.
-cand = q.reeb_parallel_principal_candidate(3, 1.2)
-hp = cand.h
+hp = q.reeb_parallel_principal_candidate(3, 1.2)
 print("\nprincipal candidate (pairing = -1):")
 for gauge in (hp.q_xi, hp.q_xi + 1.0):
     print(f"  q(xi) = {gauge:>7.3f}: residual {q.reeb_parallel_residual(hp.with_gauge(gauge)):.3e}")

@@ -10,34 +10,29 @@ trace-free conjugation of the ambient model.  No shape operator escapes.
 import numpy as np
 
 import quadric as q
+from quadric.classification import _quadratic_roots, affine_pair_matrices
 
 # A candidate that satisfies the Reeb-parallel condition pointwise.
 m, alpha = 4, 1.5
-cand = q.reeb_parallel_principal_candidate(m, alpha)
+h = q.reeb_parallel_principal_candidate(m, alpha)
 print(f"candidate: m = {m}, alpha = {alpha}")
-print(f"Reeb-parallel residual: {q.reeb_parallel_residual(cand.h):.2e}")
+print(f"Reeb-parallel residual: {q.reeb_parallel_residual(h):.2e}")
 
-rep = q.principal_chain_residuals(cand)
 print("\nderived-equation chain residuals:")
-for name, value in rep.residuals.items():
+for name, value in q.principal_chain_residuals(h).items():
     print(f"  {name:18s} {value:.3e}")
-print("verdict:", rep.verdict)
 print("(the first-order equations hold, the affine pair cannot: the candidate")
 print(" is not realizable geometry, only pointwise data)")
 
-# Imposing the identity conjugation block makes the affine pair solvable --
-# and that is exactly the contradiction.
-from quadric.classification import _quadratic_roots
-
+# The affine pair is solvable with the identity conjugation block on the
+# complex subbundle and a shape block with spectrum in the roots -- and that
+# identity block is exactly the contradiction.
 hi, lo = _quadratic_roots(alpha)
-values = [hi, lo, hi] * 2
-forced = q.build_principal_candidate(m, alpha, values, identity_conjugation=True)
-rep = q.principal_chain_residuals(forced)
-print("\nidentity-conjugation candidate with root spectrum:")
-print(f"  affine pair residuals: {rep.residuals['affine_a']:.2e}, {rep.residuals['affine_b']:.2e}")
-print(f"  conjugation defect |A|_C - I| = {rep.conjugation_defect:.2e}")
-print(f"  trace on the complex subbundle = {rep.trace_on_c:.0f} (must be 0)")
-print("  verdict:", rep.verdict)
+identity = np.eye(2 * (m - 1))
+e_a, e_b = affine_pair_matrices(alpha, np.diag([hi, lo, hi] * 2), identity)
+print("\nidentity conjugation block with root spectrum:")
+print(f"  affine pair residuals: {np.max(np.abs(e_a)):.2e}, {np.max(np.abs(e_b)):.2e}")
+print(f"  trace of the forced block = {np.trace(identity):.0f} (must be 0)")
 
 # The certificate automates this over sampled Reeb curvatures.
 rng = np.random.default_rng(7)

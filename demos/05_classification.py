@@ -55,4 +55,4 @@ print(" ", q.classify(generic).describe())
 
 # Principal data passing the Reeb-parallel test is flagged as nonexistent.
 cand = q.reeb_parallel_principal_candidate(3, 1.1)
-print(" ", q.classify(cand.h).describe(), "(principal, Reeb parallel)")
+print(" ", q.classify(cand).describe(), "(principal, Reeb parallel)")

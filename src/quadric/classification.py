@@ -5,7 +5,8 @@ Jacobi operator, the pointwise calculus collapses to a chain of operator
 equations on the maximal complex subbundle.  The final pair of the chain is
 affine in the conjugation block; their difference forces that block to be
 the identity, whose trace ``2m - 2`` contradicts the vanishing trace of any
-actual conjugation.  That contradiction is the nonexistence certificate.
+actual conjugation.  That contradiction is the nonexistence certificate;
+:func:`principal_chain_residuals` only measures the chain on candidate data.
 
 With isotropic normal the same calculus shows the structure Jacobi operator
 is Reeb parallel exactly when the Reeb flow is isometric, which pins the
@@ -30,7 +31,7 @@ from .hypersurface import (
     reeb_shape_derivative,
     restrict_to_frame,
 )
-from .models import PrincipalCandidate, _quadratic_roots, tube_shape_template
+from .models import _complex_pair_columns, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
 from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
@@ -39,23 +40,6 @@ from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
 # ---------------------------------------------------------------------------
 # Derived-equation chain for principal candidates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Residuals of the principal derived-equation chain.
-
-    ``conjugation_defect`` is the Frobenius distance of the effective
-    conjugation block on the complex subbundle from the identity, and
-    ``trace_on_c`` its trace.  The verdict is ``contradiction(...)`` when the
-    affine pair is satisfied: their joint solutions force the identity block,
-    whose trace cannot vanish.
-    """
-
-    residuals: dict[str, float]
-    conjugation_defect: float
-    trace_on_c: float
-    verdict: str
-
 
 def affine_pair_matrices(
     alpha: float, S: np.ndarray, A: np.ndarray
@@ -80,29 +64,31 @@ def affine_pair_matrices(
     return e_a, e_b
 
 
-def principal_chain_residuals(cand: PrincipalCandidate) -> ChainReport:
-    """Evaluate the derived-equation chain on a principal candidate.
+def principal_chain_residuals(h: HypersurfaceData) -> dict[str, float]:
+    """Residuals of the derived-equation chain on a principal candidate, in derivation order.
 
     Each equation is measured as the largest image norm of its operator
-    residual over an orthonormal frame of the maximal complex subbundle,
-    with the candidate's effective conjugation in the conjugation slots.
+    residual over an orthonormal frame of the maximal complex subbundle
+    ``span{Z_2..Z_m, J Z_2..J Z_m}``, with the adapted conjugation ``h.conj``
+    in the conjugation slots.  That frame spans the subbundle only for the
+    candidates' normal ``N = Z_1`` (see
+    :func:`~quadric.models.build_principal_candidate`).  Whether the affine
+    pair can hold at all is what :func:`principal_nonexistence_certificate`
+    decides.
 
     Raises:
-        ExcludedParameterError: if the candidate's Reeb curvature vanishes.
+        ExcludedParameterError: if the Reeb curvature vanishes.
     """
-    h = cand.h
     alpha = h.alpha
     if abs(alpha) < 1e-12:
         raise ExcludedParameterError("chain evaluation requires nonzero Reeb curvature")
-    phi, S = h.phi, h.S
-    A = cand.conj_c
-    C = cand.complex_subbundle_frame()
+    phi, S, A = h.phi, h.S, h.conj
+    C = _complex_pair_columns(h.model, range(2, h.model.m + 1))
 
     G = reeb_shape_derivative(h)
     phi_A = phi @ A
     e_a, e_b = affine_pair_matrices(alpha, S, A)
 
-    # The chain equations, in derivation order.
     operators = {
         "reeb_reduction": reeb_covariant_derivative(h) - reeb_derivative_reduced(h),
         "shape_derivative": G - 2.0 * phi_A,
@@ -119,24 +105,7 @@ def principal_chain_residuals(cand: PrincipalCandidate) -> ChainReport:
         "affine_a": e_a,
         "affine_b": e_b,
     }
-    residuals = {name: _frame_max_norm(M, C) for name, M in operators.items()}
-
-    A_c = restrict_to_frame(A, C)
-    defect = float(np.linalg.norm(A_c - np.eye(A_c.shape[0])))
-    trace_c = float(np.trace(A_c))
-    if residuals["affine_a"] < 1e-10 and residuals["affine_b"] < 1e-10:
-        verdict = (
-            f"contradiction(affine pair forces the identity conjugation block; "
-            f"trace {trace_c:.6g} on the complex subbundle cannot vanish)"
-        )
-    else:
-        verdict = "consistent"
-    return ChainReport(
-        residuals=residuals,
-        conjugation_defect=defect,
-        trace_on_c=trace_c,
-        verdict=verdict,
-    )
+    return {name: _frame_max_norm(M, C) for name, M in operators.items()}
 
 
 # ---------------------------------------------------------------------------

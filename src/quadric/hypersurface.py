@@ -116,10 +116,6 @@ class HypersurfaceData:
         """Whether ``S xi = alpha xi`` holds to ``IDENTITY_TOL``."""
         return self.hopf_defect < IDENTITY_TOL
 
-    @property
-    def tangent_dim(self) -> int:
-        return self.model.dim - 1
-
     def eta(self, X: np.ndarray) -> float | np.ndarray:
         """Contact form ``eta(X) = g(X, xi)``, one value per vector."""
         return _apply(self.xi, np.asarray(X, dtype=float))
@@ -702,9 +698,11 @@ def from_dict(payload: dict) -> HypersurfaceData:
     Raises:
         ModelValidationError: on malformed payloads (including a non-integer
             ``m``, an entry of ``N``, ``S``, ``alpha`` or ``q_xi`` that is not
-            a JSON number, numbers beyond the float range and arrays of the
-            wrong shape), a Reeb-curvature mismatch, or a gauge ``q_xi`` that
-            differs from ``2 alpha`` where ``g(A xi, xi) != 0`` forces it.
+            a JSON number, ``null`` among them in ``N`` and ``S`` (a ``null``
+            ``alpha`` or ``q_xi`` counts as absent), numbers beyond the float
+            range and arrays of the wrong shape), a Reeb-curvature mismatch,
+            or a gauge ``q_xi`` that differs from ``2 alpha`` where
+            ``g(A xi, xi) != 0`` forces it.
         NormalizationError: if the normal is not unit length.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
@@ -719,10 +717,10 @@ def from_dict(payload: dict) -> HypersurfaceData:
         raise ModelValidationError(f"malformed hypersurface payload: {exc}") from exc
     if m != payload["m"] or isinstance(payload["m"], bool):
         raise ModelValidationError(f"complex dimension must be an integer, got {payload['m']!r}")
-    h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
-    _require_finite(alpha=scalars.get("alpha"))  # induce_from_normal checks N, S and q_xi
-    # float() also reads strings and booleans; a payload must hold JSON numbers.  The
-    # scan follows the finite checks, so a NaN stored as "nan" is refused as non-finite.
+    # float() also reads strings and booleans, and a JSON null reads as NaN; a payload
+    # must hold JSON numbers.  A null is refused at once; the other kinds after the
+    # finite checks, so a NaN stored as "nan" is refused as non-finite.
+    foreign = []
     for key, value in (("N", N), ("S", S), *scalars.items()):
         leaves = [payload[key]]
         for _ in range(np.ndim(value)):
@@ -730,7 +728,14 @@ def from_dict(payload: dict) -> HypersurfaceData:
         kinds = set(map(type, leaves)) - {int, float}
         if kinds:
             names = ", ".join(sorted(kind.__name__ for kind in kinds))
-            raise ModelValidationError(f"{key} must hold JSON numbers only, got {names}")
+            foreign.append((type(None) in kinds, f"{key} must hold JSON numbers only, got {names}"))
+    for null, message in foreign:
+        if null:
+            raise ModelValidationError(message)
+    h = induce_from_normal(build_tangent_model(m), N, S, q_xi=scalars.get("q_xi"))
+    _require_finite(alpha=scalars.get("alpha"))  # induce_from_normal checks N, S and q_xi
+    if foreign:
+        raise ModelValidationError(foreign[0][1])
     if "alpha" in scalars:
         declared = scalars["alpha"]
         if abs(declared - h.alpha) > 1e-8 * max(1.0, abs(h.alpha)):

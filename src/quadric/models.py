@@ -12,7 +12,8 @@ curvatures
 
 Candidates with a principal normal (``A N = N``, ``A xi = -xi``) are built
 synthetically for the nonexistence analysis, with a prescribed spectrum of
-the shape operator on the maximal complex subbundle.
+the shape operator on the maximal complex subbundle.  They are plain
+:class:`~quadric.hypersurface.HypersurfaceData` with normal ``Z_1``.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def tube_jacobi_template(k: int, r: float) -> list[tuple[float, int]]:
     )
 
 
-def _complex_pair_columns(model: TangentModel, z_indices: list[int]) -> np.ndarray:
+def _complex_pair_columns(model: TangentModel, z_indices: range) -> np.ndarray:
     """Orthonormal basis of the complex span of the listed ``Z`` directions."""
     cols = [model.zvec(i) for i in z_indices] + [model.jzvec(i) for i in z_indices]
     return np.column_stack(cols)
@@ -149,8 +150,8 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     A_xi = (model.zvec(2) + model.jzvec(1)) / sqrt2
     A_N = (model.zvec(1) - model.jzvec(2)) / sqrt2
 
-    W1 = _complex_pair_columns(model, list(range(3, k + 2)))
-    W2 = _complex_pair_columns(model, list(range(k + 2, 2 * k + 1)))
+    W1 = _complex_pair_columns(model, range(3, k + 2))
+    W2 = _complex_pair_columns(model, range(k + 2, 2 * k + 1))
 
     alpha = tube_reeb_curvature(r)
     S = (
@@ -270,38 +271,17 @@ def random_hopf_data(
 # Principal-normal candidates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrincipalCandidate:
-    """Synthetic Hopf data with principal normal (``A N = N``, ``A xi = -xi``).
-
-    ``conj_c`` is the conjugation used by the derived-equation suite on the
-    maximal complex subbundle; it equals the model conjugation unless the
-    identity block was imposed for the contradiction analysis.
-    """
-
-    h: HypersurfaceData
-    conj_c: np.ndarray
-
-    def complex_subbundle_frame(self) -> np.ndarray:
-        """Orthonormal basis of the maximal complex subbundle, one per column."""
-        return _complex_pair_columns(self.h.model, list(range(2, self.h.model.m + 1)))
-
-
-def build_principal_candidate(
-    m: int,
-    alpha: float,
-    curvatures: list[float],
-    identity_conjugation: bool = False,
-) -> PrincipalCandidate:
+def build_principal_candidate(m: int, alpha: float, curvatures: list[float]) -> HypersurfaceData:
     """Build a principal-normal Hopf candidate with prescribed shape spectrum.
+
+    The normal is ``Z_1`` and the Reeb direction ``-J Z_1``, so the adapted
+    conjugation is the model conjugation itself.
 
     Args:
         m: complex dimension (>= 3 for the suites).
         alpha: nonzero Reeb curvature.
         curvatures: the ``2(m-1)`` eigenvalues on the complex subbundle, on
             ``Z_2..Z_m`` and then on ``J Z_2..J Z_m``.
-        identity_conjugation: impose the identity block on the complex
-            subbundle for the derived-equation suite.
 
     Raises:
         ExcludedParameterError: if ``alpha`` is zero.
@@ -320,13 +300,7 @@ def build_principal_candidate(
         z, jz = model.zvec(j), model.jzvec(j)
         S += curvatures[j - 2] * np.outer(z, z)
         S += curvatures[m - 1 + j - 2] * np.outer(jz, jz)
-
-    h = induce_from_normal(model, N, S)
-    if identity_conjugation:
-        conj_c = np.eye(model.dim) - 2.0 * np.outer(xi, xi)
-    else:
-        conj_c = model.A
-    return PrincipalCandidate(h=h, conj_c=conj_c)
+    return induce_from_normal(model, N, S)
 
 
 def _quadratic_roots(alpha: float) -> tuple[float, float]:
@@ -336,7 +310,7 @@ def _quadratic_roots(alpha: float) -> tuple[float, float]:
     return 0.5 * (s + d), 0.5 * (s - d)
 
 
-def reeb_parallel_principal_candidate(m: int, alpha: float) -> PrincipalCandidate:
+def reeb_parallel_principal_candidate(m: int, alpha: float) -> HypersurfaceData:
     """Principal candidate whose structure Jacobi operator is Reeb parallel.
 
     On each complex pair the curvatures solve the reduced first-order system

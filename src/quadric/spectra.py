@@ -43,14 +43,6 @@ class SpectrumReport:
     reconstruction_residual: float
     orthogonality_residual: float
 
-    @property
-    def distinct(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.clusters)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(k for _, k in self.clusters)
-
 
 def cluster_eigenvalues(values: np.ndarray, width: float) -> tuple[tuple[float, int], ...]:
     """Group sorted eigenvalues into clusters separated by gaps > ``width``."""
@@ -105,18 +97,18 @@ def match_spectrum(
     """Compare clustered spectrum against ``(value, multiplicity)`` pairs.
 
     Values are matched in ascending order with relative tolerance
-    ``rel_tol`` (absolute near zero); multiplicities must agree exactly.
-    Returns ``(matched, worst_relative_deviation)``.
+    ``rel_tol`` (absolute near zero).  Returns ``(matched,
+    worst_relative_deviation)``; a spectrum whose cluster multiplicities
+    differ from the template's, in number or in any entry, deviates by
+    ``inf``.
     """
     expected = sorted(template)
     clusters = report.clusters
     if len(clusters) != len(expected):
         return False, float("inf")
     worst = 0.0
-    ok = True
     for (got_v, got_k), (exp_v, exp_k) in zip(clusters, expected):
-        dev = abs(got_v - exp_v) / max(1.0, abs(exp_v))
-        worst = max(worst, dev)
-        if got_k != exp_k or dev > rel_tol:
-            ok = False
-    return ok, worst
+        if got_k != exp_k:
+            return False, float("inf")
+        worst = max(worst, abs(got_v - exp_v) / max(1.0, abs(exp_v)))
+    return worst <= rel_tol, worst

@@ -9,18 +9,11 @@ import pytest
 import quadric as q
 from quadric import ExcludedParameterError, classification
 from quadric.classification import affine_pair_matrices, _quadratic_roots
+from quadric.models import _complex_pair_columns
 from quadric.report import Check
 from quadric.tangent import _STACK_BUDGET
 
 from conftest import paired_candidate
-
-
-def quadratic_root_candidate(m, alpha, seed=0):
-    """Identity-conjugation candidate whose shape spectrum solves the affine pair."""
-    rng = np.random.default_rng(seed)
-    hi, lo = _quadratic_roots(alpha)
-    values = [float(rng.choice([hi, lo])) for _ in range(2 * (m - 1))]
-    return q.build_principal_candidate(m, alpha, values, identity_conjugation=True)
 
 
 def _reference_affine_pair(alpha, S, A):
@@ -77,49 +70,30 @@ def reference_certificate_checks(m, alpha_samples, seed):
 
 
 class TestChainResiduals:
-    def test_identity_conjugation_contradiction(self):
-        """Affine-pair residuals coincide, the pair is solvable, and the trace
-        of the forced identity block contradicts the trace-free conjugation."""
-        m = 4
-        cand = quadratic_root_candidate(m, 1.5)
-        rep = q.principal_chain_residuals(cand)
-        assert rep.residuals["affine_a"] == rep.residuals["affine_b"]
-        assert rep.residuals["affine_a"] < 1e-10
-        assert rep.conjugation_defect < 1e-14
-        assert rep.trace_on_c == pytest.approx(2 * m - 2)
-        assert rep.verdict.startswith("contradiction")
-
     def test_generic_paired_candidate_fails_commutator_equation(self):
         """No consistent shape operator satisfies the full chain: for a generic
         paired spectrum the commutator equation has an order-one residual."""
-        cand = paired_candidate(1.0, [0.7, -1.3])
-        rep = q.principal_chain_residuals(cand)
-        assert rep.residuals["hopf_identity"] < 1e-11
-        assert rep.residuals["commutator"] > 0.1
-        assert rep.verdict == "consistent"
+        res = q.principal_chain_residuals(paired_candidate(1.0, [0.7, -1.3]))
+        assert res["hopf_identity"] < 1e-11
+        assert res["commutator"] > 0.1
 
     def test_reduction_is_exact_for_any_principal_candidate(self):
-        cand = paired_candidate(-0.8, [0.3, 1.9, -2.0, 0.9])
-        rep = q.principal_chain_residuals(cand)
-        assert rep.residuals["reeb_reduction"] < 1e-12
+        res = q.principal_chain_residuals(paired_candidate(-0.8, [0.3, 1.9, -2.0, 0.9]))
+        assert res["reeb_reduction"] < 1e-12
 
     def test_reeb_parallel_candidate_satisfies_first_order_chain(self):
         """The first-order equations admit pointwise solutions; the affine pair
         (which encodes the conjugation-derivative constraint) still fails."""
-        cand = q.reeb_parallel_principal_candidate(4, 1.5)
-        rep = q.principal_chain_residuals(cand)
-        assert rep.residuals["shape_derivative"] < 1e-11
-        assert rep.residuals["first_combination"] < 1e-11
-        assert rep.residuals["commutator"] < 1e-11
-        assert rep.residuals["hopf_identity"] < 1e-11
-        assert min(rep.residuals["affine_a"], rep.residuals["affine_b"]) > 0.1
-        assert rep.verdict == "consistent"
+        res = q.principal_chain_residuals(q.reeb_parallel_principal_candidate(4, 1.5))
+        assert res["shape_derivative"] < 1e-11
+        assert res["first_combination"] < 1e-11
+        assert res["commutator"] < 1e-11
+        assert res["hopf_identity"] < 1e-11
+        assert min(res["affine_a"], res["affine_b"]) > 0.1
 
     def test_zero_alpha_rejected(self):
-        model_free = q.build_tube(2, math.pi / 4.0, non_vanishing=False).h
-        cand = q.PrincipalCandidate(h=model_free, conj_c=model_free.model.A)
         with pytest.raises(ExcludedParameterError):
-            q.principal_chain_residuals(cand)
+            q.principal_chain_residuals(q.build_tube(2, math.pi / 4.0, non_vanishing=False).h)
 
 
 class TestAffinePairAlgebra:
@@ -137,9 +111,8 @@ class TestAffinePairAlgebra:
     def test_conjugation_transport_with_fixed_range_shape(self):
         """With the shape operator mapping into the conjugation-fixed block,
         conjugating the first affine equation reproduces the second."""
-        cand = q.build_principal_candidate(4, 1.1, [0.6, -0.4, 1.3] + [0.0] * 3)
-        h = cand.h
-        C = cand.complex_subbundle_frame()
+        h = q.build_principal_candidate(4, 1.1, [0.6, -0.4, 1.3] + [0.0] * 3)
+        C = _complex_pair_columns(h.model, range(2, 5))
         A_c = q.restrict_to_frame(h.conj, C)
         S_c = q.restrict_to_frame(h.S, C)
         e_a, e_b = affine_pair_matrices(h.alpha, S_c, A_c)
@@ -258,8 +231,7 @@ class TestClassify:
         assert "not Hopf" in res.reason
 
     def test_principal_reeb_parallel_is_nonexistent(self):
-        cand = q.reeb_parallel_principal_candidate(4, 1.2)
-        res = q.classify(cand.h)
+        res = q.classify(q.reeb_parallel_principal_candidate(4, 1.2))
         assert res.verdict == "nonexistent"
         assert res.singular_type == "A-principal"
 

@@ -233,6 +233,23 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("error:") and "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["classify", "spectrum"])
+    @pytest.mark.parametrize("field", ["N", "S"])
+    def test_null_entry_exits_two(self, capsys, tmp_path, command, field):
+        """A JSON null is a mistyped entry, not a NaN: before, it was read as
+        NaN and refused as ``non-finite``."""
+        def mutate(payload):
+            if field == "N":
+                payload["N"][0] = None
+            else:
+                payload["S"][3][4] = None
+
+        path = write_tube_payload(tmp_path / "null.json", mutate=mutate)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field} must hold JSON numbers only, got NoneType\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -354,7 +371,7 @@ def _tube_payload():
 
 def _principal_payload():
     """Principal data with ``g(A xi, xi) = -1``, which forces ``q_xi = 2 alpha``."""
-    return q.to_dict(q.reeb_parallel_principal_candidate(3, 1.2).h)
+    return q.to_dict(q.reeb_parallel_principal_candidate(3, 1.2))
 
 
 def _refusal_argv(case, tmp_path, command="classify"):

@@ -334,7 +334,7 @@ class TestNablaSAtXi:
 
     def test_principal_form(self, principal_paired):
         """Principal data: (nabla_xi S) Y = alpha phi S Y - S phi S Y + phi Y - phi A Y."""
-        h = principal_paired.h
+        h = principal_paired
         expected = (
             h.alpha * (h.phi @ h.S) - h.S @ h.phi @ h.S + h.phi - h.phi @ h.conj
         ) @ h.projector
@@ -487,8 +487,7 @@ class TestReebParallelResidual:
             assert abs(q.reeb_parallel_residual(h.with_gauge(gauge)) - base) < 1e-12
 
     def test_gauge_matters_for_principal(self):
-        cand = q.reeb_parallel_principal_candidate(3, 1.2)
-        h = cand.h
+        h = q.reeb_parallel_principal_candidate(3, 1.2)
         assert q.reeb_parallel_residual(h) < 1e-12
         assert q.reeb_parallel_residual(h.with_gauge(h.q_xi + 1.0)) > 0.1
 
@@ -498,7 +497,7 @@ class TestHopfIdentityResidual:
         assert q.hopf_identity_residual(tube.h) < 1e-11
 
     def test_paired_principal_candidate(self, principal_paired):
-        assert q.hopf_identity_residual(principal_paired.h) < 1e-11
+        assert q.hopf_identity_residual(principal_paired) < 1e-11
 
     def test_detects_generic_violation(self):
         h = random_hopf(kind="generic", seed=80)
@@ -510,7 +509,7 @@ class TestAlphaGradientResidual:
         assert q.alpha_gradient_residual(tube.h) == 0.0
 
     def test_constant_alpha_principal(self, principal_paired):
-        assert q.alpha_gradient_residual(principal_paired.h) < 1e-15
+        assert q.alpha_gradient_residual(principal_paired) < 1e-15
 
     def test_injected_defect_is_returned(self, tube):
         h = tube.h

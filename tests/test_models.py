@@ -8,6 +8,7 @@ import pytest
 
 import quadric as q
 from quadric import ExcludedParameterError, InvalidDimensionError
+from quadric.models import _complex_pair_columns
 
 from conftest import paired_candidate
 
@@ -31,7 +32,7 @@ class TestBuildTube:
 
     def test_tangent_dimension_sums(self):
         tube = q.build_tube(3, 0.9)
-        assert tube.h.tangent_dim == 11  # 1 + 2 + 4 + 4
+        assert tube.h.frame.shape[1] == 11  # 1 + 2 + 4 + 4
 
     def test_frame_labels_are_eigenvectors(self):
         tube = q.build_tube(2, 0.6)
@@ -110,9 +111,8 @@ class TestTubeJacobiSpectrum:
         """At the vanishing-curvature radius the two nonzero branches merge at 1."""
         tube = q.build_tube(3, math.pi / 4.0, non_vanishing=False)
         rep = q.tube_structure_jacobi_spectrum(tube)
-        assert rep.multiplicities == (3, 8)
-        assert rep.distinct[0] == pytest.approx(0.0, abs=1e-12)
-        assert rep.distinct[1] == pytest.approx(1.0, abs=1e-12)
+        assert [k for _, k in rep.clusters] == [3, 8]
+        npt.assert_allclose([v for v, _ in rep.clusters], [0.0, 1.0], atol=1e-12)
         # The template merges tan^2 = cot^2 = 1 into one entry, as the solver does.
         ok, _ = q.match_spectrum(rep, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
         assert ok
@@ -146,23 +146,21 @@ class TestPerturbedTube:
 
 class TestPrincipalCandidates:
     def test_paired_construction_satisfies_hopf_identity(self):
-        cand = paired_candidate(1.0, [0.7, -1.3])
-        assert q.hopf_identity_residual(cand.h) < 1e-11
+        h = paired_candidate(1.0, [0.7, -1.3])
+        assert q.hopf_identity_residual(h) < 1e-11
 
     def test_normal_is_conjugation_fixed(self):
-        cand = paired_candidate(0.8, [1.0, 2.0, -0.5])
-        h = cand.h
+        h = paired_candidate(0.8, [1.0, 2.0, -0.5])
         for i in range(h.frame.shape[1]):
             X = h.frame[:, i]
             assert abs(float((h.conj @ X) @ h.N)) < 1e-14
 
     def test_conjugation_traces(self):
-        cand = paired_candidate(1.0, [1.0, 1.0, 1.0])
-        h = cand.h
+        h = paired_candidate(1.0, [1.0, 1.0, 1.0])
         A = h.conj
         trace_tm = float(np.trace(h.frame.T @ A @ h.frame))
         assert trace_tm == pytest.approx(-1.0, abs=1e-12)
-        C = cand.complex_subbundle_frame()
+        C = _complex_pair_columns(h.model, range(2, h.model.m + 1))
         assert float(np.trace(C.T @ A @ C)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_alpha_excluded(self):
@@ -174,8 +172,8 @@ class TestPrincipalCandidates:
             paired_candidate(1.0, [0.5, 1.0])
 
     def test_reeb_parallel_candidate_has_zero_residual(self):
-        cand = q.reeb_parallel_principal_candidate(3, 1.5)
-        assert q.reeb_parallel_residual(cand.h) < 1e-12
+        h = q.reeb_parallel_principal_candidate(3, 1.5)
+        assert q.reeb_parallel_residual(h) < 1e-12
 
 
 class TestRandomHopfData:

@@ -337,6 +337,16 @@ def collapsed_blocks(monkeypatch):
     return q.induce_from_normal(tube.h.model, tube.h.N, S)
 
 
+def moved_pair(monkeypatch):
+    """One complex pair of ``W2`` moved to ``-tan r``: still Reeb parallel
+    (every pair at ``-tan r`` or ``cot r`` is), with the tube's cluster count
+    and values but multiplicities ``2k - 2 + 2`` and ``2k - 2 - 2``."""
+    tube = q.build_tube(K, R)
+    pair = tube.bases["W2"][:, [0, K - 1]]
+    S = tube.h.S - (1.0 / math.tan(R) + math.tan(R)) * (pair @ pair.T)
+    return q.induce_from_normal(tube.h.model, tube.h.N, S)
+
+
 def single_precision_solver(monkeypatch):
     """``np.linalg.eigh`` rounding its eigenpairs to single precision.
 
@@ -507,13 +517,24 @@ def test_common_term_fails_solvability_alone(capsys, monkeypatch, tmp_path):
     assert failed == {"affine_pair_solvable"}
 
 
-def test_collapsed_blocks_stay_reeb_parallel(capsys, tmp_path):
-    """Only the spectrum match tells the collapsed tube from a tube."""
-    code, payload = run_command(capsys, _commands(tmp_path, collapsed_blocks(None))["classify"])
+def _spectrum_match_fails_alone(capsys, tmp_path, h):
+    code, payload = run_command(capsys, _commands(tmp_path, h)["classify"])
     assert code == 1
     checks = {c["name"]: c for c in payload["checks"]}
     assert checks["reeb_parallel_structure_jacobi"]["pass"]
     assert checks["tube_spectrum_match"]["residual"] == "inf"
+
+
+def test_collapsed_blocks_stay_reeb_parallel(capsys, tmp_path):
+    """Only the spectrum match tells the collapsed tube from a tube."""
+    _spectrum_match_fails_alone(capsys, tmp_path, collapsed_blocks(None))
+
+
+def test_moved_pair_fails_the_spectrum_match(capsys, tmp_path):
+    """A moved pair keeps the tube's cluster count and values, so only its
+    multiplicities tell it from a tube.  Before, a multiplicity mismatch
+    was reported with the finite value deviation, and the check passed."""
+    _spectrum_match_fails_alone(capsys, tmp_path, moved_pair(None))
 
 
 def test_asymmetric_jacobi_exits_two(capsys, monkeypatch):

@@ -51,3 +51,31 @@ def test_adapted_conjugation_returns_one_array():
         conj = q.tangent.adapted_conjugation(model, U)
         assert isinstance(conj, np.ndarray)
         assert conj.shape == (6, 6)
+
+
+@pytest.mark.parametrize("name", ["PrincipalCandidate", "ChainReport"])
+def test_candidate_wrappers_are_gone(name):
+    """Candidates are plain ``HypersurfaceData`` and the chain returns a dict."""
+    assert name not in q.__all__
+    assert not hasattr(q, name)
+
+
+def test_principal_candidates_are_hypersurface_data():
+    assert isinstance(q.reeb_parallel_principal_candidate(3, 1.2), q.HypersurfaceData)
+    built = q.build_principal_candidate(3, 1.2, [0.5, -0.4, 1.3, 0.7])
+    assert isinstance(built, q.HypersurfaceData)
+
+
+def test_chain_residuals_in_derivation_order():
+    residuals = q.principal_chain_residuals(q.reeb_parallel_principal_candidate(3, 1.2))
+    assert list(residuals) == [
+        "reeb_reduction",
+        "shape_derivative",
+        "first_combination",
+        "hopf_identity",
+        "commutator",
+        "sandwich",
+        "affine_a",
+        "affine_b",
+    ]
+    assert all(isinstance(value, float) for value in residuals.values())

@@ -76,7 +76,7 @@ class TestSymEigen:
             rep = sym_eigen(a)
             assert rep.reconstruction_residual <= 1e-10
             assert rep.orthogonality_residual <= 1e-10
-        assert rep.multiplicities == (1, 3, 1, 1, 1, 1, 1, 1)
+        assert [k for _, k in rep.clusters] == [1, 3, 1, 1, 1, 1, 1, 1]
 
     def test_large_scale_matrix(self):
         """Entries of the size the radius grid actually produces."""
@@ -84,7 +84,7 @@ class TestSymEigen:
         q, _ = np.linalg.qr(rng.standard_normal((15, 15)))
         a = q @ np.diag(np.repeat([400.0, 0.0, -20.0], 5)) @ q.T
         rep = sym_eigen(0.5 * (a + a.T))
-        assert rep.multiplicities == (5, 5, 5)
+        assert [k for _, k in rep.clusters] == [5, 5, 5]
 
     def test_cluster_width_scales_with_norm(self):
         """Eigenvalues of size 1e6 carry rounding errors far above the tolerance."""
@@ -92,9 +92,9 @@ class TestSymEigen:
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         a = q @ np.diag(np.repeat([1e6, 2e6, -1.0], 3)) @ q.T
         rep = sym_eigen(0.5 * (a + a.T))
-        assert rep.multiplicities == (3, 3, 3)
+        assert [k for _, k in rep.clusters] == [3, 3, 3]
         # backward stable: each eigenvalue is off by a small multiple of eps * ||op||_2
-        npt.assert_allclose(rep.distinct, [-1.0, 1e6, 2e6], rtol=0, atol=1e-14 * 2e6)
+        npt.assert_allclose([v for v, _ in rep.clusters], [-1.0, 1e6, 2e6], rtol=0, atol=1e-14 * 2e6)
 
 
 class TestClustering:
@@ -110,9 +110,9 @@ class TestClustering:
         rep = sym_eigen(np.diag([0.0, 0.0, 4.0]))
         ok, dev = match_spectrum(rep, [(0.0, 2), (4.0, 1)])
         assert ok and dev < 1e-15
-        ok, _ = match_spectrum(rep, [(0.0, 1), (4.0, 2)])
-        assert not ok
+        ok, dev = match_spectrum(rep, [(0.0, 1), (4.0, 2)])
+        assert not ok and dev == float("inf")
         ok, _ = match_spectrum(rep, [(0.0, 2), (4.1, 1)])
         assert not ok
-        ok, _ = match_spectrum(rep, [(0.0, 3)])
-        assert not ok
+        ok, dev = match_spectrum(rep, [(0.0, 3)])
+        assert not ok and dev == float("inf")
