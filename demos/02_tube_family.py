@@ -15,7 +15,7 @@ import quadric as q
 k, r = 2, 0.6
 tube = q.build_tube(k, r)
 h = tube.h
-print(f"tube k={k}, r={r}: ambient complex dimension {h.model.m}, alpha = {tube.alpha:.6f}")
+print(f"tube k={k}, r={r}: ambient complex dimension {h.model.m}, alpha = {h.alpha:.6f}")
 
 shape = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
 print("shape spectrum:      ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in shape.clusters))
@@ -49,6 +49,6 @@ for kk in (2, 3, 4):
 # The degenerate radius pi/4 (vanishing Reeb curvature) is outside the
 # classification but still constructible for inspection.
 flat = q.build_tube(2, math.pi / 4.0, non_vanishing=False)
-print(f"\nat r = pi/4 the Reeb curvature vanishes: alpha = {flat.alpha:.2e}")
+print(f"\nat r = pi/4 the Reeb curvature vanishes: alpha = {flat.h.alpha:.2e}")
 print("structure Jacobi spectrum degenerates to",
       ", ".join(f"{v:.3f} (x{mult})" for v, mult in q.tube_structure_jacobi_spectrum(flat).clusters))

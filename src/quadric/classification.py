@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcludedParameterError
+from .errors import ExcludedParameterError, ModelValidationError
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
@@ -34,7 +34,7 @@ from .hypersurface import (
 from .models import _complex_pair_columns, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle
+from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle, principal_vector
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +72,21 @@ def principal_chain_residuals(h: HypersurfaceData) -> dict[str, float]:
     ``span{Z_2..Z_m, J Z_2..J Z_m}``, with the adapted conjugation ``h.conj``
     in the conjugation slots.  That frame spans the subbundle only for the
     candidates' normal ``N = Z_1`` (see
-    :func:`~quadric.models.build_principal_candidate`).  Whether the affine
-    pair can hold at all is what :func:`principal_nonexistence_certificate`
-    decides.
+    :func:`~quadric.models.build_principal_candidate`), so other normals are
+    refused.  Whether the affine pair can hold at all is what
+    :func:`principal_nonexistence_certificate` decides.
 
     Raises:
         ExcludedParameterError: if the Reeb curvature vanishes.
+        ModelValidationError: if the normal is not ``Z_1``.
     """
     alpha = h.alpha
     if abs(alpha) < 1e-12:
         raise ExcludedParameterError("chain evaluation requires nonzero Reeb curvature")
+    if not np.array_equal(h.N, principal_vector(h.model)):
+        raise ModelValidationError(
+            "chain evaluation requires the normal Z_1 (frame span{Z_j, J Z_j}, j >= 2)"
+        )
     phi, S, A = h.phi, h.S, h.conj
     C = _complex_pair_columns(h.model, range(2, h.model.m + 1))
 
@@ -265,8 +270,6 @@ class ClassificationResult:
     """
 
     singular_type: str
-    hopf: bool
-    alpha: float
     reeb_residual: float | None
     verdict: str
     reason: str
@@ -301,18 +304,17 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     is reported outside the hypotheses with the failing condition.
     """
     angle = canonical_angle(h.model, h.N)
-    base = dict(singular_type=angle.kind, hopf=h.hopf, alpha=h.alpha)
 
     if not h.hopf:
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=None,
             verdict="outside-hypotheses",
             reason=f"not Hopf (|S xi - alpha xi| = {h.hopf_defect:.3e})",
         )
     if abs(h.alpha) < tol:
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=None,
             verdict="outside-hypotheses",
             reason="vanishing geodesic Reeb flow (alpha = 0)",
@@ -321,14 +323,14 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     residual = reeb_parallel_residual(h)
     if angle.kind == "generic":
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=residual,
             verdict="outside-hypotheses",
             reason=f"normal not singular (canonical angle t = {angle.t:.6g})",
         )
     if residual >= tol:
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=residual,
             verdict="outside-hypotheses",
             reason=f"structure Jacobi operator not Reeb parallel (residual {residual:.3e})",
@@ -336,7 +338,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
 
     if angle.kind == "A-principal":
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=residual,
             verdict="nonexistent",
             reason="principal normal with Reeb-parallel structure Jacobi operator",
@@ -346,7 +348,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     m = h.model.m
     if m % 2 != 0 or m < 4:
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=residual,
             verdict="outside-hypotheses",
             reason=f"no tube family in complex dimension {m}",
@@ -357,14 +359,14 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     matched, deviation = match_spectrum(spectrum, tube_shape_template(k, r))
     if not matched:
         return ClassificationResult(
-            **base,
+            singular_type=angle.kind,
             reeb_residual=residual,
             verdict="outside-hypotheses",
             reason=f"shape spectrum does not match the tube of radius {r:.6g}",
             spectrum_deviation=deviation,
         )
     return ClassificationResult(
-        **base,
+        singular_type=angle.kind,
         reeb_residual=residual,
         verdict="tube",
         reason="",

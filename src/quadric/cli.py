@@ -179,19 +179,19 @@ def main(argv: list[str] | None = None) -> int:
                 report = suites.verify_ambient(args.m, tol=args.tol, seed=args.seed)
             elif args.command == "verify" and args.target == "tube":
                 report = suites.verify_tube(
-                    args.k, args.r, tol=args.tol, seed=args.seed, non_vanishing=args.non_vanishing
+                    args.k, args.r, tol=args.tol, non_vanishing=args.non_vanishing
                 )
             elif args.command == "scan" and args.target == "tube":
-                report = suites.scan_tube(
-                    args.k, args.r_min, args.r_max, args.steps, tol=args.tol, seed=args.seed
-                )
+                report = suites.scan_tube(args.k, args.r_min, args.r_max, args.steps, tol=args.tol)
             elif args.command == "nonexistence":
                 report = suites.nonexistence(args.m, samples=args.alpha_samples, seed=args.seed)
             elif args.command == "classify":
                 h = _load_hypersurface(args.input)
-                report, verdict_line = suites.classify_report(h, tol=args.tol, seed=args.seed)
+                report, verdict_line = suites.classify_report(h, tol=args.tol)
             else:  # argparse admits only "spectrum" here
-                report = suites.spectrum_report(_load_hypersurface(args.input), seed=args.seed)
+                report = suites.spectrum_report(_load_hypersurface(args.input))
+        # Every report records the run's seed, whether or not the command sampled with it.
+        report.seed = args.seed
         _emit(report, args.json, verdict_line)
     except QuadricError as exc:
         print(f"error: {exc}", file=sys.stderr)

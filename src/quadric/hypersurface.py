@@ -736,14 +736,15 @@ def from_dict(payload: dict) -> HypersurfaceData:
     _require_finite(alpha=scalars.get("alpha"))  # induce_from_normal checks N, S and q_xi
     if foreign:
         raise ModelValidationError(foreign[0][1])
+    bound = 1e-8 * max(1.0, abs(h.alpha))
     if "alpha" in scalars:
         declared = scalars["alpha"]
-        if abs(declared - h.alpha) > 1e-8 * max(1.0, abs(h.alpha)):
+        if abs(declared - h.alpha) > bound:
             raise ModelValidationError(
                 f"stored Reeb curvature {declared:.12g} does not match recomputed {h.alpha:.12g}"
             )
-    # q(xi) g(A xi, xi) = 2 alpha g(A xi, xi); the bound is the one of the alpha cross-check.
-    if abs((h.q_xi - 2.0 * h.alpha) * h.g_axixi) > 1e-8 * max(1.0, abs(h.alpha)):
+    # q(xi) g(A xi, xi) = 2 alpha g(A xi, xi), held to the bound of the alpha cross-check.
+    if abs((h.q_xi - 2.0 * h.alpha) * h.g_axixi) > bound:
         raise ModelValidationError(
             f"gauge q_xi = {h.q_xi:.12g} contradicts its forced value 2 alpha = {2.0 * h.alpha:.12g}"
             f" (g(A xi, xi) = {h.g_axixi:.3e})"

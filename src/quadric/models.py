@@ -10,6 +10,9 @@ curvatures
     -tan(r)    on an invariant complex block  (multiplicity 2k-2)
     cot(r)     on the complementary block     (multiplicity 2k-2).
 
+Its normal is ``isotropic_vector``; a :class:`TubeModel` holds the induced
+data ``h`` (Reeb curvature, ``xi``, ``A xi``, ``A N``) and the two block bases.
+
 Candidates with a principal normal (``A N = N``, ``A xi = -xi``) are built
 synthetically for the nonexistence analysis, with a prescribed spectrum of
 the shape operator on the maximal complex subbundle.  They are plain
@@ -25,14 +28,8 @@ import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
 from .hypersurface import HypersurfaceData, induce_from_normal, restrict_to_frame, structure_jacobi
-from .spectra import (
-    CLUSTER_WIDTH_FACTOR,
-    DEFAULT_TOL,
-    SpectrumReport,
-    cluster_eigenvalues,
-    sym_eigen,
-)
-from .tangent import TangentModel, build_tangent_model
+from .spectra import SpectrumReport, cluster_eigenvalues, sym_eigen
+from .tangent import TangentModel, build_tangent_model, isotropic_vector, principal_vector
 
 #: Half-width of the radius window excluded around pi/4 in grid scans.
 RADIUS_EXCLUSION_HALFWIDTH = 0.01
@@ -49,16 +46,16 @@ class TubeModel:
     Attributes:
         k: half the complex dimension (``m = 2k``).
         r: tube radius in ``(0, pi/2)``.
-        h: induced hypersurface data.
-        alpha: Reeb curvature ``2 cot(2r)``.
-        bases: labelled orthonormal bases of the invariant subspaces
-            (``xi``, ``A_xi``, ``A_N``, ``W1``, ``W2``), one vector per column.
+        h: induced hypersurface data; ``h.xi``, ``h.A_xi`` and ``h.A_N``
+            span the Reeb and null directions.
+        bases: orthonormal bases of the two invariant complex blocks, one
+            vector per column: ``W1`` (curvature ``-tan r``) and ``W2``
+            (curvature ``cot r``).
     """
 
     k: int
     r: float
     h: HypersurfaceData
-    alpha: float
     bases: dict[str, np.ndarray]
 
 
@@ -71,15 +68,14 @@ def _merge_coinciding(template: list[tuple[float, int]]) -> list[tuple[float, in
     """Sort a ``(value, multiplicity)`` template and merge values that coincide.
 
     The template is expanded to the eigenvalue list it describes and
-    clustered by :func:`~quadric.spectra.cluster_eigenvalues` at the width
-    :func:`~quadric.spectra.sym_eigen` uses for an operator of that size, so
+    clustered by :func:`~quadric.spectra.cluster_eigenvalues`, as
+    :func:`~quadric.spectra.sym_eigen` clusters a computed spectrum, so
     template and computed spectrum always group alike.  At ``r = pi/4``,
     ``2 cot(2r)`` meets ``0`` and ``tan(r)^2`` meets ``cot(r)^2`` up to
     rounding.
     """
     values = np.repeat([v for v, _ in template], [k for _, k in template])
-    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, max(abs(v) for v, _ in template))
-    return list(cluster_eigenvalues(values, width))
+    return list(cluster_eigenvalues(values))
 
 
 def tube_shape_template(k: int, r: float) -> list[tuple[float, int]]:
@@ -144,24 +140,19 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
 
     m = 2 * k
     model = build_tangent_model(m)
-    sqrt2 = math.sqrt(2.0)
-    N = (model.zvec(1) + model.jzvec(2)) / sqrt2
-    xi = (model.zvec(2) - model.jzvec(1)) / sqrt2
-    A_xi = (model.zvec(2) + model.jzvec(1)) / sqrt2
-    A_N = (model.zvec(1) - model.jzvec(2)) / sqrt2
+    N = isotropic_vector(model)
+    xi = -(model.J @ N)
 
     W1 = _complex_pair_columns(model, range(3, k + 2))
     W2 = _complex_pair_columns(model, range(k + 2, 2 * k + 1))
 
-    alpha = tube_reeb_curvature(r)
     S = (
-        alpha * np.outer(xi, xi)
+        tube_reeb_curvature(r) * np.outer(xi, xi)
         + (-math.tan(r)) * (W1 @ W1.T)
         + (1.0 / math.tan(r)) * (W2 @ W2.T)
     )
     h = induce_from_normal(model, N, S)
-    bases = {"xi": xi[:, None], "A_xi": A_xi[:, None], "A_N": A_N[:, None], "W1": W1, "W2": W2}
-    return TubeModel(k=int(k), r=float(r), h=h, alpha=alpha, bases=bases)
+    return TubeModel(k=int(k), r=float(r), h=h, bases={"W1": W1, "W2": W2})
 
 
 def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
@@ -171,7 +162,7 @@ def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
 
 
 def default_radius_grid(points: int = 20) -> list[float]:
-    """Radii used by the verification suites.
+    """Admissible tube radii for sweeps in tests and demos.
 
     Uniform in ``(0.05, pi/2 - 0.05)`` with the window of half-width
     ``RADIUS_EXCLUSION_HALFWIDTH`` around ``pi/4`` removed.
@@ -208,7 +199,7 @@ def perturbed_tube(k: int, r: float, rng: np.random.Generator) -> HypersurfaceDa
     """
     tube = build_tube(k, r)
     model = tube.h.model
-    alpha = tube.alpha
+    alpha = tube_reeb_curvature(r)
     xi = tube.h.xi
     S = alpha * np.outer(xi, xi)
     for i in range(3, 2 * k + 1):
@@ -290,7 +281,7 @@ def build_principal_candidate(m: int, alpha: float, curvatures: list[float]) -> 
     if alpha == 0.0:
         raise ExcludedParameterError("alpha must be nonzero (non-vanishing geodesic Reeb flow)")
     model = build_tangent_model(m)
-    N = model.zvec(1)
+    N = principal_vector(model)
     xi = -model.jzvec(1)
 
     if len(curvatures) != 2 * (m - 1):

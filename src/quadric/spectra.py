@@ -44,11 +44,13 @@ class SpectrumReport:
     orthogonality_residual: float
 
 
-def cluster_eigenvalues(values: np.ndarray, width: float) -> tuple[tuple[float, int], ...]:
-    """Group sorted eigenvalues into clusters separated by gaps > ``width``."""
+def cluster_eigenvalues(values: np.ndarray) -> tuple[tuple[float, int], ...]:
+    """Group eigenvalues into clusters separated by gaps wider than
+    ``CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1, max |v|)``."""
     values = np.sort(np.asarray(values, dtype=float))
     if not values.size:
         return ()
+    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, float(np.max(np.abs(values))))
     cuts = [0, *(np.flatnonzero(np.diff(values) > width) + 1).tolist(), values.size]
     # block.sum() / size rounds exactly as np.mean(block) does, without its overhead.
     return tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
@@ -59,9 +61,9 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
 
     One LAPACK call (``np.linalg.eigh``) on ``(op + op^T) / 2``.  The
     reconstruction and orthogonality residuals of the report certify the
-    eigenpairs independently of the solver.  Multiplicities use a cluster
-    width of ``CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1, ||op||_2)``, with
-    the spectral norm read off the computed eigenvalues.
+    eigenpairs independently of the solver.  Multiplicities come from
+    :func:`cluster_eigenvalues`, whose width reads the spectral norm off the
+    computed eigenvalues.
 
     Raises:
         AsymmetryError: if ``op`` is not square or
@@ -79,11 +81,10 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
     values, vectors = np.linalg.eigh(0.5 * (op + op.T))
     recon = float(np.linalg.norm(op - (vectors * values) @ vectors.T))
     orth = float(np.linalg.norm(vectors.T @ vectors - np.eye(len(values))))
-    norm2 = float(np.max(np.abs(values))) if values.size else 0.0
     return SpectrumReport(
         eigenvalues=values,
         vectors=vectors,
-        clusters=cluster_eigenvalues(values, CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, norm2)),
+        clusters=cluster_eigenvalues(values),
         reconstruction_residual=recon,
         orthogonality_residual=orth,
     )

@@ -29,9 +29,11 @@ from .hypersurface import (
 )
 from .models import (
     RADIUS_EXCLUSION_HALFWIDTH,
+    TubeModel,
     build_tube,
     paired_curvature,
     tube_jacobi_template,
+    tube_reeb_curvature,
     tube_shape_template,
     tube_structure_jacobi_spectrum,
 )
@@ -121,9 +123,8 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     return CheckReport(command="verify ambient", params=params, checks=checks, seed=seed)
 
 
-def _tube_point_checks(k: int, r: float, tol: float, non_vanishing: bool = True) -> list[Check]:
-    tube = build_tube(k, r, non_vanishing=non_vanishing)
-    h = tube.h
+def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
+    k, r, h = tube.k, tube.r, tube.h
     S_phi = h.S @ h.phi
     checks = [
         Check("hopf", h.hopf_defect, 1e-12),
@@ -149,26 +150,23 @@ def _tube_point_checks(k: int, r: float, tol: float, non_vanishing: bool = True)
     checks.append(Check("structure_jacobi_spectrum", dev if ok else float("inf"), 1e-10))
     # Partner-curvature relation: phi maps each invariant block onto
     # directions whose curvature is the partner of the block's.
+    alpha = tube_reeb_curvature(r)
     pairing = max(
-        _frame_max_norm(S_phi - paired_curvature(tube.alpha, lam) * h.phi, tube.bases[block])
+        _frame_max_norm(S_phi - paired_curvature(alpha, lam) * h.phi, tube.bases[block])
         for block, lam in (("W1", -math.tan(r)), ("W2", 1.0 / math.tan(r)))
     )
     checks.append(Check("partner_curvature_fixed_points", pairing, 1e-12))
     return checks
 
 
-def verify_tube(
-    k: int, r: float, tol: float = 1e-11, seed: int = 7, non_vanishing: bool = True
-) -> CheckReport:
+def verify_tube(k: int, r: float, tol: float = 1e-11, non_vanishing: bool = True) -> CheckReport:
     """Identity suite on a single tube.
 
     ``non_vanishing`` is passed to :func:`~quadric.models.build_tube`; clear it
     to admit the radius ``pi/4`` with vanishing Reeb curvature.
     """
-    checks = _tube_point_checks(k, r, tol, non_vanishing)
-    return CheckReport(
-        command="verify tube", params={"k": k, "r": r, "tol": tol}, checks=checks, seed=seed
-    )
+    checks = _tube_point_checks(build_tube(k, r, non_vanishing=non_vanishing), tol)
+    return CheckReport(command="verify tube", params={"k": k, "r": r, "tol": tol}, checks=checks)
 
 
 def scan_tube(
@@ -177,7 +175,6 @@ def scan_tube(
     r_max: float,
     steps: int,
     tol: float = 1e-11,
-    seed: int = 7,
 ) -> CheckReport:
     """Tube suite over a radius grid, aggregating the worst residual per check.
 
@@ -203,7 +200,7 @@ def scan_tube(
         )
     worst: dict[str, Check] = {}
     for r in kept:
-        for c in _tube_point_checks(k, r, tol):
+        for c in _tube_point_checks(build_tube(k, r), tol):
             prev = worst.get(c.name)
             if prev is None or c.residual > prev.residual:
                 worst[c.name] = c
@@ -217,7 +214,7 @@ def scan_tube(
         "evaluated": kept,
         "skipped_near_quarter_pi": skipped,
     }
-    return CheckReport(command="scan tube", params=params, checks=checks, seed=seed)
+    return CheckReport(command="scan tube", params=params, checks=checks)
 
 
 def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
@@ -246,14 +243,14 @@ def ricci_consistency(h: HypersurfaceData) -> Check:
     return Check("ricci_contraction", worst, 1e-9)
 
 
-def classify_report(h: HypersurfaceData, tol: float = 1e-8, seed: int = 7) -> tuple[CheckReport, str]:
+def classify_report(h: HypersurfaceData, tol: float = 1e-8) -> tuple[CheckReport, str]:
     """Classification of hypersurface data as a report plus a verdict line."""
     result = classify(h, tol=tol)
     params = {
         "tol": tol,
         "singular_type": result.singular_type,
-        "hopf": result.hopf,
-        "alpha": result.alpha,
+        "hopf": h.hopf,
+        "alpha": h.alpha,
         "verdict": result.verdict,
         "reason": result.reason,
     }
@@ -273,11 +270,10 @@ def classify_report(h: HypersurfaceData, tol: float = 1e-8, seed: int = 7) -> tu
         checks.append(Check("reeb_parallel_structure_jacobi", result.reeb_residual, tol))
     if result.spectrum_deviation is not None:
         checks.append(Check("tube_spectrum_match", result.spectrum_deviation, 1e-8))
-    report = CheckReport(command="classify", params=params, checks=checks, seed=seed)
-    return report, result.describe()
+    return CheckReport(command="classify", params=params, checks=checks), result.describe()
 
 
-def spectrum_report(h: HypersurfaceData, seed: int = 7) -> CheckReport:
+def spectrum_report(h: HypersurfaceData) -> CheckReport:
     """Spectra of the shape operator and the structure Jacobi operator."""
     shape = sym_eigen(restrict_to_frame(h.S, h.frame))
     jac = sym_eigen(restrict_to_frame(structure_jacobi(h), h.frame))
@@ -291,5 +287,5 @@ def spectrum_report(h: HypersurfaceData, seed: int = 7) -> CheckReport:
         Check("shape_reconstruction", shape.reconstruction_residual, 1e-10),
         Check("structure_jacobi_reconstruction", jac.reconstruction_residual, 1e-10),
     ]
-    return CheckReport(command="spectrum", params=params, checks=checks, seed=seed)
+    return CheckReport(command="spectrum", params=params, checks=checks)
 

@@ -129,32 +129,34 @@ class CanonicalAngle:
     kind: str  # "A-principal" | "A-isotropic" | "generic"
 
 
+def _require_unit_direction(U: np.ndarray) -> np.ndarray:
+    """``U`` as a float array; a non-finite or non-unit direction is refused."""
+    U = np.asarray(U, dtype=float)
+    _require_finite(direction=U)
+    nrm = float(np.linalg.norm(U))
+    if abs(nrm - 1.0) > UNIT_TOL:
+        raise NormalizationError(f"direction must be unit length (|U| = {nrm:.12g})")
+    return U
+
+
 def canonical_angle(model: TangentModel, U: np.ndarray) -> CanonicalAngle:
     """Canonical angle ``t in [0, pi/4]`` of a unit direction.
 
     Every unit vector can be written ``cos(t) Z_1' + sin(t) J Z_2'`` with
-    ``Z_1', Z_2'`` orthonormal in the fixed space of some member of the
-    conjugation circle.  The angle is recovered from the base conjugation as
-
-        t = arccos( sqrt( g(AU,U)^2 + g(JAU,U)^2 ) ) / 2,
-
-    which is invariant under rotating the conjugation (the two pairings
-    transform as a cosine/sine pair).  ``t = 0`` tags a principal direction,
+    ``Z_1', Z_2'`` orthonormal in the fixed space of the adapted member
+    ``A*`` (:func:`adapted_conjugation`, as ``induce_from_normal`` stores
+    it), which fixes ``Z_1'`` and negates ``J Z_2'``.  So
+    ``|A*U - U| = 2 sin(t)``, and ``t = arcsin(|A*U - U| / 2)`` is well
+    conditioned at ``t = 0``.  ``t = 0`` tags a principal direction,
     ``t = pi/4`` an isotropic one, each up to ``ANGLE_EPS``.
 
     Raises:
         NonFiniteError: if ``U`` has a NaN or infinite entry.
         NormalizationError: if ``U`` is not unit length.
     """
-    U = np.asarray(U, dtype=float)
-    _require_finite(direction=U)
-    nrm = float(np.linalg.norm(U))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NormalizationError(f"direction must be unit length (|U| = {nrm:.12g})")
-    a = float(U @ (model.A @ U))
-    b = float(U @ (model.J @ (model.A @ U)))
-    s = min(1.0, math.hypot(a, b))
-    t = 0.5 * math.acos(s)
+    U = _require_unit_direction(U)
+    A_star = adapted_conjugation(model, U)
+    t = math.asin(min(1.0, 0.5 * float(np.linalg.norm(A_star @ U - U))))
     if t < ANGLE_EPS:
         kind = "A-principal"
     elif abs(t - math.pi / 4.0) < ANGLE_EPS:
@@ -265,11 +267,7 @@ def ambient_jacobi(model: TangentModel, U: np.ndarray) -> np.ndarray:
         NonFiniteError: if ``U`` has a NaN or infinite entry.
         NormalizationError: if ``U`` is not unit length.
     """
-    U = np.asarray(U, dtype=float)
-    _require_finite(direction=U)
-    nrm = float(np.linalg.norm(U))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NormalizationError(f"direction must be unit length (|U| = {nrm:.12g})")
+    U = _require_unit_direction(U)
     J, A = model.J, model.A
     n = model.dim
     JU = J @ U

@@ -7,13 +7,13 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError, classification
+from quadric import ExcludedParameterError, ModelValidationError, classification
 from quadric.classification import affine_pair_matrices, _quadratic_roots
 from quadric.models import _complex_pair_columns
 from quadric.report import Check
 from quadric.tangent import _STACK_BUDGET
 
-from conftest import paired_candidate
+from conftest import paired_candidate, rotated
 
 
 def _reference_affine_pair(alpha, S, A):
@@ -94,6 +94,13 @@ class TestChainResiduals:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ExcludedParameterError):
             q.principal_chain_residuals(q.build_tube(2, math.pi / 4.0, non_vanishing=False).h)
+
+    def test_normal_other_than_z1_rejected(self):
+        """The chain's frame is the complex subbundle only for ``N = Z_1``; on
+        this principal normal it has a component of 0.85 along ``N``."""
+        h = q.random_hopf_data(3, np.random.default_rng(1), "principal")
+        with pytest.raises(ModelValidationError, match="requires the normal Z_1"):
+            q.principal_chain_residuals(h)
 
 
 class TestAffinePairAlgebra:
@@ -234,6 +241,15 @@ class TestClassify:
         res = q.classify(q.reeb_parallel_principal_candidate(4, 1.2))
         assert res.verdict == "nonexistent"
         assert res.singular_type == "A-principal"
+
+    def test_rotated_principal_candidate_is_nonexistent(self):
+        """A rotated candidate is still principal: with the angle read off the
+        adapted conjugation no seed is mistaken for a generic normal (seeds 2,
+        3, 5, 12, 13 and 17 gave ``normal not singular`` with the pairing
+        formula ``acos(hypot(a, b)) / 2``)."""
+        h = q.reeb_parallel_principal_candidate(5, 0.7)
+        verdicts = {seed: q.classify(rotated(h, seed)).verdict for seed in range(20)}
+        assert verdicts == {seed: "nonexistent" for seed in range(20)}
 
     def test_broken_isometric_flow_outside(self):
         h = q.perturbed_tube(2, 0.6, np.random.default_rng(41))

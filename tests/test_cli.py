@@ -19,6 +19,8 @@ from quadric import cli, suites
 from quadric.cli import main
 from quadric.report import render_json, report_to_json
 
+from conftest import rotated
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -180,6 +182,15 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 0
         assert out.splitlines()[0] == "tube k=2 r=0.600000"
+
+    def test_rotated_principal_candidate_is_nonexistent(self, capsys, tmp_path):
+        """Seed 2 gave ``normal not singular`` with the pairing formula."""
+        h = rotated(q.reeb_parallel_principal_candidate(5, 0.7), 2)
+        path = tmp_path / "candidate.json"
+        path.write_text(render_json(q.to_dict(h)) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "nonexistent"
 
     def test_vanishing_curvature_exits_one(self, capsys, tmp_path):
         path = write_tube_payload(tmp_path / "flat.json", r=math.pi / 4.0)
@@ -567,7 +578,7 @@ class TestToleranceOption:
         code, out, _ = run(capsys, "spectrum", str(path))
         assert code == 0
         h = q.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        assert out == report_to_json(suites.spectrum_report(h, seed=7))
+        assert out == report_to_json(suites.spectrum_report(h))
 
 
 def _argv_for(command, path):
@@ -600,6 +611,18 @@ class TestSeedAndToleranceValues:
         assert "Traceback" not in err
         code, _, _ = run(capsys, *argv, "--seed", "0")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        ["verify ambient", "verify tube", "scan tube", "nonexistence", "classify", "spectrum"],
+    )
+    def test_seed_recorded_in_every_report(self, capsys, tmp_path, command):
+        """The CLI writes ``--seed`` on every report, whether or not the command samples."""
+        argv = _argv_for(command, write_tube_payload(tmp_path / "tube.json"))
+        code, out, _ = run(capsys, *argv, "--seed", "5")
+        assert code == 0
+        assert '"seed": 5,' in out
+        assert json.loads(out.partition("\n")[2] if command == "classify" else out)["seed"] == 5
 
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1", "1e400", "x"])
     @pytest.mark.parametrize("command", ["verify ambient", "verify tube", "scan tube", "classify"])

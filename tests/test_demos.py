@@ -1,4 +1,8 @@
-"""Every script under ``demos/`` runs to completion."""
+"""Every script under ``demos/`` runs to completion, with runtime warnings raised as errors.
+
+The ``filterwarnings`` setting in ``pyproject.toml`` does not reach the demo
+subprocesses, so each one gets ``-W error::RuntimeWarning`` itself.
+"""
 
 import os
 import subprocess
@@ -20,6 +24,6 @@ def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

@@ -16,7 +16,7 @@ from conftest import paired_candidate
 class TestBuildTube:
     def test_reeb_curvature_value(self):
         tube = q.build_tube(2, math.pi / 6.0)
-        assert tube.alpha == pytest.approx(1.154700538, abs=1e-9)
+        assert tube.h.alpha == pytest.approx(1.154700538, abs=1e-9)
 
     def test_shape_spectrum_at_pi_sixth(self):
         tube = q.build_tube(2, math.pi / 6.0)
@@ -37,8 +37,8 @@ class TestBuildTube:
     def test_frame_labels_are_eigenvectors(self):
         tube = q.build_tube(2, 0.6)
         S = tube.h.S
-        npt.assert_allclose(S @ tube.bases["A_xi"], 0.0, atol=1e-14)
-        npt.assert_allclose(S @ tube.bases["A_N"], 0.0, atol=1e-14)
+        npt.assert_allclose(S @ tube.h.A_xi, 0.0, atol=1e-14)
+        npt.assert_allclose(S @ tube.h.A_N, 0.0, atol=1e-14)
         npt.assert_allclose(
             S @ tube.bases["W1"], -math.tan(0.6) * tube.bases["W1"], atol=1e-13
         )
@@ -57,7 +57,7 @@ class TestBuildTube:
 
     def test_quarter_pi_constructible_when_allowed(self):
         tube = q.build_tube(2, math.pi / 4.0, non_vanishing=False)
-        assert abs(tube.alpha) < 1e-15
+        assert abs(tube.h.alpha) < 1e-15
 
     def test_k_below_two(self):
         with pytest.raises(InvalidDimensionError):

@@ -66,10 +66,10 @@ def generic_normal(tube, rng):
 
 
 def kick_on(label):
-    """``eps v (x) v`` added to ``S``, for ``v`` the tube's ``label`` direction."""
+    """``eps v (x) v`` added to ``S``, for ``v`` the tube's direction ``h.<label>``."""
 
     def kick(tube, rng):
-        v = tube.bases[label][:, 0]
+        v = getattr(tube.h, label)
         return _with_shape(tube, tube.h.S + EPS * np.outer(v, v))
 
     return kick

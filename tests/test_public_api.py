@@ -1,9 +1,13 @@
 """Public API: ``quadric.__all__`` names exactly what the package exports."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 import quadric as q
+from quadric import spectra, suites
 
 
 def test_every_exported_name_resolves():
@@ -79,3 +83,24 @@ def test_chain_residuals_in_derivation_order():
         "affine_b",
     ]
     assert all(isinstance(value, float) for value in residuals.values())
+
+
+def test_tube_model_holds_h_and_the_two_blocks():
+    """``alpha`` and the ``xi``/``A_xi``/``A_N`` bases restated ``h``."""
+    assert [f.name for f in dataclasses.fields(q.TubeModel)] == ["k", "r", "h", "bases"]
+    assert list(q.build_tube(3, 0.6).bases) == ["W1", "W2"]
+
+
+def test_classification_result_does_not_copy_h():
+    names = {f.name for f in dataclasses.fields(q.ClassificationResult)}
+    assert "hopf" not in names and "alpha" not in names
+
+
+def test_cluster_eigenvalues_sets_its_own_width():
+    assert list(inspect.signature(spectra.cluster_eigenvalues).parameters) == ["values"]
+
+
+@pytest.mark.parametrize("name", ["verify_tube", "scan_tube", "classify_report", "spectrum_report"])
+def test_suites_that_draw_nothing_take_no_seed(name):
+    """The CLI records ``--seed`` on the report; only sampling suites take one."""
+    assert "seed" not in inspect.signature(getattr(suites, name)).parameters

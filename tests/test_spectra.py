@@ -100,11 +100,12 @@ class TestSymEigen:
 class TestClustering:
     def test_cluster_widths(self):
         values = np.array([0.0, 1e-12, 1.0, 1.0 + 5e-12, 2.0])
-        clusters = cluster_eigenvalues(values, 1e-11)
+        # width 10 * DEFAULT_TOL * max(1, max |v|) = 2e-11 here
+        clusters = cluster_eigenvalues(values)
         assert [k for _, k in clusters] == [2, 2, 1]
         npt.assert_allclose([v for v, _ in clusters], [0.0, 1.0, 2.0], atol=1e-11)
         # distinct values separated by more than the width stay separate
-        assert cluster_eigenvalues(np.array([0.0, 1e-10]), 1e-11) == ((0.0, 1), (1e-10, 1))
+        assert cluster_eigenvalues(np.array([0.0, 1e-10])) == ((0.0, 1), (1e-10, 1))
 
     def test_match_spectrum_accepts_and_rejects(self):
         rep = sym_eigen(np.diag([0.0, 0.0, 4.0]))

@@ -138,6 +138,30 @@ class TestCanonicalAngle:
         U = math.cos(0.3) * base.zvec(1) + math.sin(0.3) * base.jzvec(2)
         assert abs(canonical_angle(rotated, U).t - 0.3) < 1e-10
 
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    def test_random_directions(self, m):
+        """Random principal directions ``e^{is} v`` tag principal and random
+        isotropic ones ``e^{is} (v + J w) / sqrt 2`` isotropic, for real
+        orthonormal ``v, w``.  A generic angle away from both ends agrees with
+        the pairing formula ``acos(hypot(g(AU, U), g(JAU, U))) / 2``."""
+        model = build_tangent_model(m)
+        rng = np.random.default_rng(m)
+        J, A = model.J, model.A
+        for _ in range(100):
+            v, w = np.vstack([np.linalg.qr(rng.standard_normal((m, 2)))[0], np.zeros((m, 2))]).T
+            s = rng.uniform(0.0, math.pi)
+            t = rng.uniform(1e-3, math.pi / 4.0 - 1e-3)
+            principal, isotropic, generic = (
+                math.cos(s) * U + math.sin(s) * (J @ U)
+                for U in (v, (v + J @ w) / math.sqrt(2.0), math.cos(t) * v + math.sin(t) * (J @ w))
+            )
+            assert canonical_angle(model, principal).kind == "A-principal"
+            assert canonical_angle(model, isotropic).kind == "A-isotropic"
+            res = canonical_angle(model, generic)
+            pairing = math.hypot(generic @ A @ generic, generic @ J @ A @ generic)
+            assert res.kind == "generic"
+            assert abs(res.t - 0.5 * math.acos(pairing)) < 1e-13
+
     def test_non_unit_rejected(self):
         model = build_tangent_model(3)
         with pytest.raises(NormalizationError):
