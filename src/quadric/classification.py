@@ -25,16 +25,16 @@ from .errors import ExcludedParameterError, ModelValidationError
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
+    _in_frame,
     reeb_covariant_derivative,
     reeb_derivative_reduced,
     reeb_parallel_residual,
     reeb_shape_derivative,
-    restrict_to_frame,
 )
 from .models import _complex_pair_columns, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import _STACK_BUDGET, _require_dimension, canonical_angle, principal_vector
+from .tangent import _STACK_BUDGET, _angle_from_image, _require_dimension, principal_vector
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,8 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     to the tube template), the principal case cannot occur.  Everything else
     is reported outside the hypotheses with the failing condition.
     """
-    angle = canonical_angle(h.model, h.N)
+    # canonical_angle(h.model, h.N), read off the stored image h.A_N = h.conj N.
+    angle = _angle_from_image(h.A_N, h.N)
 
     if not h.hopf:
         return ClassificationResult(
@@ -355,7 +356,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
         )
     k = m // 2
     r = recover_radius(h.alpha)
-    spectrum = sym_eigen(restrict_to_frame(h.S, h.frame))
+    spectrum = sym_eigen(_in_frame(h, h.S))
     matched, deviation = match_spectrum(spectrum, tube_shape_template(k, r))
     if not matched:
         return ClassificationResult(

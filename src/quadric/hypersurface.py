@@ -25,7 +25,13 @@ Conventions used throughout:
 * the Reeb-curvature differential ``dalpha`` is built as the closed Hopf
   form ``X alpha = (xi alpha) eta(X) + 2 g(A xi, xi) g(X, A N)`` with
   ``xi alpha = 0`` (both singular normal types have constant Reeb
-  curvature); :meth:`HypersurfaceData.with_dalpha` declares any other.
+  curvature); :meth:`HypersurfaceData.with_dalpha` declares any other;
+* the tangent frame ``h.frame`` is columns 2..n of a Householder
+  reflection, and the residual gauges apply it as one, in O(n^2), instead
+  of multiplying by the stored frame; :func:`restrict_to_frame` and
+  ``_frame_max_norm`` serve the other frames;
+* the dense products ``phi S``, ``S phi`` and ``S phi S``, like the two
+  Reeb derivatives, are formed once per instance and kept on it read-only.
 """
 
 from __future__ import annotations
@@ -84,10 +90,12 @@ class HypersurfaceData:
         hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
-    Derived operators that several checks share (the two Reeb derivatives)
-    are computed on first use and kept on the instance, read-only.  The
-    store is not an init field, so the copies made by :meth:`with_gauge` and
-    :meth:`with_dalpha` start empty and compute their own.
+    Derived arrays that several checks share (the two Reeb derivatives, the
+    products ``phi S``, ``S phi`` and ``S phi S``, and the reflection
+    behind ``frame``) are computed on first use and kept on the instance,
+    read-only.  The store is not an init field, so the copies made by
+    :meth:`with_gauge` and :meth:`with_dalpha` start empty and compute
+    their own.
     """
 
     model: TangentModel
@@ -158,16 +166,23 @@ class HypersurfaceData:
 def tangent_frame(N: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to ``N``.
 
-    Columns 2..n of the Householder reflection mapping the first coordinate
-    axis onto ``+-N``; stable for any unit ``N``.
+    Columns 2..n of the Householder reflection ``H = I - 2 u u^T / (u^T u)``
+    mapping the first coordinate axis onto ``+-N``; stable for any unit
+    ``N``.  The checks of the package apply it to an operator as the
+    reflection it is, in O(n^2) (:func:`_times_frame`, :func:`_in_frame`).
     """
     N = np.asarray(N, dtype=float)
-    n = N.size
-    sign = -1.0 if N[0] >= 0.0 else 1.0
-    u = N.copy()
-    u[0] -= sign
-    H = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
+    u, _ = _reflector(N)
+    H = np.eye(N.size) - 2.0 * np.outer(u, u) / float(u @ u)
     return H[:, 1:]
+
+
+def _reflector(N: np.ndarray) -> np.ndarray:
+    """Rows ``u`` and ``beta u`` of the reflection ``I - beta u u^T`` behind
+    :func:`tangent_frame`: ``u = N + e_1`` if ``N_1 >= 0``, else ``N - e_1``."""
+    u = N.copy()
+    u[0] -= -1.0 if N[0] >= 0.0 else 1.0
+    return np.stack([u, (2.0 / float(u @ u)) * u])
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -417,6 +432,21 @@ def _memoized(h: HypersurfaceData, key: str, build) -> np.ndarray:
     return value
 
 
+#: Derived arrays that several checks read, each formed once per instance:
+#: three dense products and the reflection behind ``h.frame``.
+_SHARED = {
+    "phi S": lambda h: h.phi @ h.S,
+    "S phi": lambda h: h.S @ h.phi,
+    "S phi S": lambda h: h.S @ _shared(h, "phi S"),
+    "reflector": lambda h: _reflector(h.N),
+}
+
+
+def _shared(h: HypersurfaceData, name: str) -> np.ndarray:
+    """The array ``name`` of ``_SHARED`` for ``h``, read-only."""
+    return _memoized(h, name, _SHARED[name])
+
+
 def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
     """Matrix of ``Y -> (nabla_xi S) Y`` for Hopf data.
 
@@ -434,20 +464,16 @@ def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
 
 
 def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
-    phi, S, B, xi = h.phi, h.S, h.B, h.xi
+    phi, xi = h.phi, h.xi
     A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
-    phi_S = phi @ S
-    G = (
-        h.alpha * phi_S
-        - S @ phi_S
-        + phi
-        + c * (phi @ B)
-        + _rank_sum(
-            (xi, h.dalpha),
-            (-A_xi, A_N),
-            (-c * xi, A_N),
-            (-(phi @ A_xi), A_xi),
-        )
+    G = h.alpha * _shared(h, "phi S") - _shared(h, "S phi S") + phi
+    if c:  # exactly 0 for an isotropic normal, where the term adds only zeros
+        G += c * (phi @ h.B)
+    G += _rank_sum(
+        (xi, h.dalpha),
+        (-A_xi, A_N),
+        (-c * xi, A_N),
+        (-(phi @ A_xi), A_xi),
     )
     return _project(G, h.N, left=False)
 
@@ -513,7 +539,8 @@ def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
     u = c * SX - float(SX @ A_xi) * xi
 
     M = (float(BphiSX @ xi) + float(A_xi @ phiSX)) * B
-    M += c * q_X * (h.model.J @ h.conj)
+    if c:  # exactly 0 for an isotropic normal, where the term adds only zeros
+        M += c * q_X * (h.model.J @ h.conj)
     M += dalpha_X * S + alpha * nablaS_X
     M += _rank_sum(
         (-xi, phiSX),
@@ -568,7 +595,10 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
     xi_alpha = float(xi @ h.dalpha)
     phi_A_xi = h.phi @ A_xi
     G = reeb_shape_derivative(h)
-    M = c * q * (h.model.J @ h.conj) + xi_alpha * h.S + alpha * G
+    M = xi_alpha * h.S
+    if c:  # exactly 0 for an isotropic normal, where the term adds only zeros
+        M += c * q * (h.model.J @ h.conj)
+    M += alpha * G
     M += _rank_sum(
         (c * alpha * A_N, xi),
         (-c * q * N, A_xi),
@@ -595,13 +625,36 @@ def _frame_max_norm(M: np.ndarray, frame: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(M @ frame, axis=0)))
 
 
+def _times_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
+    """``M @ h.frame`` in O(n^2), for a matrix or a row vector ``M``.
+
+    The frame is columns 2..n of ``H = I - beta u u^T`` (:func:`tangent_frame`),
+    so ``M H[:, 1:] = M[..., 1:] - (M beta u) u[1:]^T``.
+    """
+    u, beta_u = _shared(h, "reflector")
+    return M[..., 1:] - np.multiply.outer(M @ beta_u, u[1:])
+
+
+def _in_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
+    """``restrict_to_frame(M, h.frame)`` in O(n^2), by :func:`_times_frame`
+    and the same rank-one update on the left."""
+    u, beta_u = _shared(h, "reflector")
+    K = _times_frame(h, M)
+    return K[1:] - np.multiply.outer(beta_u[1:], u @ K)
+
+
+def _tangent_max_norm(h: HypersurfaceData, M: np.ndarray) -> float:
+    """``_frame_max_norm(M, h.frame)``, with the frame applied as a reflection."""
+    return float(np.max(np.linalg.norm(_times_frame(h, M), axis=0)))
+
+
 def reeb_parallel_residual(h: HypersurfaceData) -> float:
     """How far the structure Jacobi operator is from Reeb parallel.
 
     ``max_i | (nabla_xi R_xi) Y_i |`` over the orthonormal tangent frame.
     Zero characterizes a Reeb-parallel structure Jacobi operator.
     """
-    return _frame_max_norm(reeb_covariant_derivative(h), h.frame)
+    return _tangent_max_norm(h, reeb_covariant_derivative(h))
 
 
 def shape_commutator_scale(h: HypersurfaceData) -> float:
@@ -609,13 +662,12 @@ def shape_commutator_scale(h: HypersurfaceData) -> float:
 
     Vanishes exactly when the Reeb flow is isometric.
     """
-    comm = h.phi @ h.S - h.S @ h.phi
-    return _frame_max_norm(comm, h.frame)
+    return _tangent_max_norm(h, _shared(h, "phi S") - _shared(h, "S phi"))
 
 
 def reeb_shape_residual(h: HypersurfaceData) -> float:
     """``max_i | (nabla_xi S) Y_i |``; zero iff the shape operator is Reeb parallel."""
-    return _frame_max_norm(reeb_shape_derivative(h), h.frame)
+    return _tangent_max_norm(h, reeb_shape_derivative(h))
 
 
 def normal_component_residual(h: HypersurfaceData) -> float:
@@ -624,7 +676,7 @@ def normal_component_residual(h: HypersurfaceData) -> float:
     Cancels identically for Hopf data.
     """
     M = reeb_covariant_derivative(h)
-    return float(np.max(np.abs(h.N @ M @ h.frame)))
+    return float(np.max(np.abs(_times_frame(h, h.N @ M))))
 
 
 def hopf_identity_residual(h: HypersurfaceData) -> float:
@@ -640,14 +692,13 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     Returns the largest absolute value over all tangent frame pairs.
     """
     _require_hopf(h)
-    phi, S, xi = h.phi, h.S, h.xi
+    xi = h.xi
     A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     J_A_xi = h.model.J @ A_xi
-    S_phi = S @ phi
     M = (
-        2.0 * (S_phi @ S)
-        - h.alpha * (phi @ S + S_phi)
-        - 2.0 * phi
+        2.0 * _shared(h, "S phi S")
+        - h.alpha * (_shared(h, "phi S") + _shared(h, "S phi"))
+        - 2.0 * h.phi
         + _rank_sum(
             (A_xi, A_N),
             (-A_N, A_xi),
@@ -657,7 +708,7 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
             (2.0 * c * A_N, xi),
         )
     )
-    return float(np.max(np.abs(restrict_to_frame(M, h.frame))))
+    return float(np.max(np.abs(_in_frame(h, M))))
 
 
 def alpha_gradient_residual(h: HypersurfaceData) -> float:
@@ -671,7 +722,7 @@ def alpha_gradient_residual(h: HypersurfaceData) -> float:
     _require_hopf(h)
     xi_alpha = float(h.xi @ h.dalpha)
     v = h.dalpha - xi_alpha * h.xi - 2.0 * h.g_axixi * h.A_N
-    return float(np.max(np.abs(v @ h.frame)))
+    return float(np.max(np.abs(_times_frame(h, v))))
 
 
 # ---------------------------------------------------------------------------

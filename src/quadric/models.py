@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
-from .hypersurface import HypersurfaceData, induce_from_normal, restrict_to_frame, structure_jacobi
+from .hypersurface import HypersurfaceData, _in_frame, induce_from_normal, structure_jacobi
 from .spectra import SpectrumReport, cluster_eigenvalues, sym_eigen
 from .tangent import TangentModel, build_tangent_model, isotropic_vector, principal_vector
 
@@ -49,8 +49,8 @@ class TubeModel:
         h: induced hypersurface data; ``h.xi``, ``h.A_xi`` and ``h.A_N``
             span the Reeb and null directions.
         bases: orthonormal bases of the two invariant complex blocks, one
-            vector per column: ``W1`` (curvature ``-tan r``) and ``W2``
-            (curvature ``cot r``).
+            column of the identity per vector: ``W1`` (curvature ``-tan r``)
+            and ``W2`` (curvature ``cot r``).
     """
 
     k: int
@@ -143,22 +143,23 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     N = isotropic_vector(model)
     xi = -(model.J @ N)
 
-    W1 = _complex_pair_columns(model, range(3, k + 2))
-    W2 = _complex_pair_columns(model, range(k + 2, 2 * k + 1))
-
-    S = (
-        tube_reeb_curvature(r) * np.outer(xi, xi)
-        + (-math.tan(r)) * (W1 @ W1.T)
-        + (1.0 / math.tan(r)) * (W2 @ W2.T)
-    )
+    # Coordinates of Z_3..Z_{k+1} and their J images (W1), and of
+    # Z_{k+2}..Z_{2k} and theirs (W2).
+    w1 = [*range(2, k + 1), *range(m + 2, m + k + 1)]
+    w2 = [*range(k + 1, m), *range(m + k + 1, 2 * m)]
+    # Adding 0.0 turns the -0.0 entries of the rank-one term into +0.0, as
+    # the sum with the two diagonal block terms does.
+    S = tube_reeb_curvature(r) * np.outer(xi, xi) + 0.0
+    S[w1, w1] = -math.tan(r)
+    S[w2, w2] = 1.0 / math.tan(r)
     h = induce_from_normal(model, N, S)
-    return TubeModel(k=int(k), r=float(r), h=h, bases={"W1": W1, "W2": W2})
+    eye = np.eye(model.dim)
+    return TubeModel(k=int(k), r=float(r), h=h, bases={"W1": eye[:, w1], "W2": eye[:, w2]})
 
 
 def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
     """Spectrum of the structure Jacobi operator restricted to the tube's tangent space."""
-    R = structure_jacobi(tube.h)
-    return sym_eigen(restrict_to_frame(R, tube.h.frame))
+    return sym_eigen(_in_frame(tube.h, structure_jacobi(tube.h)))
 
 
 def default_radius_grid(points: int = 20) -> list[float]:

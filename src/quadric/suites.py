@@ -17,12 +17,13 @@ from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
+    _in_frame,
+    _shared,
     alpha_gradient_residual,
     hopf_identity_residual,
     normal_component_residual,
     reeb_parallel_residual,
     reeb_shape_residual,
-    restrict_to_frame,
     ricci,
     ricci_contraction,
     structure_jacobi,
@@ -125,13 +126,13 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
 
 def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
     k, r, h = tube.k, tube.r, tube.h
-    S_phi = h.S @ h.phi
+    S_phi = _shared(h, "S phi")
     checks = [
         Check("hopf", h.hopf_defect, 1e-12),
         Check("isotropic_normal", abs(h.g_axixi), 1e-12),
         Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.A_xi)), 1e-12),
         Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.A_N)), 1e-12),
-        Check("isometric_reeb_flow", float(np.max(np.abs(h.phi @ h.S - S_phi))), 1e-12),
+        Check("isometric_reeb_flow", float(np.max(np.abs(_shared(h, "phi S") - S_phi))), 1e-12),
     ]
     # These gauges are defined for Hopf data only; other data fails them.
     hopf_only = (
@@ -142,7 +143,7 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
         ("normal_component_cancellation", normal_component_residual, 1e-12),
     )
     checks += [Check(name, f(h) if h.hopf else math.inf, bound) for name, f, bound in hopf_only]
-    shape_spec = sym_eigen(restrict_to_frame(h.S, h.frame))
+    shape_spec = sym_eigen(_in_frame(h, h.S))
     ok, dev = match_spectrum(shape_spec, tube_shape_template(k, r), rel_tol=1e-10)
     checks.append(Check("shape_spectrum", dev if ok else float("inf"), 1e-10))
     jac_spec = tube_structure_jacobi_spectrum(tube)
@@ -275,8 +276,8 @@ def classify_report(h: HypersurfaceData, tol: float = 1e-8) -> tuple[CheckReport
 
 def spectrum_report(h: HypersurfaceData) -> CheckReport:
     """Spectra of the shape operator and the structure Jacobi operator."""
-    shape = sym_eigen(restrict_to_frame(h.S, h.frame))
-    jac = sym_eigen(restrict_to_frame(structure_jacobi(h), h.frame))
+    shape = sym_eigen(_in_frame(h, h.S))
+    jac = sym_eigen(_in_frame(h, structure_jacobi(h)))
     params = {
         "m": h.model.m,
         "alpha": h.alpha,

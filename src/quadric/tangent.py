@@ -86,9 +86,12 @@ def build_tangent_model(m: int) -> TangentModel:
         raise InvalidDimensionError(f"complex dimension must be <= {MAX_COMPLEX_DIM}, got {m}")
 
     eye = np.eye(m)
-    zero = np.zeros((m, m))
-    J = np.block([[zero, -eye], [eye, zero]])
-    A = np.block([[eye, zero], [zero, -eye]])
+    J = np.zeros((2 * m, 2 * m))
+    A = np.zeros((2 * m, 2 * m))
+    J[:m, m:] = -eye
+    J[m:, :m] = eye
+    A[:m, :m] = eye
+    A[m:, m:] = -eye
     J.flags.writeable = False
     A.flags.writeable = False
     return TangentModel(m=int(m), J=J, A=A)
@@ -155,8 +158,16 @@ def canonical_angle(model: TangentModel, U: np.ndarray) -> CanonicalAngle:
         NormalizationError: if ``U`` is not unit length.
     """
     U = _require_unit_direction(U)
-    A_star = adapted_conjugation(model, U)
-    t = math.asin(min(1.0, 0.5 * float(np.linalg.norm(A_star @ U - U))))
+    return _angle_from_image(adapted_conjugation(model, U) @ U, U)
+
+
+def _angle_from_image(AU: np.ndarray, U: np.ndarray) -> CanonicalAngle:
+    """Canonical angle of a unit ``U`` from its image ``AU`` under the adapted member.
+
+    The rule of :func:`canonical_angle`, ``t = arcsin(|A*U - U| / 2)`` and its
+    tag, for a caller that holds ``A*U`` already (``h.A_N`` for ``U = h.N``).
+    """
+    t = math.asin(min(1.0, 0.5 * float(np.linalg.norm(AU - U))))
     if t < ANGLE_EPS:
         kind = "A-principal"
     elif abs(t - math.pi / 4.0) < ANGLE_EPS:

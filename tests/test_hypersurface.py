@@ -419,6 +419,33 @@ class TestProjectionAndRankSum:
         npt.assert_allclose(hypersurface._rank_sum(*pairs), expected, rtol=0, atol=1e-14)
 
 
+class TestFrameReflector:
+    """The reflector helpers against the dense frame they stand in for."""
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    @pytest.mark.parametrize("kind", ["generic", "principal", "isotropic"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["N", "-N"])
+    def test_matches_dense_frame(self, m, kind, sign):
+        rng = np.random.default_rng(m)
+        base = q.random_hopf_data(m, rng, kind)
+        # -N takes the other branch of the reflector's sign choice.
+        h = q.induce_from_normal(base.model, sign * base.N, base.S)
+        n = h.model.dim
+        operators = [
+            rng.standard_normal((n, n)),
+            h.S,
+            q.structure_jacobi(h),
+            reeb_covariant_derivative(h),
+        ]
+        for M in operators:
+            bound = 1e-13 * max(1.0, float(np.max(np.abs(M))))
+            dense = q.restrict_to_frame(M, h.frame)
+            assert np.max(np.abs(hypersurface._in_frame(h, M) - dense)) <= bound
+            assert np.max(np.abs(hypersurface._times_frame(h, M) - M @ h.frame)) <= bound
+            v = M[0]
+            assert np.max(np.abs(hypersurface._times_frame(h, v) - v @ h.frame)) <= bound
+
+
 class TestReebDerivativeMemo:
     @pytest.mark.parametrize("derivative", [q.reeb_shape_derivative, reeb_covariant_derivative])
     def test_repeat_calls_return_one_read_only_array(self, derivative):

@@ -8,7 +8,7 @@ import pytest
 
 import quadric as q
 from quadric import ExcludedParameterError, InvalidDimensionError
-from quadric.models import _complex_pair_columns
+from quadric.models import _complex_pair_columns, tube_reeb_curvature
 
 from conftest import paired_candidate
 
@@ -62,6 +62,40 @@ class TestBuildTube:
     def test_k_below_two(self):
         with pytest.raises(InvalidDimensionError):
             q.build_tube(1, 0.5)
+
+
+def dense_tube(k, r):
+    """The tube as ``S = alpha xi xi^T - tan(r) W1 W1^T + cot(r) W2 W2^T`` on the
+    block-form model, with ``W1``, ``W2`` stacked from ``Z`` and ``J Z`` columns."""
+    m = 2 * k
+    eye, zero = np.eye(m), np.zeros((m, m))
+    model = q.TangentModel(
+        m=m, J=np.block([[zero, -eye], [eye, zero]]), A=np.block([[eye, zero], [zero, -eye]])
+    )
+    N = q.isotropic_vector(model)
+    xi = -(model.J @ N)
+    W1 = _complex_pair_columns(model, range(3, k + 2))
+    W2 = _complex_pair_columns(model, range(k + 2, 2 * k + 1))
+    S = (
+        tube_reeb_curvature(r) * np.outer(xi, xi)
+        + (-math.tan(r)) * (W1 @ W1.T)
+        + (1.0 / math.tan(r)) * (W2 @ W2.T)
+    )
+    return q.induce_from_normal(model, N, S), W1, W2
+
+
+class TestTubeBits:
+    @pytest.mark.parametrize("k", [2, 3, 8, 32])
+    @pytest.mark.parametrize("r", [1e-3, 0.3, 0.6, math.pi / 4.0, 1.3, math.pi / 2.0 - 1e-3])
+    def test_matches_dense_construction(self, k, r):
+        """Diagonal blocks and identity columns give the bits of the dense sums,
+        signed zeros included."""
+        tube = q.build_tube(k, r, non_vanishing=False)
+        h_ref, W1, W2 = dense_tube(k, r)
+        assert tube.bases["W1"].tobytes() == W1.tobytes()
+        assert tube.bases["W2"].tobytes() == W2.tobytes()
+        for name in ("S", "conj", "phi", "B", "frame"):
+            assert getattr(tube.h, name).tobytes() == getattr(h_ref, name).tobytes(), name
 
 
 class TestTubeGridInvariants:

@@ -39,6 +39,14 @@ class TestBuildTangentModel:
             npt.assert_array_equal(model.A @ model.zvec(i), model.zvec(i))
             npt.assert_array_equal(model.A @ model.jzvec(i), -model.jzvec(i))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+    def test_bits_match_block_form(self, m):
+        """Slice assignment gives the bits of the block form, ``-0.0`` included."""
+        eye, zero = np.eye(m), np.zeros((m, m))
+        model = build_tangent_model(m)
+        assert model.J.tobytes() == np.block([[zero, -eye], [eye, zero]]).tobytes()
+        assert model.A.tobytes() == np.block([[eye, zero], [zero, -eye]]).tobytes()
+
     def test_integer_entries(self):
         model = build_tangent_model(5)
         for M in (model.J, model.A):

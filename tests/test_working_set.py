@@ -1,9 +1,11 @@
-"""Working set of the stacked evaluations.
+"""Working set of the stacked evaluations and of the tube suite.
 
 The Ricci contraction and the nonexistence certificate evaluate stacks of
 vectors or matrices, split so that no stacked temporary exceeds
 ``_STACK_BUDGET`` float entries.  The memory they hold beyond their result
 is therefore set by the budget, not by the dimension or the sample count.
+The tube suite at the dimension cap holds a bounded number of dense
+matrices, and the products it shares are formed once per instance.
 """
 
 import tracemalloc
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import quadric as q
-from quadric import suites
+from quadric import hypersurface, suites
 from quadric.tangent import _STACK_BUDGET
 
 #: Budget-sized temporaries a stacked evaluation may hold at once, beyond
@@ -55,3 +57,51 @@ def test_nonexistence_with_many_samples():
         warm_up=lambda: suites.nonexistence(16, samples=2, seed=7),
     )
     assert peak <= TEMPORARIES * _STACK_BUDGET * np.dtype(float).itemsize
+
+
+#: Dense ``n x n`` float matrices (``n = 128``) that ``verify tube`` at
+#: ``k = 32`` may hold at once beyond its report.  Measured: about 20.
+TUBE_MATRICES = 22
+
+
+def test_tube_suite_at_the_dimension_cap():
+    def check():
+        return suites.verify_tube(32, 0.6)
+
+    peak = transient_peak(check, warm_up=check)
+    assert peak <= TUBE_MATRICES * 128 * 128 * np.dtype(float).itemsize
+
+
+def test_shared_arrays_formed_once_and_read_only(monkeypatch):
+    tube = q.build_tube(32, 0.6)
+    calls = {name: 0 for name in hypersurface._SHARED}
+
+    def counted(name, build):
+        def wrapper(h):
+            calls[name] += 1
+            return build(h)
+
+        return wrapper
+
+    for name, build in list(hypersurface._SHARED.items()):
+        monkeypatch.setitem(hypersurface._SHARED, name, counted(name, build))
+    monkeypatch.setattr(suites, "build_tube", lambda *args, **kwargs: tube)
+    assert suites.verify_tube(32, 0.6).all_passed
+    assert calls == {name: 1 for name in hypersurface._SHARED}
+    for name in hypersurface._SHARED:
+        value = hypersurface._shared(tube.h, name)
+        assert value is tube.h._derived[name]
+        assert not value.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "copy",
+    [lambda h: h.with_gauge(h.q_xi + 1.0), lambda h: h.with_dalpha(h.dalpha + h.xi)],
+    ids=["with_gauge", "with_dalpha"],
+)
+def test_copies_start_empty(copy):
+    h = q.build_tube(3, 0.6).h
+    q.hopf_identity_residual(h)
+    q.reeb_parallel_residual(h)
+    assert set(hypersurface._SHARED) <= set(h._derived)
+    assert copy(h)._derived == {}
