@@ -357,7 +357,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     k = m // 2
     r = recover_radius(h.alpha)
     spectrum = sym_eigen(_in_frame(h, h.S))
-    matched, deviation = match_spectrum(spectrum, tube_shape_template(k, r))
+    matched, deviation = match_spectrum(spectrum.clusters, tube_shape_template(k, r))
     if not matched:
         return ClassificationResult(
             singular_type=angle.kind,

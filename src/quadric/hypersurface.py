@@ -66,6 +66,11 @@ IDENTITY_TOL = 1e-11
 #: Default tolerance for construction residuals (exact arithmetic expected).
 CONSTRUCTION_TOL = 1e-13
 
+#: Growth of the construction bounds per unit of ``| |N| - 1 |``.  A normal
+#: off unit length by ``d`` (at most ``UNIT_TOL``) moves each construction
+#: invariant by up to about ``2 d`` (``phi xi = -2 d N`` to first order).
+LENGTH_DEFECT_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class HypersurfaceData:
@@ -173,8 +178,10 @@ def tangent_frame(N: np.ndarray) -> np.ndarray:
     """
     N = np.asarray(N, dtype=float)
     u, _ = _reflector(N)
-    H = np.eye(N.size) - 2.0 * np.outer(u, u) / float(u @ u)
-    return H[:, 1:]
+    H = np.outer(u, u)
+    H *= 2.0
+    H /= float(u @ u)
+    return _identity_minus(H)[:, 1:]
 
 
 def _reflector(N: np.ndarray) -> np.ndarray:
@@ -190,18 +197,34 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _project(M: np.ndarray, N: np.ndarray, left: bool = True) -> np.ndarray:
+def _identity_minus(M: np.ndarray) -> np.ndarray:
+    """``np.eye(n) - M`` written into ``M``, with the same bits: ``0 - m`` off
+    the diagonal (so zeros come out ``+0.0``) and ``(0 - m) + 1 = 1 - m`` on it."""
+    np.subtract(0.0, M, out=M)
+    M.reshape(-1)[:: M.shape[0] + 1] += 1.0
+    return M
+
+
+def _max_abs(M: np.ndarray) -> float:
+    """``max |M|`` without the ``|M|`` temporary."""
+    return float(max(M.max(), -M.min()))
+
+
+def _project(
+    M: np.ndarray, N: np.ndarray, left: bool = True, out: np.ndarray | None = None
+) -> np.ndarray:
     """``P M P`` (or ``M P`` with ``left=False``) for ``P = I - N N^T``, in O(n^2).
 
     The projection is a rank-one update, so it is applied as one:
     ``P M P = M - N (N^T M) - (M N - (N^T M N) N) N^T`` and
-    ``M P = M - (M N) N^T``.  ``N`` must be a unit vector.
+    ``M P = M - (M N) N^T``.  ``N`` must be a unit vector.  ``out=M``
+    overwrites a temporary ``M`` instead of allocating the result.
     """
     MN = M @ N
     if not left:
-        return M - np.outer(MN, N)
+        return np.subtract(M, np.outer(MN, N), out=out)
     NM = N @ M
-    return M - _rank_sum((N, NM), (MN - float(N @ MN) * N, N))
+    return np.subtract(M, _rank_sum((N, NM), (MN - float(N @ MN) * N, N)), out=out)
 
 
 def _rank_sum(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -228,7 +251,9 @@ def induce_from_normal(
         NonFiniteError: if any input has a NaN or infinite entry.
         ModelValidationError: if ``N`` or ``S`` has the wrong shape, or a
             construction invariant fails.
-        NormalizationError: if ``N`` is not unit length.
+        NormalizationError: if ``|N|`` is off 1 by more than ``UNIT_TOL``;
+            ``N`` is not normalised, and the construction bounds grow with
+            its length defect (``LENGTH_DEFECT_FACTOR``).
         AsymmetryError: if ``S`` is not self-adjoint on the tangent hyperplane.
     """
     N = np.asarray(N, dtype=float).copy()
@@ -237,12 +262,13 @@ def induce_from_normal(
     if N.shape != (model.dim,):
         raise ModelValidationError(f"normal must have length {model.dim}, got shape {N.shape}")
     nrm = float(np.linalg.norm(N))
-    if abs(nrm - 1.0) > UNIT_TOL:
+    length_defect = abs(nrm - 1.0)
+    if length_defect > UNIT_TOL:
         raise NormalizationError(f"normal not unit (|N| = {nrm:.12g})")
     if S.shape != (model.dim, model.dim):
         raise ModelValidationError(f"shape operator must be {model.dim}x{model.dim}, got {S.shape}")
 
-    P = np.eye(model.dim) - np.outer(N, N)
+    P = _identity_minus(np.outer(N, N))
     warnings: list[str] = []
     normal_leak = max(float(np.max(np.abs(S @ N))), float(np.max(np.abs(N @ S))))
     if normal_leak > CONSTRUCTION_TOL:
@@ -250,7 +276,10 @@ def induce_from_normal(
         warnings.append(f"shape operator projected to the tangent space (leak {normal_leak:.3e})")
     else:
         S = S.copy()
-    sym_defect = float(np.max(np.abs(_project(S - S.T, N))))
+    # One n x n work array serves every check below, so each adds at most one
+    # short-lived n x n temporary: fresh pages are what these checks cost most.
+    work = S - S.T
+    sym_defect = _max_abs(_project(work, N, out=work))
     if sym_defect > max(CONSTRUCTION_TOL, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
         raise AsymmetryError(sym_defect, "shape operator not self-adjoint on the tangent space")
 
@@ -264,19 +293,27 @@ def induce_from_normal(
     B = _project(conj, N)
     c = float(A_xi @ xi)
 
-    # Construction invariants; all exact up to round-off by design.
+    # Construction invariants; all exact up to round-off by design, and up to
+    # a small multiple of the length defect of N, which UNIT_TOL admits.
+    # phi = P J P maps into the tangent space, so phi^2 + P - xi xi^T is
+    # phi^2 + Id - eta (x) xi on it.
+    np.matmul(phi, phi, out=work)
+    work += P
+    work -= np.outer(xi, xi)
+    almost_contact = _max_abs(work)
+    np.subtract(B, conj, out=work)
+    work += np.outer(N, A_N)
     checks = {
         "phi xi != 0": float(np.max(np.abs(phi @ xi))),
-        "phi^2 + Id - eta (x) xi != 0 on the tangent space": float(
-            np.max(np.abs(_project(phi @ phi + np.eye(model.dim) - np.outer(xi, xi), N)))
-        ),
-        "conjugation split does not reconstruct A": float(
-            np.max(np.abs(_project(B + np.outer(N, A_N) - conj, N, left=False)))
+        "phi^2 + Id - eta (x) xi != 0 on the tangent space": almost_contact,
+        "conjugation split does not reconstruct A": _max_abs(
+            _project(work, N, left=False, out=work)
         ),
         "g(xi, A N) != 0": abs(float(xi @ A_N)),
     }
+    bound = 100 * CONSTRUCTION_TOL + LENGTH_DEFECT_FACTOR * length_defect
     for label, err in checks.items():
-        if err > 100 * CONSTRUCTION_TOL:
+        if err > bound:
             raise ModelValidationError(f"{label} (defect {err:.3e})")
 
     if q_xi is None:
@@ -475,7 +512,7 @@ def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
         (-c * xi, A_N),
         (-(phi @ A_xi), A_xi),
     )
-    return _project(G, h.N, left=False)
+    return _project(G, h.N, left=False, out=G)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +541,7 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
             (-h.alpha**2 * xi, xi),
         )
     )
-    return _project(M, h.N)
+    return _project(M, h.N, out=M)
 
 
 def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
@@ -561,7 +598,7 @@ def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
         (-alpha**2 * xi, phiSX),
         (-alpha**2 * phiSX, xi),
     )
-    return _project(M, N, left=False)
+    return _project(M, N, left=False, out=M)
 
 
 def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
@@ -608,7 +645,7 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
         (-c * (q - alpha) * xi, phi_A_xi),
         (-2.0 * alpha * xi_alpha * xi, xi),
     )
-    return _project(M, N, left=False)
+    return _project(M, N, left=False, out=M)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +790,8 @@ def from_dict(payload: dict) -> HypersurfaceData:
             ``alpha`` or ``q_xi`` counts as absent), numbers beyond the float
             range and arrays of the wrong shape), a Reeb-curvature mismatch,
             or a gauge ``q_xi`` that differs from ``2 alpha`` where
-            ``g(A xi, xi) != 0`` forces it.
+            ``g(A xi, xi) != 0`` forces it (a computed ``|g(A xi, xi)|`` of
+            at most ``n eps`` is rounding and forces nothing).
         NormalizationError: if the normal is not unit length.
         NonFiniteError: if a numeric field has a NaN or infinite entry.
     """
@@ -795,7 +833,10 @@ def from_dict(payload: dict) -> HypersurfaceData:
                 f"stored Reeb curvature {declared:.12g} does not match recomputed {h.alpha:.12g}"
             )
     # q(xi) g(A xi, xi) = 2 alpha g(A xi, xi), held to the bound of the alpha cross-check.
-    if abs((h.q_xi - 2.0 * h.alpha) * h.g_axixi) > bound:
+    # A g(A xi, xi) within its rounding, about n eps for unit A xi and xi, is
+    # the zero of an isotropic normal and forces nothing.
+    forcing = abs(h.g_axixi) > h.model.dim * np.finfo(float).eps
+    if forcing and abs((h.q_xi - 2.0 * h.alpha) * h.g_axixi) > bound:
         raise ModelValidationError(
             f"gauge q_xi = {h.q_xi:.12g} contradicts its forced value 2 alpha = {2.0 * h.alpha:.12g}"
             f" (g(A xi, xi) = {h.g_axixi:.3e})"

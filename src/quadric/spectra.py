@@ -1,13 +1,22 @@
-"""Dense symmetric eigensolver with multiplicity clustering.
+"""Dense symmetric eigensolvers with multiplicity clustering.
 
-The eigenpairs come from LAPACK (``np.linalg.eigh``, a backward-stable
-solver) applied to the symmetrized operator.  Every result carries a
-certificate that does not depend on which solver produced it: the
-reconstruction residual ``||op - Q diag Q^T||_F`` and the orthogonality
-residual ``||Q^T Q - I||_F``.  Eigenvalues are grouped into multiplicity
-clusters so that spectra can be compared against exact closed-form lists;
-the cluster width scales with the operator norm, as the eigenvalue error of
-a backward-stable solver does.
+Two entry points share one set of guards (square shape, finite entries,
+``max |op - op^T| <= DEFAULT_TOL``) and solve the symmetrized operator
+``(op + op^T) / 2`` with LAPACK:
+
+* :func:`sym_eigen` solves for the eigenpairs (``np.linalg.eigh``, a
+  backward-stable solver).  Its report carries a certificate that does not
+  depend on which solver produced it: the reconstruction residual
+  ``||op - Q diag Q^T||_F`` and the orthogonality residual ``||Q^T Q - I||_F``.
+  ``spectrum`` reports the reconstruction residuals; ``classify`` and
+  ``verify ambient`` read the clusters of the same certified solve.
+* :func:`sym_eigvals` returns the eigenvalues alone
+  (``np.linalg.eigvalsh``): no eigenvectors, no certificate products.
+  ``verify tube`` and ``scan tube`` compare clusters only and use it.
+
+Eigenvalues are grouped into multiplicity clusters so that spectra can be
+compared against exact closed-form lists; the cluster width scales with the
+operator norm, as the eigenvalue error of a backward-stable solver does.
 """
 
 from __future__ import annotations
@@ -56,6 +65,24 @@ def cluster_eigenvalues(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     return tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
 
 
+def _symmetric(op: np.ndarray) -> np.ndarray:
+    """``op`` as a float array, after the guards of every solve.
+
+    Raises:
+        AsymmetryError: if ``op`` is not square or
+            ``max |op - op^T| > DEFAULT_TOL``.
+        NonFiniteError: if ``op`` has a NaN or infinite entry.
+    """
+    op = np.asarray(op, dtype=float)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise AsymmetryError(float("nan"), f"expected a square matrix, got shape {op.shape}")
+    _require_finite(operator=op)
+    defect = float(np.max(np.abs(op - op.T))) if op.size else 0.0
+    if defect > DEFAULT_TOL:
+        raise AsymmetryError(defect)
+    return op
+
+
 def sym_eigen(op: np.ndarray) -> SpectrumReport:
     """Full spectrum of a self-adjoint operator.
 
@@ -70,14 +97,7 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
             ``max |op - op^T| > DEFAULT_TOL``.
         NonFiniteError: if ``op`` has a NaN or infinite entry.
     """
-    op = np.asarray(op, dtype=float)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise AsymmetryError(float("nan"), f"expected a square matrix, got shape {op.shape}")
-    _require_finite(operator=op)
-    defect = float(np.max(np.abs(op - op.T))) if op.size else 0.0
-    if defect > DEFAULT_TOL:
-        raise AsymmetryError(defect)
-
+    op = _symmetric(op)
     values, vectors = np.linalg.eigh(0.5 * (op + op.T))
     recon = float(np.linalg.norm(op - (vectors * values) @ vectors.T))
     orth = float(np.linalg.norm(vectors.T @ vectors - np.eye(len(values))))
@@ -90,21 +110,37 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
     )
 
 
+def sym_eigvals(op: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a self-adjoint operator, ascending, without eigenvectors.
+
+    The guards of :func:`sym_eigen`, then one LAPACK call
+    (``np.linalg.eigvalsh``) on ``(op + op^T) / 2``.  No certificate is
+    formed: use it where only the eigenvalues are compared.
+
+    Raises:
+        AsymmetryError: if ``op`` is not square or
+            ``max |op - op^T| > DEFAULT_TOL``.
+        NonFiniteError: if ``op`` has a NaN or infinite entry.
+    """
+    op = _symmetric(op)
+    return np.linalg.eigvalsh(0.5 * (op + op.T))
+
+
 def match_spectrum(
-    report: SpectrumReport,
+    clusters: tuple[tuple[float, int], ...],
     template: list[tuple[float, int]],
     rel_tol: float = 1e-8,
 ) -> tuple[bool, float]:
-    """Compare clustered spectrum against ``(value, multiplicity)`` pairs.
+    """Compare ``(value, multiplicity)`` clusters against a template of such pairs.
 
-    Values are matched in ascending order with relative tolerance
-    ``rel_tol`` (absolute near zero).  Returns ``(matched,
-    worst_relative_deviation)``; a spectrum whose cluster multiplicities
-    differ from the template's, in number or in any entry, deviates by
-    ``inf``.
+    ``clusters`` is ascending, as :func:`cluster_eigenvalues` returns it and
+    :attr:`SpectrumReport.clusters` holds it.  Values are matched in
+    ascending order with relative tolerance ``rel_tol`` (absolute near
+    zero).  Returns ``(matched, worst_relative_deviation)``; a spectrum
+    whose cluster multiplicities differ from the template's, in number or in
+    any entry, deviates by ``inf``.
     """
     expected = sorted(template)
-    clusters = report.clusters
     if len(clusters) != len(expected):
         return False, float("inf")
     worst = 0.0

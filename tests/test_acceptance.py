@@ -32,7 +32,7 @@ def test_criterion_1_ambient_jacobi_spectra():
             (q.isotropic_vector(model), [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]),
         ):
             rep = q.sym_eigen(q.ambient_jacobi(model, U))
-            matched, dev = q.match_spectrum(rep, template, rel_tol=1e-10)
+            matched, dev = q.match_spectrum(rep.clusters, template, rel_tol=1e-10)
             ok = ok and matched
             worst = max(worst, dev)
     elapsed = time.perf_counter() - start
@@ -55,7 +55,7 @@ def test_criterion_2_tube_identity_suite():
             tube = q.build_tube(k, r)
             h = tube.h
             spec = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
-            matched, dev = q.match_spectrum(spec, q.tube_shape_template(k, r), rel_tol=1e-10)
+            matched, dev = q.match_spectrum(spec.clusters, q.tube_shape_template(k, r), rel_tol=1e-10)
             ok = ok and matched
             track("shape_spectrum", dev)
             track("hopf_identity", q.hopf_identity_residual(h))
@@ -89,7 +89,7 @@ def test_criterion_3_tube_structure_jacobi_spectrum():
     for k in (2, 3, 4):
         for r in q.default_radius_grid(20):
             rep = q.tube_structure_jacobi_spectrum(q.build_tube(k, r))
-            matched, dev = q.match_spectrum(rep, q.tube_jacobi_template(k, r), rel_tol=1e-10)
+            matched, dev = q.match_spectrum(rep.clusters, q.tube_jacobi_template(k, r), rel_tol=1e-10)
             ok = ok and matched
             worst = max(worst, dev)
     elapsed = time.perf_counter() - start

@@ -360,6 +360,17 @@ class TestClassifyCommand:
         assert code == 2
         assert out == "" and "contradicts its forced value" in err
 
+    def test_free_isotropic_gauge_is_read(self, capsys, tmp_path):
+        """A tube's g(A xi, xi) computes to -2.2e-17, rounding that forces no
+        gauge; before, this payload exited 2 as contradicting its forced value."""
+
+        def mutate(payload):
+            payload["q_xi"] = 2.0 * payload["alpha"] + 1e9
+
+        code, out, err = run(capsys, "spectrum", str(write_tube_payload(tmp_path / "t.json", mutate=mutate)))
+        assert code == 0 and err == ""
+        assert json.loads(out)["command"] == "spectrum"
+
     def test_spectrum_command(self, capsys, tmp_path):
         path = write_tube_payload(tmp_path / "tube.json")
         code, out, _ = run(capsys, "spectrum", str(path))

@@ -1,6 +1,7 @@
 """Hypersurface calculus: induced structure, Gauss/Ricci, the structure
 Jacobi operator and its Reeb derivative, residual gauges, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,67 @@ class TestInduceFromNormal:
         model = q.build_tangent_model(3)
         with pytest.raises(NormalizationError):
             q.induce_from_normal(model, 1.5 * model.zvec(1), np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("m", [3, 16, 64])
+    @pytest.mark.parametrize("kind", ["generic", "principal", "isotropic"])
+    def test_projector_and_frame_have_the_dense_bits(self, m, kind):
+        """Built in place, both keep the bits of their dense sums, signed zeros included."""
+        h = random_hopf(m, kind, seed=m)
+        N, n = h.N, h.model.dim
+        assert h.projector.tobytes() == (np.eye(n) - np.outer(N, N)).tobytes()
+        u = N.copy()
+        u[0] += 1.0 if N[0] >= 0.0 else -1.0
+        H = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
+        assert h.frame.tobytes() == H[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-11, 1.0 - 1e-11, 1.0 + 9e-10])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            lambda: q.build_tube(32, 0.6).h,
+            lambda: q.build_tube(2, 1.3).h,
+            lambda: random_hopf(16, "generic", seed=4),
+            lambda: random_hopf(8, "principal", seed=5),
+            lambda: q.reeb_parallel_principal_candidate(3, 1.2),
+        ],
+        ids=["tube-32", "tube-2", "generic", "principal", "candidate"],
+    )
+    def test_normal_within_unit_tol_accepted(self, scale, data):
+        """A normal that UNIT_TOL admits is not refused by the construction
+        invariants, whose defects grow with its length defect.  Before, a tube
+        normal scaled by 1 + 1e-11 failed as ``phi xi != 0``."""
+        h = data()
+        scaled = q.induce_from_normal(h.model, scale * h.N, h.S)
+        assert scaled.warnings == h.warnings
+        assert scaled.alpha == pytest.approx(h.alpha, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "field, index, factor, message",
+        [
+            ("J", None, 1.0 + 1e-6, "phi^2 + Id - eta (x) xi != 0 on the tangent space (defect 2.000e-06)"),
+            ("A", (0, 1), 1e-6, "conjugation split does not reconstruct A (defect 5.000e-07)"),
+            ("J", (2, 7), 1e-6, "phi xi != 0 (defect 7.071e-07)"),
+        ],
+        ids=["J-scaled", "A-asymmetric", "J-entry"],
+    )
+    def test_construction_invariants_refuse_a_broken_model(self, field, index, factor, message):
+        """Each construction invariant still sees a model that breaks it."""
+        h = q.build_tube(3, 0.6).h
+        broken = getattr(h.model, field).copy()
+        if index is None:
+            broken *= factor
+        else:
+            broken[index] += factor
+        model = dataclasses.replace(h.model, **{field: broken})
+        with pytest.raises(ModelValidationError) as excinfo:
+            q.induce_from_normal(model, h.N, h.S)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("scale", [1.0 + 2e-9, 1.0 - 2e-9])
+    def test_normal_beyond_unit_tol_still_rejected(self, scale):
+        h = q.build_tube(32, 0.6).h
+        with pytest.raises(NormalizationError, match="normal not unit"):
+            q.induce_from_normal(h.model, scale * h.N, h.S)
 
     def test_wrong_length_normal_rejected(self):
         model = q.build_tangent_model(3)
@@ -362,7 +424,7 @@ class TestStructureJacobi:
 
     def test_tube_spectrum(self, tube):
         rep = q.tube_structure_jacobi_spectrum(tube)
-        ok, dev = q.match_spectrum(rep, q.tube_jacobi_template(2, 0.6), rel_tol=1e-10)
+        ok, dev = q.match_spectrum(rep.clusters, q.tube_jacobi_template(2, 0.6), rel_tol=1e-10)
         assert ok and dev < 1e-12
 
     def test_self_adjoint(self):
@@ -411,6 +473,29 @@ class TestProjectionAndRankSum:
         bound = 1e-13 * max(1.0, float(np.max(np.abs(M))))
         assert np.max(np.abs(hypersurface._project(M, N) - P @ M @ P)) <= bound
         assert np.max(np.abs(hypersurface._project(M, N, left=False) - M @ P)) <= bound
+
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_identity_minus_has_the_bits_of_eye_minus(self, m):
+        """Signed zeros included: ``0 - (-0.0)`` and ``0 - 0.0`` are both ``+0.0``."""
+        rng = np.random.default_rng(m)
+        n = 2 * m
+        N = rng.standard_normal(n)
+        N[::3] = 0.0
+        N[1::4] = -0.0
+        M = np.outer(N, N)
+        expected = np.eye(n) - M
+        assert hypersurface._identity_minus(M).tobytes() == expected.tobytes()
+
+    def test_project_into_out_has_the_same_bits(self):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((10, 10))
+        N = rng.standard_normal(10)
+        N /= np.linalg.norm(N)
+        for left in (True, False):
+            expected = hypersurface._project(M, N, left=left)
+            work = M.copy()
+            assert hypersurface._project(work, N, left=left, out=work) is work
+            assert work.tobytes() == expected.tobytes()
 
     def test_rank_sum_matches_outer_products(self):
         rng = np.random.default_rng(5)
@@ -574,6 +659,17 @@ class TestSerialization:
         payload = q.to_dict(tube.h)
         payload["q_xi"] = 9.5
         assert q.from_dict(payload).q_xi == 9.5
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_isotropic_gauge_is_free(self, k):
+        """``g(A xi, xi)`` of a tube computes to rounding (-2.2e-17 at k = 2),
+        which forces no gauge.  Before, this payload was refused as contradicting
+        its forced value."""
+        payload = q.to_dict(q.build_tube(k, 0.6).h)
+        payload["q_xi"] = 2.0 * payload["alpha"] + 1e9
+        h = q.from_dict(payload)
+        assert abs(h.g_axixi) <= h.model.dim * np.finfo(float).eps
+        assert h.q_xi == payload["q_xi"]
 
     def test_malformed_payload(self):
         with pytest.raises(ModelValidationError):

@@ -27,7 +27,7 @@ class TestBuildTube:
             (2.0 / math.sqrt(3.0), 1),
             (math.sqrt(3.0), 2),
         ]
-        ok, dev = q.match_spectrum(rep, expected, rel_tol=1e-12)
+        ok, dev = q.match_spectrum(rep.clusters, expected, rel_tol=1e-12)
         assert ok and dev < 1e-14
 
     def test_tangent_dimension_sums(self):
@@ -138,7 +138,7 @@ class TestTubeJacobiSpectrum:
         tube = q.build_tube(2, 0.6)
         rep = q.tube_structure_jacobi_spectrum(tube)
         expected = [(0.0, 3), (math.tan(0.6) ** 2, 2), (1.0 / math.tan(0.6) ** 2, 2)]
-        ok, dev = q.match_spectrum(rep, expected, rel_tol=1e-10)
+        ok, dev = q.match_spectrum(rep.clusters, expected, rel_tol=1e-10)
         assert ok and dev < 1e-12
 
     def test_degenerate_radius_limit(self):
@@ -148,10 +148,10 @@ class TestTubeJacobiSpectrum:
         assert [k for _, k in rep.clusters] == [3, 8]
         npt.assert_allclose([v for v, _ in rep.clusters], [0.0, 1.0], atol=1e-12)
         # The template merges tan^2 = cot^2 = 1 into one entry, as the solver does.
-        ok, _ = q.match_spectrum(rep, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
+        ok, _ = q.match_spectrum(rep.clusters, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
         assert ok
         shape = q.sym_eigen(q.restrict_to_frame(tube.h.S, tube.h.frame))
-        ok, _ = q.match_spectrum(shape, q.tube_shape_template(3, math.pi / 4.0), rel_tol=1e-10)
+        ok, _ = q.match_spectrum(shape.clusters, q.tube_shape_template(3, math.pi / 4.0), rel_tol=1e-10)
         assert ok
 
     @pytest.mark.parametrize("k", [2, 3])

@@ -1,12 +1,17 @@
-"""Eigensolver: exact cases, an independent characteristic-polynomial oracle, the
-solver-independent certificate, errors."""
+"""Eigensolvers: exact cases, an independent characteristic-polynomial oracle, the
+solver-independent certificate, the eigenvalues-only route, errors."""
+
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen
+import quadric as q
+from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen, sym_eigvals
 from quadric.spectra import DEFAULT_TOL, cluster_eigenvalues
+
+from conftest import rotated
 
 
 def charpoly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -109,11 +114,93 @@ class TestClustering:
 
     def test_match_spectrum_accepts_and_rejects(self):
         rep = sym_eigen(np.diag([0.0, 0.0, 4.0]))
-        ok, dev = match_spectrum(rep, [(0.0, 2), (4.0, 1)])
+        ok, dev = match_spectrum(rep.clusters, [(0.0, 2), (4.0, 1)])
         assert ok and dev < 1e-15
-        ok, dev = match_spectrum(rep, [(0.0, 1), (4.0, 2)])
+        ok, dev = match_spectrum(rep.clusters, [(0.0, 1), (4.0, 2)])
         assert not ok and dev == float("inf")
-        ok, _ = match_spectrum(rep, [(0.0, 2), (4.1, 1)])
+        ok, _ = match_spectrum(rep.clusters, [(0.0, 2), (4.1, 1)])
         assert not ok
-        ok, dev = match_spectrum(rep, [(0.0, 3)])
+        ok, dev = match_spectrum(rep.clusters, [(0.0, 3)])
         assert not ok and dev == float("inf")
+
+
+def _refusal(solver, op):
+    with pytest.raises((AsymmetryError, NonFiniteError)) as excinfo:
+        solver(op)
+    return excinfo.value
+
+
+def _with_entry(value, i=1, j=2, symmetric=True):
+    a = np.eye(4)
+    a[i, j] = value
+    if symmetric:
+        a[j, i] = value
+    return a
+
+
+#: Inputs both solvers refuse, with the error they raise.
+REFUSALS = {
+    "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]]), AsymmetryError),
+    "asymmetric-just-above-tol": (_with_entry(2.0 * DEFAULT_TOL, symmetric=False), AsymmetryError),
+    "non-square": (np.ones((2, 3)), AsymmetryError),
+    "vector": (np.ones(3), AsymmetryError),
+    "stack": (np.ones((2, 3, 3)), AsymmetryError),
+    "nan": (_with_entry(np.nan), NonFiniteError),
+    "inf": (_with_entry(np.inf), NonFiniteError),
+    "-inf-asymmetric": (_with_entry(-np.inf, symmetric=False), NonFiniteError),
+}
+
+
+def _tube_operators(k, r):
+    """Shape and structure Jacobi operators of a tube in its tangent frame."""
+    h = q.build_tube(k, r, non_vanishing=False).h
+    return [q.restrict_to_frame(M, h.frame) for M in (h.S, q.structure_jacobi(h))]
+
+
+def _assert_agree(op):
+    values = sym_eigvals(op)
+    bound = 1e-13 * max(1.0, float(np.linalg.norm(op, 2)))
+    assert values.shape == (op.shape[0],)
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.max(np.abs(values - sym_eigen(op).eigenvalues)) <= bound
+
+
+class TestEigenvaluesOnly:
+    """``sym_eigvals`` refuses what ``sym_eigen`` refuses and returns its eigenvalues."""
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_same_refusal_as_sym_eigen(self, case):
+        op, error = REFUSALS[case]
+        full, values_only = _refusal(sym_eigen, op), _refusal(sym_eigvals, op)
+        assert type(full) is type(values_only) is error
+        assert str(full) == str(values_only)
+        if error is AsymmetryError:
+            assert repr(full.defect) == repr(values_only.defect)
+
+    def test_defect_at_the_tolerance_is_accepted(self):
+        op = _with_entry(DEFAULT_TOL, symmetric=False)
+        npt.assert_array_equal(sym_eigvals(op), sym_eigen(op).eigenvalues)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 32])
+    @pytest.mark.parametrize("r", [1e-3, 0.3, 0.6, math.pi / 4.0, 1.3, math.pi / 2.0 - 1e-3])
+    def test_agrees_on_tubes(self, k, r):
+        for op in _tube_operators(k, r):
+            _assert_agree(op)
+
+    @pytest.mark.parametrize("k, seed", [(3, 1), (8, 2), (16, 3)])
+    def test_agrees_on_densely_rotated_tubes(self, k, seed):
+        h = rotated(q.build_tube(k, 0.7).h, seed)
+        for M in (h.S, q.structure_jacobi(h)):
+            _assert_agree(q.restrict_to_frame(M, h.frame))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_agrees_on_random_symmetric(self, n, scale):
+        raw = np.random.default_rng(n).standard_normal((n, n))
+        _assert_agree(scale * (raw + raw.T))
+
+    def test_clusters_match_the_report(self):
+        for op in _tube_operators(8, 0.6):
+            got, expected = cluster_eigenvalues(sym_eigvals(op)), sym_eigen(op).clusters
+            assert [k for _, k in got] == [k for _, k in expected]
+            npt.assert_allclose([v for v, _ in got], [v for v, _ in expected], rtol=0, atol=1e-13)

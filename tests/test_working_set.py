@@ -5,7 +5,8 @@ vectors or matrices, split so that no stacked temporary exceeds
 ``_STACK_BUDGET`` float entries.  The memory they hold beyond their result
 is therefore set by the budget, not by the dimension or the sample count.
 The tube suite at the dimension cap holds a bounded number of dense
-matrices, and the products it shares are formed once per instance.
+matrices, the products it shares are formed once per instance, and its
+spectrum checks solve for eigenvalues only.
 """
 
 import tracemalloc
@@ -105,3 +106,29 @@ def test_copies_start_empty(copy):
     q.reeb_parallel_residual(h)
     assert set(hypersurface._SHARED) <= set(h._derived)
     assert copy(h)._derived == {}
+
+
+@pytest.mark.parametrize(
+    "suite, radii",
+    [
+        (lambda: suites.verify_tube(32, 0.6), 1),
+        (lambda: suites.scan_tube(32, 0.3, 1.2, 3), 3),
+    ],
+    ids=["verify_tube", "scan_tube"],
+)
+def test_tube_suites_solve_for_eigenvalues_only(monkeypatch, suite, radii):
+    """The tube checks compare eigenvalue clusters, so no eigenvectors are
+    solved for: two ``eigvalsh`` calls per radius and no ``eigh``."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, solver):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert suite().all_passed
+    assert calls == {"eigh": 0, "eigvalsh": 2 * radii}
