@@ -48,19 +48,37 @@ def affine_pair_matrices(
 
     ``E_a = 3 alpha A + alpha S^2 - alpha^2 S - alpha I - 6 S`` and
     ``E_b = 3 alpha I + alpha S^2 - alpha^2 S - alpha A - 6 S`` on whatever
-    space ``S`` and ``A`` act.  ``S`` and ``A`` may be stacks ``(k, n, n)``
-    of matrices, with ``alpha`` a scalar or an array that broadcasts
-    against them, such as ``(k, 1, 1)``.
+    space ``S`` and ``A`` act.  ``S`` and ``A`` may be stacks of matrices,
+    ``(k, n, n)`` or of any leading shape, with ``alpha`` a scalar or an
+    array that broadcasts against them, such as ``(k, 1, 1)``.  A stack of
+    ``1 x 1`` blocks evaluates a diagonal pair entry by entry: ``S`` of
+    shape ``(k, n, 1, 1)`` holding the diagonals, ``A = np.eye(1)`` and
+    ``alpha`` of shape ``(k, 1, 1, 1)`` give each diagonal entry of the
+    ``(k, n, n)`` evaluation with the same bits, and no off-diagonal zeros.
+
+    The terms shared by the two equations are formed once, and each
+    equation is summed in place in the order written above.
     """
     eye = np.eye(S.shape[-1])
     # float_power squares as Python's ``alpha**2`` does (libm pow), so a
     # stacked alpha rounds as a scalar one; numpy's ``**`` on arrays squares
     # by multiplication, which differs in the last bit for about 0.1 % of
     # inputs.
-    alpha_sq = np.float_power(alpha, 2)
-    S_sq = S @ S
-    e_a = 3.0 * alpha * A + alpha * S_sq - alpha_sq * S - alpha * eye - 6.0 * S
-    e_b = 3.0 * alpha * eye + alpha * S_sq - alpha_sq * S - alpha * A - 6.0 * S
+    alpha_sq_S = np.float_power(alpha, 2) * S
+    alpha_S_sq = alpha * (S @ S)
+    six_S = 6.0 * S
+    three_alpha = 3.0 * alpha
+    # IEEE addition commutes, so ``alpha S^2 + 3 alpha A`` has the bits of
+    # ``3 alpha A + alpha S^2``; that sum has the broadcast shape of all
+    # three inputs.
+    e_a = np.add(three_alpha * A, alpha_S_sq)
+    e_a -= alpha_sq_S
+    e_a -= alpha * eye
+    e_a -= six_S
+    e_b = np.add(three_alpha * eye, alpha_S_sq, out=np.empty_like(e_a))
+    e_b -= alpha_sq_S
+    e_b -= alpha * A
+    e_b -= six_S
     return e_a, e_b
 
 
@@ -121,16 +139,23 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
     """Random conjugation blocks on the complex subbundle, one per matrix of ``raw``.
 
     ``raw`` is a ``(k, n, n)`` stack of complex Gaussian matrices.  Each
-    block conjugates the standard block by the complex-linear orthogonal
-    map of its matrix's QR factor, keeping symmetry, involutivity and
-    anti-commutation with the complex structure.  Basis order: the complex
-    directions first, then their images under the complex structure.
+    block conjugates the standard block ``diag(I, -I)`` by the
+    complex-linear orthogonal map ``R`` of its matrix's QR factor, keeping
+    symmetry, involutivity and anti-commutation with the complex structure.
+    ``R diag(I, -I)`` is ``R`` with its last ``n`` columns negated, exactly,
+    so each block is one product ``(R diag(I, -I)) R^T``.  Basis order: the
+    complex directions first, then their images under the complex structure.
     """
     n = raw.shape[-1]
     u, _ = np.linalg.qr(raw)
-    R = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    A0 = np.block([[np.eye(n), np.zeros((n, n))], [np.zeros((n, n)), -np.eye(n)]])
-    return R @ A0 @ R.swapaxes(-1, -2)
+    # R = [[Re u, -Im u], [Im u, Re u]], written in place.
+    R = np.empty(u.shape[:-2] + (2 * n, 2 * n))
+    R[..., :n, :n] = R[..., n:, n:] = u.real
+    R[..., n:, :n] = u.imag
+    np.negative(u.imag, out=R[..., :n, n:])
+    R_signed = R.copy()
+    np.negative(R[..., n:], out=R_signed[..., n:])
+    return R_signed @ R.swapaxes(-1, -2)
 
 
 def _max_abs(M: np.ndarray) -> np.ndarray:
@@ -143,31 +168,65 @@ def _draw_stack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random blocks of one stack of samples, drawn sample by sample.
 
-    Per sample the stream gives the symmetric shape block, the real and
-    imaginary parts of the complex matrix behind the conjugation block, and
-    the root choices of the solvable instance's diagonal.  Returns the
-    stacks ``(k, 2m - 2, 2m - 2)`` of shape blocks, ``(k, m - 1, m - 1)`` of
-    complex matrices and ``(k, 2m - 2)`` of diagonals.
+    Per sample the stream gives, in one normal draw of ``6 (m - 1)^2``
+    entries, the symmetric shape block's ``(2m - 2)^2`` raw entries and the
+    real and then the imaginary parts of the complex matrix behind the
+    conjugation block; then, in one uniform draw, the ``2m - 2`` root
+    choices of the solvable instance's diagonal.  The roots are picked for
+    the whole stack once every sample is drawn.  Returns the stacks
+    ``(k, 2m - 2, 2m - 2)`` of shape blocks, ``(k, m - 1, m - 1)`` of complex
+    matrices and ``(k, 2m - 2)`` of diagonals.
     """
     k, n = len(alphas), m - 1
-    raw = np.empty((k, 2 * n, 2 * n))
+    block = n * n
+    normals = np.empty((k, 6 * block))
+    picks = np.empty((k, 2 * n))
+    for i in range(k):
+        rng.standard_normal(out=normals[i])
+        rng.random(out=picks[i])
+    raw = normals[:, : 4 * block].reshape(k, 2 * n, 2 * n)
     raw_c = np.empty((k, n, n), dtype=complex)
-    diag = np.empty((k, 2 * n))
-    for i, alpha in enumerate(alphas):
-        raw[i] = rng.standard_normal((2 * n, 2 * n))
-        raw_c[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lam_hi, lam_lo = _quadratic_roots(alpha)
-        diag[i] = np.where(rng.uniform(size=2 * n) < 0.5, lam_hi, lam_lo)
+    raw_c.real = normals[:, 4 * block : 5 * block].reshape(k, n, n)
+    raw_c.imag = normals[:, 5 * block :].reshape(k, n, n)
+    roots = np.array([_quadratic_roots(alpha) for alpha in alphas])
+    diag = np.where(picks < 0.5, roots[:, :1], roots[:, 1:])
     return 0.5 * (raw + raw.swapaxes(-1, -2)), raw_c, diag
 
 
-def _stack_checks(alphas: list[float], residuals: np.ndarray) -> list[Check]:
-    """The two checks of each sample, from its row of the ``(k, 2)`` residuals
-    ``max |E_a - E_b - 4 alpha (A - I)|`` on the random blocks and
-    ``max |E_a| = max |E_b|`` of the root-spectrum instance."""
-    checks: list[Check] = []
-    for alpha, (diff_defect, solvable) in zip(alphas, residuals.tolist()):
+def _sample_tags(alphas: list[float]) -> list[str]:
+    """One distinct tag per sample for its check names.
+
+    A sample is tagged ``alpha={alpha:+.6g}`` unless an earlier sample
+    already holds that tag; then it is tagged with all 17 significant digits
+    (``+#.17g``, trailing zeros kept, so the long tag never equals a short
+    one).  Distinct floats have distinct 17-digit tags.
+
+    Raises:
+        ExcludedParameterError: if a sample repeats an earlier one exactly.
+    """
+    tags: list[str] = []
+    taken: set[str] = set()
+    seen: set[float] = set()
+    for alpha in alphas:
+        if alpha in seen:
+            raise ExcludedParameterError(f"alpha samples must be distinct, got {alpha!r} twice")
+        seen.add(alpha)
         tag = f"alpha={alpha:+.6g}"
+        if tag in taken:
+            tag = f"alpha={alpha:+#.17g}"
+        taken.add(tag)
+        tags.append(tag)
+    return tags
+
+
+def _stack_checks(
+    alphas: list[float], tags: list[str], residuals: np.ndarray
+) -> list[Check]:
+    """The two checks of each sample, named by its tag, from its row of the
+    ``(k, 2)`` residuals ``max |E_a - E_b - 4 alpha (A - I)|`` on the random
+    blocks and ``max |E_a| = max |E_b|`` of the root-spectrum instance."""
+    checks: list[Check] = []
+    for alpha, tag, (diff_defect, solvable) in zip(alphas, tags, residuals.tolist()):
         scale = max(1.0, abs(alpha))
         checks += [
             Check(name=f"difference_identity[{tag}]", residual=diff_defect / scale, tol=1e-12),
@@ -189,10 +248,13 @@ def principal_nonexistence_certificate(
        ``E_a - E_b = 4 alpha (A - I)`` on random symmetric shape blocks and
        random compatible conjugation blocks (so joint satisfaction of the
        affine pair forces the identity conjugation block);
-    2. builds the solvable instance: shape blocks with spectrum in the roots
-       of ``x^2 - (alpha + 6/alpha) x + 2`` satisfy both equations with the
-       identity block (where ``E_a`` and ``E_b`` are one matrix, so one is
-       measured);
+    2. builds the solvable instance: diagonal shape blocks with entries
+       among the roots of ``x^2 - (alpha + 6/alpha) x + 2`` satisfy both
+       equations with the identity block (where ``E_a`` and ``E_b`` are one
+       matrix, so one is measured).  A diagonal block with ``A = I``
+       decouples into ``2m - 2`` independent ``1 x 1`` pairs, so the
+       instance is evaluated as a stack of ``1 x 1`` blocks, one per
+       diagonal entry, and measured as the largest over its pairs;
     3. records the trace conflict in the parameters: the forced block has
        trace ``2m - 2``, nonzero for every admitted ``m``, while any
        conjugation of the ambient model is trace free (``verify ambient``
@@ -204,12 +266,14 @@ def principal_nonexistence_certificate(
     Samples are evaluated in stacks of matrices, as many per stack as keep
     each ``(k, 2m - 2, 2m - 2)`` temporary within ``_STACK_BUDGET`` entries.
     Each stack draws its samples' random blocks in sample order, so the
-    stream, and every residual, is the same as one sample at a time.
+    stream, and every residual, is the same as one sample at a time.  Each
+    sample's checks are tagged ``alpha={alpha:+.6g}``, with all 17 digits
+    when an earlier sample already holds that tag.
 
     Raises:
         InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
         ExcludedParameterError: if there are no samples, or a sample Reeb
-            curvature is zero.
+            curvature is zero, or two samples are equal.
     """
     _require_dimension(m, "nonexistence")
     if len(alpha_samples) == 0:
@@ -217,11 +281,11 @@ def principal_nonexistence_certificate(
     alphas = [float(alpha) for alpha in alpha_samples]
     if 0.0 in alphas:
         raise ExcludedParameterError("alpha samples must be nonzero")
+    tags = _sample_tags(alphas)
     rng = np.random.default_rng(seed)
     n_c = 2 * (m - 1)
     width = max(1, _STACK_BUDGET // (n_c * n_c))
     eye = np.eye(n_c)
-    diagonal = np.arange(n_c)
     checks: list[Check] = []
     # One scope for every stack: each stack's arrays are freed only when the
     # next stack rebinds their names, so the allocator reuses their memory
@@ -235,12 +299,14 @@ def principal_nonexistence_certificate(
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
         difference = _max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye))
 
-        s_star = np.zeros((len(stack), n_c, n_c))
-        s_star[:, diagonal, diagonal] = diag
-        # With A = I the two equations evaluate the same terms in the same
-        # order, so E_a equals E_b bit for bit.
-        e_star, _ = affine_pair_matrices(alpha, s_star, eye)
-        checks += _stack_checks(stack, np.stack([difference, _max_abs(e_star)], axis=1))
+        # Each 1x1 pair has the bits of its diagonal entry in the dense
+        # evaluation, whose off-diagonal entries are exact zeros.  With A = I
+        # the two equations evaluate the same terms in the same order, so E_a
+        # equals E_b bit for bit.
+        e_star, _ = affine_pair_matrices(alpha[..., None], diag[..., None, None], np.eye(1))
+        solvable = _max_abs(e_star).max(axis=-1)
+        residuals = np.stack([difference, solvable], axis=1)
+        checks += _stack_checks(stack, tags[start : start + width], residuals)
 
     return CheckReport(
         command="nonexistence",

@@ -231,7 +231,11 @@ def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
             f"nonexistence takes at most {MAX_COUNT} alpha samples, got {samples}"
         )
     rng = np.random.default_rng(seed)
-    alphas = [float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(samples)]
+    # Indexing a pair draws the sign as ``rng.choice([-1.0, 1.0])`` does,
+    # from the same stream, without choice's per-call array set-up.
+    alphas = [
+        float(rng.uniform(0.2, 3.0) * (-1.0, 1.0)[rng.integers(0, 2)]) for _ in range(samples)
+    ]
     return principal_nonexistence_certificate(m, alphas, seed=seed)
 
 

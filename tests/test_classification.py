@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError, ModelValidationError, classification
+from quadric import ExcludedParameterError, ModelValidationError, classification, suites
 from quadric.classification import affine_pair_matrices, _quadratic_roots
 from quadric.models import _complex_pair_columns
 from quadric.report import Check
@@ -205,6 +205,67 @@ class TestNonexistenceCertificate:
         for count in counts:
             report = q.principal_nonexistence_certificate(m, alphas[:count], seed=seed)
             assert report.checks == reference[: 2 * count]
+
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_each_stack_makes_one_dense_and_one_diagonal_call(self, m, monkeypatch):
+        """Per stack, ``affine_pair_matrices`` runs once on the dense random
+        blocks and once on the solvable instance as ``1 x 1`` pairs; no
+        ``(k, 2m - 2, 2m - 2)`` diagonal stack is formed."""
+        shapes = []
+        original = classification.affine_pair_matrices
+
+        def recorded(alpha, S, A):
+            shapes.append(S.shape)
+            return original(alpha, S, A)
+
+        monkeypatch.setattr(classification, "affine_pair_matrices", recorded)
+        n = 2 * (m - 1)
+        width = _STACK_BUDGET // (n * n)
+        report = suites.nonexistence(m, 2 * width + 1, seed=3)
+        assert report.all_passed
+        assert shapes == [
+            shape
+            for k in (width, width, 1)
+            for shape in ((k, n, n), (k, n, 1, 1))
+        ]
+
+    def test_sign_draw_matches_choice(self):
+        """The alpha samples are the stream of ``uniform(0.2, 3.0)`` times
+        ``choice([-1.0, 1.0])``, sample by sample, for every seed tried."""
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            reference = [
+                float(rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])) for _ in range(40)
+            ]
+            assert suites.nonexistence(2, 40, seed=seed).params["alpha_samples"] == reference
+
+    def test_check_names_are_distinct_for_many_samples(self):
+        """One of 2000 drawn samples shares its 6-digit tag with an earlier
+        one; its two checks are tagged with all 17 digits, so the 4000 names
+        are distinct."""
+        report = suites.nonexistence(3, 2000, seed=7)
+        names = [c.name for c in report.checks]
+        assert len(set(names)) == len(names) == 4000
+        long_tags = {f"alpha={alpha:+#.17g}" for alpha in report.params["alpha_samples"]}
+        assert sum(name[name.index("[") + 1 : -1] in long_tags for name in names) == 2
+
+    def test_colliding_tag_keeps_all_digits(self):
+        """The long tag keeps trailing zeros, so a short alpha that collides
+        does not print as the 6-digit tag it collided with."""
+        report = q.principal_nonexistence_certificate(3, [1.5000001, 1.5, -0.25])
+        assert [c.name for c in report.checks] == [
+            "difference_identity[alpha=+1.5]",
+            "affine_pair_solvable[alpha=+1.5]",
+            "difference_identity[alpha=+1.5000000000000000]",
+            "affine_pair_solvable[alpha=+1.5000000000000000]",
+            "difference_identity[alpha=-0.25]",
+            "affine_pair_solvable[alpha=-0.25]",
+        ]
+        assert report.all_passed
+
+    def test_repeated_sample_rejected(self):
+        with pytest.raises(ExcludedParameterError, match="distinct, got 1.0 twice"):
+            q.principal_nonexistence_certificate(3, [1.0, 2.0, 1.0])
 
 
 class TestClassify:

@@ -19,10 +19,11 @@ from quadric import hypersurface, suites
 from quadric.tangent import _STACK_BUDGET
 
 #: Budget-sized temporaries a stacked evaluation may hold at once, beyond
-#: what it returns.  Measured: about 4 for the contraction at m = 64, and
-#: about 13 for the certificate at m = 16 with 2000 samples, which keeps one
-#: stack's arrays until the next stack replaces them.  Drawing all 2000
-#: samples as one stack holds about 290.
+#: what it returns.  Measured: about 4.3 for the contraction at m = 64, and
+#: about 11 for the certificate at m = 16 or 64 with 2000 samples, which
+#: keeps one stack's arrays until the next stack replaces them (its
+#: solvable instance, evaluated as ``1 x 1`` pairs, adds no budget-sized
+#: array).  Drawing all 2000 samples at m = 16 as one stack holds about 230.
 TEMPORARIES = 16
 
 
