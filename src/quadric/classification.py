@@ -16,12 +16,13 @@ curvature and matches the shape spectrum against the tube template.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcludedParameterError, ModelValidationError
+from .errors import ExcludedParameterError, ModelValidationError, _require_finite
 from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
@@ -158,8 +159,8 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
     return R_signed @ R.swapaxes(-1, -2)
 
 
-def _max_abs(M: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each matrix of a ``(k, n, n)`` stack."""
+def _stack_max_abs(M: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each matrix of a stack (the last two axes)."""
     return np.max(np.abs(M), axis=(-2, -1))
 
 
@@ -274,11 +275,13 @@ def principal_nonexistence_certificate(
         InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
         ExcludedParameterError: if there are no samples, or a sample Reeb
             curvature is zero, or two samples are equal.
+        NonFiniteError: if a sample is NaN or infinite.
     """
     _require_dimension(m, "nonexistence")
     if len(alpha_samples) == 0:
         raise ExcludedParameterError("nonexistence needs at least one alpha sample")
     alphas = [float(alpha) for alpha in alpha_samples]
+    _require_finite(alpha_samples=alphas)
     if 0.0 in alphas:
         raise ExcludedParameterError("alpha samples must be nonzero")
     tags = _sample_tags(alphas)
@@ -297,14 +300,14 @@ def principal_nonexistence_certificate(
 
         a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        difference = _max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye))
+        difference = _stack_max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye))
 
         # Each 1x1 pair has the bits of its diagonal entry in the dense
         # evaluation, whose off-diagonal entries are exact zeros.  With A = I
         # the two equations evaluate the same terms in the same order, so E_a
         # equals E_b bit for bit.
         e_star, _ = affine_pair_matrices(alpha[..., None], diag[..., None, None], np.eye(1))
-        solvable = _max_abs(e_star).max(axis=-1)
+        solvable = _stack_max_abs(e_star).max(axis=-1)
         residuals = np.stack([difference, solvable], axis=1)
         checks += _stack_checks(stack, tags[start : start + width], residuals)
 
@@ -332,13 +335,16 @@ class ClassificationResult:
     ``verdict`` is ``"tube"`` (isotropic data matching the tube family, with
     ``k`` and ``r`` recovered), ``"nonexistent"`` (principal data passing the
     Reeb-parallel test, which no hypersurface realizes), or
-    ``"outside-hypotheses"`` with the reason recorded.
+    ``"outside-hypotheses"`` with the reason recorded.  The defaults are the
+    outcome refused before the Reeb-parallel residual is measured: no
+    residual, outside the hypotheses.  ``k`` and ``r`` are set only for a
+    tube, ``spectrum_deviation`` once the shape spectrum has been compared.
     """
 
     singular_type: str
-    reeb_residual: float | None
-    verdict: str
-    reason: str
+    reeb_residual: float | None = None
+    verdict: str = "outside-hypotheses"
+    reason: str = ""
     k: int | None = None
     r: float | None = None
     spectrum_deviation: float | None = None
@@ -374,39 +380,22 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
 
     if not h.hopf:
         return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=None,
-            verdict="outside-hypotheses",
-            reason=f"not Hopf (|S xi - alpha xi| = {h.hopf_defect:.3e})",
+            angle.kind, reason=f"not Hopf (|S xi - alpha xi| = {h.hopf_defect:.3e})"
         )
     if abs(h.alpha) < tol:
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=None,
-            verdict="outside-hypotheses",
-            reason="vanishing geodesic Reeb flow (alpha = 0)",
-        )
+        return ClassificationResult(angle.kind, reason="vanishing geodesic Reeb flow (alpha = 0)")
 
     residual = reeb_parallel_residual(h)
+    result = functools.partial(ClassificationResult, angle.kind, residual)
     if angle.kind == "generic":
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=residual,
-            verdict="outside-hypotheses",
-            reason=f"normal not singular (canonical angle t = {angle.t:.6g})",
-        )
+        return result(reason=f"normal not singular (canonical angle t = {angle.t:.6g})")
     if residual >= tol:
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=residual,
-            verdict="outside-hypotheses",
-            reason=f"structure Jacobi operator not Reeb parallel (residual {residual:.3e})",
+        return result(
+            reason=f"structure Jacobi operator not Reeb parallel (residual {residual:.3e})"
         )
 
     if angle.kind == "A-principal":
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=residual,
+        return result(
             verdict="nonexistent",
             reason="principal normal with Reeb-parallel structure Jacobi operator",
         )
@@ -414,30 +403,14 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     # Isotropic: recover the tube parameters and match the spectrum.
     m = h.model.m
     if m % 2 != 0 or m < 4:
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=residual,
-            verdict="outside-hypotheses",
-            reason=f"no tube family in complex dimension {m}",
-        )
+        return result(reason=f"no tube family in complex dimension {m}")
     k = m // 2
     r = recover_radius(h.alpha)
     spectrum = sym_eigen(_in_frame(h, h.S))
     matched, deviation = match_spectrum(spectrum.clusters, tube_shape_template(k, r))
     if not matched:
-        return ClassificationResult(
-            singular_type=angle.kind,
-            reeb_residual=residual,
-            verdict="outside-hypotheses",
+        return result(
             reason=f"shape spectrum does not match the tube of radius {r:.6g}",
             spectrum_deviation=deviation,
         )
-    return ClassificationResult(
-        singular_type=angle.kind,
-        reeb_residual=residual,
-        verdict="tube",
-        reason="",
-        k=k,
-        r=r,
-        spectrum_deviation=deviation,
-    )
+    return result(verdict="tube", k=k, r=r, spectrum_deviation=deviation)

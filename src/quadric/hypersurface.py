@@ -28,8 +28,8 @@ Conventions used throughout:
   curvature); :meth:`HypersurfaceData.with_dalpha` declares any other;
 * the tangent frame ``h.frame`` is columns 2..n of a Householder
   reflection, and the residual gauges apply it as one, in O(n^2), instead
-  of multiplying by the stored frame; :func:`restrict_to_frame` and
-  ``_frame_max_norm`` serve the other frames;
+  of multiplying by the stored frame; ``_frame_max_norm`` serves the other
+  frames, and :func:`restrict_to_frame` is the dense reference;
 * the dense products ``phi S``, ``S phi`` and ``S phi S``, like the two
   Reeb derivatives, are formed once per instance and kept on it read-only.
 """

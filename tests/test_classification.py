@@ -7,7 +7,13 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError, ModelValidationError, classification, suites
+from quadric import (
+    ExcludedParameterError,
+    ModelValidationError,
+    NonFiniteError,
+    classification,
+    suites,
+)
 from quadric.classification import affine_pair_matrices, _quadratic_roots
 from quadric.models import _complex_pair_columns
 from quadric.report import Check
@@ -67,6 +73,73 @@ def reference_certificate_checks(m, alpha_samples, seed):
         ) / max(1.0, abs(alpha))
         checks.append(Check(name=f"affine_pair_solvable[{tag}]", residual=solvable, tol=1e-10))
     return checks
+
+
+def _non_hopf_data():
+    """A random symmetric shape operator on the normal ``Z_1`` of ``Q^3``."""
+    model = q.build_tangent_model(3)
+    raw = np.random.default_rng(31).standard_normal((6, 6))
+    return q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
+
+
+def _isometric_flow_data(m, pairs):
+    """Isotropic data with ``alpha = 0.9`` on the Reeb direction and the
+    isometric-flow curvature on ``span{Z_i, J Z_i}`` for each ``i`` in
+    ``pairs``: Reeb parallel, with no second curvature branch."""
+    model = q.build_tangent_model(m)
+    N = q.isotropic_vector(model)
+    xi = -(model.J @ N)
+    alpha = 0.9
+    lam = 0.5 * (alpha + math.sqrt(alpha**2 + 4.0))  # isometric-flow value
+    S = alpha * np.outer(xi, xi)
+    for i in pairs:
+        S += lam * (
+            np.outer(model.zvec(i), model.zvec(i))
+            + np.outer(model.jzvec(i), model.jzvec(i))
+        )
+    return q.induce_from_normal(model, N, S)
+
+
+# One case per branch of ``classify``, in its decision order: the data, then
+# the expected verdict, singular type, reason prefix, and which of
+# ``reeb_residual``, ``k``, ``r`` and ``spectrum_deviation`` are set.
+OUTCOMES = {
+    "not-hopf": (
+        _non_hopf_data,
+        "outside-hypotheses", "A-principal", "not Hopf (", set(),
+    ),
+    "vanishing-alpha": (
+        lambda: q.build_tube(2, math.pi / 4.0, non_vanishing=False).h,
+        "outside-hypotheses", "A-isotropic", "vanishing geodesic Reeb flow", set(),
+    ),
+    "generic": (
+        lambda: q.random_hopf_data(4, np.random.default_rng(51), kind="generic"),
+        "outside-hypotheses", "generic", "normal not singular (", {"reeb_residual"},
+    ),
+    "not-reeb-parallel": (
+        lambda: q.perturbed_tube(2, 0.6, np.random.default_rng(41)),
+        "outside-hypotheses", "A-isotropic", "structure Jacobi operator not Reeb parallel",
+        {"reeb_residual"},
+    ),
+    "principal": (
+        lambda: q.reeb_parallel_principal_candidate(4, 1.2),
+        "nonexistent", "A-principal", "principal normal with Reeb-parallel", {"reeb_residual"},
+    ),
+    "odd-m": (
+        lambda: _isometric_flow_data(3, (3,)),
+        "outside-hypotheses", "A-isotropic", "no tube family in complex dimension 3",
+        {"reeb_residual"},
+    ),
+    "spectrum-mismatch": (
+        lambda: _isometric_flow_data(4, (3, 4)),
+        "outside-hypotheses", "A-isotropic", "shape spectrum does not match",
+        {"reeb_residual", "spectrum_deviation"},
+    ),
+    "tube": (
+        lambda: q.build_tube(3, 0.85).h,
+        "tube", "A-isotropic", "", {"reeb_residual", "k", "r", "spectrum_deviation"},
+    ),
+}
 
 
 class TestChainResiduals:
@@ -267,6 +340,25 @@ class TestNonexistenceCertificate:
         with pytest.raises(ExcludedParameterError, match="distinct, got 1.0 twice"):
             q.principal_nonexistence_certificate(3, [1.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.5, math.nan],
+            [math.nan, math.nan],
+            [1.0, -math.inf],
+        ],
+        ids=["nan", "inf", "-inf", "then-nan", "nan-twice", "then--inf"],
+    )
+    def test_non_finite_sample_rejected(self, samples):
+        """A NaN or infinite sample is refused, not reported as a failed
+        certificate with NaN residuals (two NaN samples once gave two checks
+        of one name)."""
+        with pytest.raises(NonFiniteError, match="alpha_samples has non-finite"):
+            q.principal_nonexistence_certificate(3, samples)
+
 
 class TestClassify:
     @pytest.mark.parametrize("k", [2, 3])
@@ -290,11 +382,7 @@ class TestClassify:
         assert "vanishing geodesic Reeb flow" in res.reason
 
     def test_non_hopf_outside(self):
-        model = q.build_tangent_model(3)
-        rng = np.random.default_rng(31)
-        raw = rng.standard_normal((6, 6))
-        h = q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
-        res = q.classify(h)
+        res = q.classify(_non_hopf_data())
         assert res.verdict == "outside-hypotheses"
         assert "not Hopf" in res.reason
 
@@ -326,15 +414,7 @@ class TestClassify:
 
     def test_odd_dimension_has_no_tube(self):
         """Consistent isotropic data in odd complex dimension is flagged."""
-        model = q.build_tangent_model(3)
-        N = q.isotropic_vector(model)
-        xi = -(model.J @ N)
-        alpha = 0.9
-        lam = 0.5 * (alpha + math.sqrt(alpha**2 + 4.0))  # isometric-flow value
-        z3 = model.zvec(3)
-        jz3 = model.jzvec(3)
-        S = alpha * np.outer(xi, xi) + lam * (np.outer(z3, z3) + np.outer(jz3, jz3))
-        h = q.induce_from_normal(model, N, S)
+        h = _isometric_flow_data(3, (3,))
         assert q.reeb_parallel_residual(h) < 1e-10
         res = q.classify(h)
         assert res.verdict == "outside-hypotheses"
@@ -343,19 +423,21 @@ class TestClassify:
     def test_spectrum_mismatch_outside(self):
         """Isotropic and Reeb parallel, but both invariant blocks share one
         curvature branch, so the tube multiplicities cannot match."""
-        model = q.build_tangent_model(4)
-        N = q.isotropic_vector(model)
-        xi = -(model.J @ N)
-        alpha = 0.9
-        lam = 0.5 * (alpha + math.sqrt(alpha**2 + 4.0))  # isometric-flow value
-        S = alpha * np.outer(xi, xi)
-        for i in (3, 4):
-            S += lam * (
-                np.outer(model.zvec(i), model.zvec(i))
-                + np.outer(model.jzvec(i), model.jzvec(i))
-            )
-        h = q.induce_from_normal(model, N, S)
+        h = _isometric_flow_data(4, (3, 4))
         assert q.reeb_parallel_residual(h) < 1e-10
         res = q.classify(h)
         assert res.verdict == "outside-hypotheses"
         assert "spectrum" in res.reason
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("case", OUTCOMES)
+    def test_outcome_table(self, case, tol):
+        """Each branch sets its verdict, singular type and reason, and leaves
+        unset exactly the fields it does not decide."""
+        build, verdict, kind, prefix, decided = OUTCOMES[case]
+        res = q.classify(build(), tol)
+        assert (res.verdict, res.singular_type) == (verdict, kind)
+        assert res.reason.startswith(prefix)
+        assert bool(res.reason) == (verdict != "tube")
+        optional = ("reeb_residual", "k", "r", "spectrum_deviation")
+        assert {name for name in optional if getattr(res, name) is not None} == decided

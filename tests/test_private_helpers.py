@@ -1,7 +1,9 @@
-"""Every private module-level helper of the package has a caller.
+"""Every private module-level helper of the package has a caller and one name.
 
 A deletion that removes the last caller of a ``_name`` function or class
-leaves dead code behind; this test names it.
+leaves dead code behind, and a helper name defined in two modules leaves a
+reader, a search or a monkeypatch unsure which one runs.  These tests name
+both.
 """
 
 import ast
@@ -51,3 +53,12 @@ def test_every_private_helper_is_referenced():
             if not used:
                 orphans.append(f"{module}:{node.name}")
     assert orphans == []
+
+
+def test_no_private_function_name_is_defined_twice():
+    modules: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for node in _private_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                modules.setdefault(node.name, []).append(path.name)
+    assert {name: found for name, found in modules.items() if len(found) > 1} == {}
