@@ -116,11 +116,11 @@ def principal_chain_residuals(h: HypersurfaceData) -> dict[str, float]:
     operators = {
         "reeb_reduction": reeb_covariant_derivative(h) - reeb_derivative_reduced(h),
         "shape_derivative": G - 2.0 * phi_A,
-        "first_combination": alpha * (phi @ S) - S @ phi @ S + phi - 3.0 * phi_A,
-        "hopf_identity": 2.0 * (S @ phi @ S) - alpha * (S @ phi + phi @ S) - 2.0 * phi,
-        "commutator": alpha * (phi @ S - S @ phi) - 6.0 * phi_A,
+        "first_combination": alpha * h.phi_S - h.S_phi_S + phi - 3.0 * phi_A,
+        "hopf_identity": 2.0 * h.S_phi_S - alpha * (h.S_phi + h.phi_S) - 2.0 * phi,
+        "commutator": alpha * (h.phi_S - h.S_phi) - 6.0 * phi_A,
         "sandwich": (
-            alpha**2 * (phi @ S @ phi)
+            alpha**2 * (h.phi_S @ phi)
             + 2.0 * alpha * (S @ S)
             - alpha**2 * S
             - 2.0 * alpha * h.projector
@@ -225,9 +225,12 @@ def _stack_checks(
 ) -> list[Check]:
     """The two checks of each sample, named by its tag, from its row of the
     ``(k, 2)`` residuals ``max |E_a - E_b - 4 alpha (A - I)|`` on the random
-    blocks and ``max |E_a| = max |E_b|`` of the root-spectrum instance."""
+    blocks and ``max |E_a| = max |E_b|`` of the root-spectrum instance.  The
+    first sample with an overflowed (infinite or NaN) residual is refused."""
     checks: list[Check] = []
     for alpha, tag, (diff_defect, solvable) in zip(alphas, tags, residuals.tolist()):
+        if not (math.isfinite(diff_defect) and math.isfinite(solvable)):
+            raise ExcludedParameterError(f"alpha sample {alpha!r} overflows the float range")
         scale = max(1.0, abs(alpha))
         checks += [
             Check(name=f"difference_identity[{tag}]", residual=diff_defect / scale, tol=1e-12),
@@ -236,6 +239,7 @@ def _stack_checks(
     return checks
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by its residuals
 def principal_nonexistence_certificate(
     m: int,
     alpha_samples: list[float],
@@ -274,7 +278,9 @@ def principal_nonexistence_certificate(
     Raises:
         InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
         ExcludedParameterError: if there are no samples, or a sample Reeb
-            curvature is zero, or two samples are equal.
+            curvature is zero, or two samples are equal, or the residuals of
+            a sample overflow (``|alpha|`` above about 5.6e102 or below about
+            4.5e-154); the first such sample is named.
         NonFiniteError: if a sample is NaN or infinite.
     """
     _require_dimension(m, "nonexistence")

@@ -30,13 +30,14 @@ Conventions used throughout:
   reflection, and the residual gauges apply it as one, in O(n^2), instead
   of multiplying by the stored frame; ``_frame_max_norm`` serves the other
   frames, and :func:`restrict_to_frame` is the dense reference;
-* the dense products ``phi S``, ``S phi`` and ``S phi S``, like the two
-  Reeb derivatives, are formed once per instance and kept on it read-only.
+* ``h.phi_S``, ``h.S_phi``, ``h.S_phi_S``, the two Reeb derivatives and the
+  reflection behind ``h.frame`` are formed on first read and kept read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -72,6 +73,17 @@ CONSTRUCTION_TOL = 1e-13
 LENGTH_DEFECT_FACTOR = 4.0
 
 
+def _derived(build) -> cached_property:
+    """Attribute ``build(h)``, formed on first read and kept read-only."""
+
+    def get(h: HypersurfaceData) -> np.ndarray:
+        value = build(h)
+        value.flags.writeable = False
+        return value
+
+    return cached_property(get)
+
+
 @dataclass(frozen=True)
 class HypersurfaceData:
     """Pointwise data of a real hypersurface of the quadric.
@@ -95,12 +107,13 @@ class HypersurfaceData:
         hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
-    Derived arrays that several checks share (the two Reeb derivatives, the
-    products ``phi S``, ``S phi`` and ``S phi S``, and the reflection
-    behind ``frame``) are computed on first use and kept on the instance,
-    read-only.  The store is not an init field, so the copies made by
-    :meth:`with_gauge` and :meth:`with_dalpha` start empty and compute
-    their own.
+    Derived attributes, formed on first read and kept read-only:
+        phi_S, S_phi, S_phi_S: ``phi S``, ``S phi`` and ``S phi S`` (``S @ phi_S``).
+
+    The reflection behind ``frame`` and the two Reeb derivatives (read by
+    :func:`reeb_shape_derivative` and :func:`reeb_covariant_derivative`)
+    are kept the same way, privately.  None is an init field, so copies
+    made by :meth:`with_gauge` and :meth:`with_dalpha` compute their own.
     """
 
     model: TangentModel
@@ -120,9 +133,13 @@ class HypersurfaceData:
     frame: np.ndarray
     hopf_defect: float
     warnings: tuple[str, ...]
-    _derived: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+    phi_S = _derived(lambda h: h.phi @ h.S)
+    S_phi = _derived(lambda h: h.S @ h.phi)
+    S_phi_S = _derived(lambda h: h.S @ h.phi_S)
+    _reflection = _derived(lambda h: _reflector(h.N))
+    _reeb_shape = _derived(lambda h: _reeb_shape_matrix(h))
+    _reeb_covariant = _derived(lambda h: _reeb_covariant_matrix(h))
 
     @property
     def hopf(self) -> bool:
@@ -459,31 +476,6 @@ def _require_hopf(h: HypersurfaceData) -> None:
         )
 
 
-def _memoized(h: HypersurfaceData, key: str, build) -> np.ndarray:
-    """``build(h)`` computed once per instance and returned read-only."""
-    value = h._derived.get(key)
-    if value is None:
-        value = build(h)
-        value.flags.writeable = False
-        h._derived[key] = value
-    return value
-
-
-#: Derived arrays that several checks read, each formed once per instance:
-#: three dense products and the reflection behind ``h.frame``.
-_SHARED = {
-    "phi S": lambda h: h.phi @ h.S,
-    "S phi": lambda h: h.S @ h.phi,
-    "S phi S": lambda h: h.S @ _shared(h, "phi S"),
-    "reflector": lambda h: _reflector(h.N),
-}
-
-
-def _shared(h: HypersurfaceData, name: str) -> np.ndarray:
-    """The array ``name`` of ``_SHARED`` for ``h``, read-only."""
-    return _memoized(h, name, _SHARED[name])
-
-
 def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
     """Matrix of ``Y -> (nabla_xi S) Y`` for Hopf data.
 
@@ -497,13 +489,13 @@ def reeb_shape_derivative(h: HypersurfaceData) -> np.ndarray:
     Computed once per instance; every call returns the same read-only array.
     """
     _require_hopf(h)
-    return _memoized(h, "reeb_shape_derivative", _reeb_shape_matrix)
+    return h._reeb_shape
 
 
 def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
     phi, xi = h.phi, h.xi
     A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
-    G = h.alpha * _shared(h, "phi S") - _shared(h, "S phi S") + phi
+    G = h.alpha * h.phi_S - h.S_phi_S + phi
     if c:  # exactly 0 for an isotropic normal, where the term adds only zeros
         G += c * (phi @ h.B)
     G += _rank_sum(
@@ -609,7 +601,7 @@ def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
     returns the same read-only array.
     """
     _require_hopf(h)
-    return _memoized(h, "reeb_covariant_derivative", _reeb_covariant_matrix)
+    return h._reeb_covariant
 
 
 def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
@@ -668,14 +660,14 @@ def _times_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
     The frame is columns 2..n of ``H = I - beta u u^T`` (:func:`tangent_frame`),
     so ``M H[:, 1:] = M[..., 1:] - (M beta u) u[1:]^T``.
     """
-    u, beta_u = _shared(h, "reflector")
+    u, beta_u = h._reflection
     return M[..., 1:] - np.multiply.outer(M @ beta_u, u[1:])
 
 
 def _in_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
     """``restrict_to_frame(M, h.frame)`` in O(n^2), by :func:`_times_frame`
     and the same rank-one update on the left."""
-    u, beta_u = _shared(h, "reflector")
+    u, beta_u = h._reflection
     K = _times_frame(h, M)
     return K[1:] - np.multiply.outer(beta_u[1:], u @ K)
 
@@ -699,7 +691,7 @@ def shape_commutator_scale(h: HypersurfaceData) -> float:
 
     Vanishes exactly when the Reeb flow is isometric.
     """
-    return _tangent_max_norm(h, _shared(h, "phi S") - _shared(h, "S phi"))
+    return _tangent_max_norm(h, h.phi_S - h.S_phi)
 
 
 def reeb_shape_residual(h: HypersurfaceData) -> float:
@@ -733,8 +725,8 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
     J_A_xi = h.model.J @ A_xi
     M = (
-        2.0 * _shared(h, "S phi S")
-        - h.alpha * (_shared(h, "phi S") + _shared(h, "S phi"))
+        2.0 * h.S_phi_S
+        - h.alpha * (h.phi_S + h.S_phi)
         - 2.0 * h.phi
         + _rank_sum(
             (A_xi, A_N),

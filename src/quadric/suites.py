@@ -18,7 +18,6 @@ from .hypersurface import (
     HypersurfaceData,
     _frame_max_norm,
     _in_frame,
-    _shared,
     alpha_gradient_residual,
     hopf_identity_residual,
     normal_component_residual,
@@ -125,13 +124,12 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
 
 def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
     k, r, h = tube.k, tube.r, tube.h
-    S_phi = _shared(h, "S phi")
     checks = [
         Check("hopf", h.hopf_defect, 1e-12),
         Check("isotropic_normal", abs(h.g_axixi), 1e-12),
         Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.A_xi)), 1e-12),
         Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.A_N)), 1e-12),
-        Check("isometric_reeb_flow", float(np.max(np.abs(_shared(h, "phi S") - S_phi))), 1e-12),
+        Check("isometric_reeb_flow", float(np.max(np.abs(h.phi_S - h.S_phi))), 1e-12),
     ]
     # These gauges are defined for Hopf data only; other data fails them.
     hopf_only = (
@@ -154,7 +152,7 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
     # directions whose curvature is the partner of the block's.
     alpha = tube_reeb_curvature(r)
     pairing = max(
-        _frame_max_norm(S_phi - paired_curvature(alpha, lam) * h.phi, tube.bases[block])
+        _frame_max_norm(h.S_phi - paired_curvature(alpha, lam) * h.phi, tube.bases[block])
         for block, lam in (("W1", -math.tan(r)), ("W2", 1.0 / math.tan(r)))
     )
     checks.append(Check("partner_curvature_fixed_points", pairing, 1e-12))

@@ -1,6 +1,7 @@
 """Derived-equation chains, the nonexistence certificate, and classification."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -358,6 +359,21 @@ class TestNonexistenceCertificate:
         of one name)."""
         with pytest.raises(NonFiniteError, match="alpha_samples has non-finite"):
             q.principal_nonexistence_certificate(3, samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[1e300], [1e200], [1e155], [1e120], [1e103], [1e-160], [1e-300], [0.5, 1e300]],
+    )
+    def test_overflowing_sample_rejected(self, samples):
+        """A finite sample whose residuals overflow is refused by name, not
+        reported as a failed certificate with NaN residuals."""
+        message = f"alpha sample {samples[-1]!r} overflows the float range"
+        with pytest.raises(ExcludedParameterError, match=re.escape(message)):
+            q.principal_nonexistence_certificate(3, samples)
+
+    def test_samples_near_the_overflow_edges_keep_finite_residuals(self):
+        report = q.principal_nonexistence_certificate(3, [5e102, -5e102, 5e-154, -5e-154])
+        assert all(math.isfinite(check.residual) for check in report.checks)
 
 
 class TestClassify:

@@ -91,6 +91,14 @@ def test_tube_model_holds_h_and_the_two_blocks():
     assert list(q.build_tube(3, 0.6).bases) == ["W1", "W2"]
 
 
+def test_hypersurface_data_init_fields_are_the_defining_data():
+    """Derived arrays are cached attributes, not fields, so copies start without them."""
+    assert [f.name for f in dataclasses.fields(q.HypersurfaceData)] == [
+        "model", "N", "xi", "phi", "S", "alpha", "q_xi", "dalpha", "conj",
+        "B", "A_xi", "A_N", "g_axixi", "projector", "frame", "hopf_defect", "warnings",
+    ]
+
+
 def test_classification_result_does_not_copy_h():
     names = {f.name for f in dataclasses.fields(q.ClassificationResult)}
     assert "hopf" not in names and "alpha" not in names

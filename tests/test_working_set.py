@@ -74,9 +74,14 @@ def test_tube_suite_at_the_dimension_cap():
     assert peak <= TUBE_MATRICES * 128 * 128 * np.dtype(float).itemsize
 
 
+#: Cached attributes of ``HypersurfaceData``: the shared products, the
+#: reflection behind ``frame`` and the two Reeb derivatives.
+DERIVED = ("phi_S", "S_phi", "S_phi_S", "_reflection", "_reeb_shape", "_reeb_covariant")
+
+
 def test_shared_arrays_formed_once_and_read_only(monkeypatch):
     tube = q.build_tube(32, 0.6)
-    calls = {name: 0 for name in hypersurface._SHARED}
+    calls = {name: 0 for name in DERIVED}
 
     def counted(name, build):
         def wrapper(h):
@@ -85,15 +90,18 @@ def test_shared_arrays_formed_once_and_read_only(monkeypatch):
 
         return wrapper
 
-    for name, build in list(hypersurface._SHARED.items()):
-        monkeypatch.setitem(hypersurface._SHARED, name, counted(name, build))
+    for name in DERIVED:
+        attribute = vars(q.HypersurfaceData)[name]
+        monkeypatch.setattr(attribute, "func", counted(name, attribute.func))
     monkeypatch.setattr(suites, "build_tube", lambda *args, **kwargs: tube)
     assert suites.verify_tube(32, 0.6).all_passed
-    assert calls == {name: 1 for name in hypersurface._SHARED}
-    for name in hypersurface._SHARED:
-        value = hypersurface._shared(tube.h, name)
-        assert value is tube.h._derived[name]
+    assert calls == {name: 1 for name in DERIVED}
+    for name in DERIVED:
+        value = getattr(tube.h, name)
+        assert value is getattr(tube.h, name) is vars(tube.h)[name]
         assert not value.flags.writeable
+    assert q.reeb_shape_derivative(tube.h) is tube.h._reeb_shape
+    assert hypersurface.reeb_covariant_derivative(tube.h) is tube.h._reeb_covariant
 
 
 @pytest.mark.parametrize(
@@ -105,8 +113,8 @@ def test_copies_start_empty(copy):
     h = q.build_tube(3, 0.6).h
     q.hopf_identity_residual(h)
     q.reeb_parallel_residual(h)
-    assert set(hypersurface._SHARED) <= set(h._derived)
-    assert copy(h)._derived == {}
+    assert set(DERIVED) <= set(vars(h))
+    assert not set(DERIVED) & set(vars(copy(h)))
 
 
 @pytest.mark.parametrize(
