@@ -29,7 +29,13 @@ import numpy as np
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
 from .hypersurface import HypersurfaceData, _in_frame, induce_from_normal, structure_jacobi
 from .spectra import SpectrumReport, cluster_eigenvalues, sym_eigen
-from .tangent import TangentModel, build_tangent_model, isotropic_vector, principal_vector
+from .tangent import (
+    MAX_COMPLEX_DIM,
+    TangentModel,
+    build_tangent_model,
+    isotropic_vector,
+    principal_vector,
+)
 
 #: Half-width of the radius window excluded around pi/4 in grid scans.
 RADIUS_EXCLUSION_HALFWIDTH = 0.01
@@ -116,12 +122,14 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     """Construct the tube of radius ``r`` in the quadric of complex dimension ``2k``.
 
     Args:
-        k: at least 2 (the invariant blocks must be nonempty).
+        k: at least 2 (the invariant blocks must be nonempty) and at most
+            ``MAX_COMPLEX_DIM // 2`` (the quadric has complex dimension ``2k``).
         r: radius in ``(0, pi/2)``.
         non_vanishing: refuse ``r = pi/4`` (vanishing Reeb curvature).
 
     Raises:
-        InvalidDimensionError: if ``k < 2``.
+        InvalidDimensionError: if ``k`` is not an integer with
+            ``2 <= k <= MAX_COMPLEX_DIM // 2``.
         ExcludedParameterError: if ``r`` is out of range, or equals ``pi/4``
             while ``non_vanishing`` is set.
 
@@ -129,8 +137,9 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     isotropic normal, ``S`` killing ``A xi`` and ``A N``, isometric Reeb
     flow) are measured by :func:`~quadric.suites.verify_tube`.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise InvalidDimensionError(f"tube requires integer k >= 2, got {k!r}")
+    k_max = MAX_COMPLEX_DIM // 2
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 2 <= k <= k_max:
+        raise InvalidDimensionError(f"tube requires integer 2 <= k <= {k_max}, got {k!r}")
     if not (0.0 < r < math.pi / 2.0):
         raise ExcludedParameterError(f"radius must lie in (0, pi/2), got r = {r!r}")
     if non_vanishing and abs(r - math.pi / 4.0) < 1e-9:

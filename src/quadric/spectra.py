@@ -1,8 +1,8 @@
 """Dense symmetric eigensolvers with multiplicity clustering.
 
 Two entry points share one set of guards (square shape, finite entries,
-``max |op - op^T| <= DEFAULT_TOL``) and solve the symmetrized operator
-``(op + op^T) / 2`` with LAPACK:
+``max |op - op^T| <= DEFAULT_TOL``) and work on the symmetrized operator
+``(op + op^T) / 2``:
 
 * :func:`sym_eigen` solves for the eigenpairs (``np.linalg.eigh``, a
   backward-stable solver).  Its report carries a certificate that does not
@@ -10,9 +10,13 @@ Two entry points share one set of guards (square shape, finite entries,
   ``||op - Q diag Q^T||_F`` and the orthogonality residual ``||Q^T Q - I||_F``.
   ``spectrum`` reports the reconstruction residuals; ``classify`` and
   ``verify ambient`` read the clusters of the same certified solve.
-* :func:`sym_eigvals` returns the eigenvalues alone
-  (``np.linalg.eigvalsh``): no eigenvectors, no certificate products.
-  ``verify tube`` and ``scan tube`` compare clusters only and use it.
+* :func:`sym_eigvals` returns the eigenvalues alone: no eigenvectors, no
+  certificate products.  A row of the symmetrized operator whose
+  off-diagonal entries are all exactly zero has its diagonal entry as an
+  exact eigenvalue, read off without a solve (no threshold applies: a
+  subnormal entry still couples); only the principal submatrix of the
+  remaining rows goes to ``np.linalg.eigvalsh``.  ``verify tube`` and
+  ``scan tube`` compare clusters only and use it.
 
 Eigenvalues are grouped into multiplicity clusters so that spectra can be
 compared against exact closed-form lists; the cluster width scales with the
@@ -113,9 +117,13 @@ def sym_eigen(op: np.ndarray) -> SpectrumReport:
 def sym_eigvals(op: np.ndarray) -> np.ndarray:
     """Eigenvalues of a self-adjoint operator, ascending, without eigenvectors.
 
-    The guards of :func:`sym_eigen`, then one LAPACK call
-    (``np.linalg.eigvalsh``) on ``(op + op^T) / 2``.  No certificate is
-    formed: use it where only the eigenvalues are compared.
+    The guards of :func:`sym_eigen`, then exact deflation of
+    ``sym = (op + op^T) / 2``: a row whose off-diagonal entries are all
+    ``0.0`` has ``e_i`` as an exact eigenvector, so its diagonal entry is
+    returned as it stands.  The principal submatrix of the other rows goes to
+    one LAPACK call (``np.linalg.eigvalsh``); none is made if every row is
+    decoupled, and a matrix with no decoupled row is solved whole.  No
+    certificate is formed: use it where only the eigenvalues are compared.
 
     Raises:
         AsymmetryError: if ``op`` is not square or
@@ -123,7 +131,16 @@ def sym_eigvals(op: np.ndarray) -> np.ndarray:
         NonFiniteError: if ``op`` has a NaN or infinite entry.
     """
     op = _symmetric(op)
-    return np.linalg.eigvalsh(0.5 * (op + op.T))
+    sym = 0.5 * (op + op.T)
+    off = sym != 0.0
+    np.fill_diagonal(off, False)
+    coupled = off.any(axis=1)
+    values = sym.diagonal()[~coupled]
+    if coupled.any():
+        values = np.concatenate((values, np.linalg.eigvalsh(sym[np.ix_(coupled, coupled)])))
+    # A stable sort leaves eigvalsh's ascending output as it is, signed zeros
+    # included, so a matrix with no decoupled row keeps its bytes.
+    return np.sort(values, kind="stable")
 
 
 def match_spectrum(

@@ -139,6 +139,23 @@ class TestVerifyCommands:
         assert report["params"]["forced_trace_on_c"] == 4
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "tube", "--k", "65", "--r", "0.6"],
+            ["verify", "tube", "--k", "33", "--r", "0.6"],
+            ["scan", "tube", "--k", "33", "--r-min", "0.1", "--r-max", "1.5", "--steps", "3"],
+        ],
+        ids=["verify-k65", "verify-k33", "scan-k33"],
+    )
+    def test_tube_too_large_names_k(self, capsys, argv):
+        """A tube beyond the ambient model is refused for the ``k`` the user
+        typed, not for the complex dimension ``2k`` it would need."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tube requires integer 2 <= k <= 32, got {argv[3]}\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["nonexistence", "--m", "1"], "2 <= m <= 64"),

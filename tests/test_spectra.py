@@ -1,11 +1,13 @@
 """Eigensolvers: exact cases, an independent characteristic-polynomial oracle, the
-solver-independent certificate, the eigenvalues-only route, errors."""
+solver-independent certificate, the eigenvalues-only route and its exact
+deflation, errors."""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadric as q
 from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen, sym_eigvals
@@ -204,3 +206,83 @@ class TestEigenvaluesOnly:
             got, expected = cluster_eigenvalues(sym_eigvals(op)), sym_eigen(op).clusters
             assert [k for _, k in got] == [k for _, k in expected]
             npt.assert_allclose([v for v, _ in got], [v for v, _ in expected], rtol=0, atol=1e-13)
+
+
+def _lapack_shapes(monkeypatch):
+    """Record the shape of every matrix passed to ``np.linalg.eigvalsh``."""
+    shapes = []
+    solver = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
+class TestDeflation:
+    """Rows of ``(op + op^T) / 2`` with no nonzero off-diagonal entry are read
+    off the diagonal; only the remaining rows are solved."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+        data=st.data(),
+    )
+    def test_zeroed_rows_under_permutation(self, n, seed, scale, data):
+        decoupled = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        perm = data.draw(st.permutations(range(n)))
+        raw = np.random.default_rng(seed).standard_normal((n, n))
+        a = scale * (raw + raw.T)
+        diag = a.diagonal().copy()
+        a[decoupled, :] = 0.0
+        a[:, decoupled] = 0.0
+        a[np.diag_indices(n)] = diag
+        a = a[np.ix_(perm, perm)]
+        _assert_agree(a)
+        values = sym_eigvals(a)
+        for v in diag[decoupled]:
+            assert np.count_nonzero(values == v) >= np.count_nonzero(diag[decoupled] == v)
+
+    def test_decoupled_diagonal_is_returned_bit_for_bit(self, monkeypatch):
+        shapes = _lapack_shapes(monkeypatch)
+        diag = np.array([0.1, -1.0 / 3.0, 2.0**-60, 7e5, math.pi])
+        a = np.diag(diag)
+        a[1, 4] = a[4, 1] = 0.25
+        values = sym_eigvals(a)
+        for i in (0, 2, 3):
+            assert np.count_nonzero(values == diag[i]) == 1
+        assert shapes == [(2, 2)]
+        npt.assert_array_equal(np.diff(values) >= 0.0, True)
+
+    def test_subnormal_entry_keeps_its_rows_coupled(self, monkeypatch):
+        shapes = _lapack_shapes(monkeypatch)
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        a[0, 2] = a[2, 0] = 5e-324
+        _assert_agree(a)
+        assert shapes == [(2, 2)]
+
+    def test_empty_and_single(self, monkeypatch):
+        assert sym_eigvals(np.zeros((0, 0))).shape == (0,)
+        shapes = _lapack_shapes(monkeypatch)
+        npt.assert_array_equal(sym_eigvals(np.array([[-2.5]])), [-2.5])
+        assert shapes == []
+
+    def test_all_diagonal_makes_no_lapack_call(self, monkeypatch):
+        shapes = _lapack_shapes(monkeypatch)
+        diag = np.array([3.0, -1.0, 0.0, 3.0, 1e-300, -7.5])
+        npt.assert_array_equal(sym_eigvals(np.diag(diag)), np.sort(diag))
+        assert shapes == []
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 128])
+    def test_dense_input_is_solved_whole(self, monkeypatch, n):
+        raw = np.random.default_rng(n).standard_normal((n, n))
+        op = raw + raw.T
+        op[0, 1] += 0.5 * DEFAULT_TOL  # asymmetric within the tolerance
+        expected = np.linalg.eigvalsh(0.5 * (op + op.T))
+        shapes = _lapack_shapes(monkeypatch)
+        assert sym_eigvals(op).tobytes() == expected.tobytes()
+        assert shapes == [(n, n)]
