@@ -19,11 +19,11 @@ print(f"tube k={k}, r={r}: ambient complex dimension {h.model.m}, alpha = {h.alp
 
 shape = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
 print("shape spectrum:      ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in shape.clusters))
-print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in q.tube_shape_template(k, r)))
+print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_shape_template(k, r))))
 
 jac = q.tube_structure_jacobi_spectrum(tube)
 print("structure Jacobi:    ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in jac.clusters))
-print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in q.tube_jacobi_template(k, r)))
+print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_jacobi_template(k, r))))
 
 print("\npointwise identities at this radius:")
 print(f"  Hopf defect                 {np.linalg.norm(h.S @ h.xi - h.alpha * h.xi):.2e}")

@@ -25,8 +25,9 @@ import numpy as np
 from .errors import ExcludedParameterError, ModelValidationError, _require_finite
 from .hypersurface import (
     HypersurfaceData,
-    _frame_max_norm,
+    _hopf_identity_matrix,
     _in_frame,
+    _max_column_norm,
     reeb_covariant_derivative,
     reeb_derivative_reduced,
     reeb_parallel_residual,
@@ -117,7 +118,8 @@ def principal_chain_residuals(h: HypersurfaceData) -> dict[str, float]:
         "reeb_reduction": reeb_covariant_derivative(h) - reeb_derivative_reduced(h),
         "shape_derivative": G - 2.0 * phi_A,
         "first_combination": alpha * h.phi_S - h.S_phi_S + phi - 3.0 * phi_A,
-        "hopf_identity": 2.0 * h.S_phi_S - alpha * (h.S_phi + h.phi_S) - 2.0 * phi,
+        # Its rank-one terms vanish on C: their right factors lie in span{Z_1, J Z_1}.
+        "hopf_identity": _hopf_identity_matrix(h),
         "commutator": alpha * (h.phi_S - h.S_phi) - 6.0 * phi_A,
         "sandwich": (
             alpha**2 * (h.phi_S @ phi)
@@ -129,7 +131,7 @@ def principal_chain_residuals(h: HypersurfaceData) -> dict[str, float]:
         "affine_a": e_a,
         "affine_b": e_b,
     }
-    return {name: _frame_max_norm(M, C) for name, M in operators.items()}
+    return {name: _max_column_norm(M @ C) for name, M in operators.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ Conventions used throughout:
   curvature); :meth:`HypersurfaceData.with_dalpha` declares any other;
 * the tangent frame ``h.frame`` is columns 2..n of a Householder
   reflection, and the residual gauges apply it as one, in O(n^2), instead
-  of multiplying by the stored frame; ``_frame_max_norm`` serves the other
-  frames, and :func:`restrict_to_frame` is the dense reference;
+  of multiplying by the stored frame; ``_max_column_norm`` gauges every
+  frame image, and :func:`restrict_to_frame` is the dense reference;
 * ``h.phi_S``, ``h.S_phi``, ``h.S_phi_S``, the two Reeb derivatives and the
   reflection behind ``h.frame`` are formed on first read and kept read-only.
 """
@@ -185,25 +185,10 @@ class HypersurfaceData:
         return replace(self, dalpha=v)
 
 
-def tangent_frame(N: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to ``N``.
-
-    Columns 2..n of the Householder reflection ``H = I - 2 u u^T / (u^T u)``
-    mapping the first coordinate axis onto ``+-N``; stable for any unit
-    ``N``.  The checks of the package apply it to an operator as the
-    reflection it is, in O(n^2) (:func:`_times_frame`, :func:`_in_frame`).
-    """
-    N = np.asarray(N, dtype=float)
-    u, _ = _reflector(N)
-    H = np.outer(u, u)
-    H *= 2.0
-    H /= float(u @ u)
-    return _identity_minus(H)[:, 1:]
-
-
 def _reflector(N: np.ndarray) -> np.ndarray:
-    """Rows ``u`` and ``beta u`` of the reflection ``I - beta u u^T`` behind
-    :func:`tangent_frame`: ``u = N + e_1`` if ``N_1 >= 0``, else ``N - e_1``."""
+    """Rows ``u`` and ``beta u`` of the Householder reflection ``I - beta u u^T``
+    whose columns 2..n are ``h.frame``: ``u = N + e_1`` if ``N_1 >= 0``, else
+    ``N - e_1``, so it maps the first axis onto ``+-N`` for any unit ``N``."""
     u = N.copy()
     u[0] -= -1.0 if N[0] >= 0.0 else 1.0
     return np.stack([u, (2.0 / float(u @ u)) * u])
@@ -337,7 +322,11 @@ def induce_from_normal(
         q_xi = 2.0 * alpha
     dalpha = 2.0 * c * A_N
 
-    frame = tangent_frame(N)
+    u = _reflector(N)[0]  # the frame is columns 2..n of I - 2 u u^T / (u^T u)
+    frame = np.outer(u, u)
+    frame *= 2.0
+    frame /= float(u @ u)
+    frame = _identity_minus(frame)[:, 1:]
     _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, frame, dalpha)
     return HypersurfaceData(
         model=model,
@@ -649,15 +638,15 @@ def restrict_to_frame(M: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return frame.T @ M @ frame
 
 
-def _frame_max_norm(M: np.ndarray, frame: np.ndarray) -> float:
-    """Largest image norm of ``M`` over the columns of an orthonormal frame."""
-    return float(np.max(np.linalg.norm(M @ frame, axis=0)))
+def _max_column_norm(K: np.ndarray) -> float:
+    """Largest column norm of ``K``: for ``K = M @ frame``, the largest image norm of ``M``."""
+    return float(np.max(np.linalg.norm(K, axis=0)))
 
 
 def _times_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
     """``M @ h.frame`` in O(n^2), for a matrix or a row vector ``M``.
 
-    The frame is columns 2..n of ``H = I - beta u u^T`` (:func:`tangent_frame`),
+    The frame is columns 2..n of ``H = I - beta u u^T`` (:func:`_reflector`),
     so ``M H[:, 1:] = M[..., 1:] - (M beta u) u[1:]^T``.
     """
     u, beta_u = h._reflection
@@ -672,18 +661,13 @@ def _in_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
     return K[1:] - np.multiply.outer(beta_u[1:], u @ K)
 
 
-def _tangent_max_norm(h: HypersurfaceData, M: np.ndarray) -> float:
-    """``_frame_max_norm(M, h.frame)``, with the frame applied as a reflection."""
-    return float(np.max(np.linalg.norm(_times_frame(h, M), axis=0)))
-
-
 def reeb_parallel_residual(h: HypersurfaceData) -> float:
     """How far the structure Jacobi operator is from Reeb parallel.
 
     ``max_i | (nabla_xi R_xi) Y_i |`` over the orthonormal tangent frame.
     Zero characterizes a Reeb-parallel structure Jacobi operator.
     """
-    return _tangent_max_norm(h, reeb_covariant_derivative(h))
+    return _max_column_norm(_times_frame(h, reeb_covariant_derivative(h)))
 
 
 def shape_commutator_scale(h: HypersurfaceData) -> float:
@@ -691,12 +675,12 @@ def shape_commutator_scale(h: HypersurfaceData) -> float:
 
     Vanishes exactly when the Reeb flow is isometric.
     """
-    return _tangent_max_norm(h, h.phi_S - h.S_phi)
+    return _max_column_norm(_times_frame(h, h.phi_S - h.S_phi))
 
 
 def reeb_shape_residual(h: HypersurfaceData) -> float:
     """``max_i | (nabla_xi S) Y_i |``; zero iff the shape operator is Reeb parallel."""
-    return _tangent_max_norm(h, reeb_shape_derivative(h))
+    return _max_column_norm(_times_frame(h, reeb_shape_derivative(h)))
 
 
 def normal_component_residual(h: HypersurfaceData) -> float:
@@ -706,6 +690,26 @@ def normal_component_residual(h: HypersurfaceData) -> float:
     """
     M = reeb_covariant_derivative(h)
     return float(np.max(np.abs(_times_frame(h, h.N @ M))))
+
+
+def _hopf_identity_matrix(h: HypersurfaceData) -> np.ndarray:
+    """Operator of the quadratic Hopf identity of :func:`hopf_identity_residual`."""
+    xi = h.xi
+    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
+    J_A_xi = h.model.J @ A_xi
+    return (
+        2.0 * h.S_phi_S
+        - h.alpha * (h.phi_S + h.S_phi)
+        - 2.0 * h.phi
+        + _rank_sum(
+            (A_xi, A_N),
+            (-A_N, A_xi),
+            (J_A_xi, A_xi),
+            (-A_xi, J_A_xi),
+            (-2.0 * c * xi, A_N),
+            (2.0 * c * A_N, xi),
+        )
+    )
 
 
 def hopf_identity_residual(h: HypersurfaceData) -> float:
@@ -721,23 +725,7 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     Returns the largest absolute value over all tangent frame pairs.
     """
     _require_hopf(h)
-    xi = h.xi
-    A_xi, A_N, c = h.A_xi, h.A_N, h.g_axixi
-    J_A_xi = h.model.J @ A_xi
-    M = (
-        2.0 * h.S_phi_S
-        - h.alpha * (h.phi_S + h.S_phi)
-        - 2.0 * h.phi
-        + _rank_sum(
-            (A_xi, A_N),
-            (-A_N, A_xi),
-            (J_A_xi, A_xi),
-            (-A_xi, J_A_xi),
-            (-2.0 * c * xi, A_N),
-            (2.0 * c * A_N, xi),
-        )
-    )
-    return float(np.max(np.abs(_in_frame(h, M))))
+    return float(np.max(np.abs(_in_frame(h, _hopf_identity_matrix(h)))))
 
 
 def alpha_gradient_residual(h: HypersurfaceData) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
 from .hypersurface import HypersurfaceData, _in_frame, induce_from_normal, structure_jacobi
-from .spectra import SpectrumReport, cluster_eigenvalues, sym_eigen
+from .spectra import SpectrumReport, sym_eigen
 from .tangent import (
     MAX_COMPLEX_DIM,
     TangentModel,
@@ -70,46 +70,30 @@ def tube_reeb_curvature(r: float) -> float:
     return 2.0 * math.cos(2.0 * r) / math.sin(2.0 * r)
 
 
-def _merge_coinciding(template: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Sort a ``(value, multiplicity)`` template and merge values that coincide.
-
-    The template is expanded to the eigenvalue list it describes and
-    clustered by :func:`~quadric.spectra.cluster_eigenvalues`, as
-    :func:`~quadric.spectra.sym_eigen` clusters a computed spectrum, so
-    template and computed spectrum always group alike.  At ``r = pi/4``,
-    ``2 cot(2r)`` meets ``0`` and ``tan(r)^2`` meets ``cot(r)^2`` up to
-    rounding.
-    """
-    values = np.repeat([v for v, _ in template], [k for _, k in template])
-    return list(cluster_eigenvalues(values))
-
-
 def tube_shape_template(k: int, r: float) -> list[tuple[float, int]]:
-    """Principal curvatures of the tube with multiplicities, ascending."""
-    return _merge_coinciding(
-        [
-            (tube_reeb_curvature(r), 1),
-            (0.0, 2),
-            (-math.tan(r), 2 * k - 2),
-            (1.0 / math.tan(r), 2 * k - 2),
-        ]
-    )
+    """Principal curvatures of the tube with multiplicities, as the module
+    lists them, not sorted or merged: :func:`~quadric.spectra.match_spectrum`
+    does both."""
+    return [
+        (tube_reeb_curvature(r), 1),
+        (0.0, 2),
+        (-math.tan(r), 2 * k - 2),
+        (1.0 / math.tan(r), 2 * k - 2),
+    ]
 
 
 def tube_jacobi_template(k: int, r: float) -> list[tuple[float, int]]:
-    """Spectrum of the structure Jacobi operator on the tube, ascending.
+    """Spectrum of the structure Jacobi operator on the tube, not sorted or merged.
 
     Follows from the closed form of the operator on the tube eigenspaces:
     ``1 + alpha lambda`` on each curvature-``lambda`` block and zero on
     ``xi``, ``A xi`` and ``A N``.
     """
-    return _merge_coinciding(
-        [
-            (0.0, 3),
-            (math.tan(r) ** 2, 2 * k - 2),
-            (1.0 / math.tan(r) ** 2, 2 * k - 2),
-        ]
-    )
+    return [
+        (0.0, 3),
+        (math.tan(r) ** 2, 2 * k - 2),
+        (1.0 / math.tan(r) ** 2, 2 * k - 2),
+    ]
 
 
 def _complex_pair_columns(model: TangentModel, z_indices: range) -> np.ndarray:

@@ -46,12 +46,6 @@ class CheckReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def worst(self) -> Check | None:
-        """Check with the largest residual-to-tolerance ratio."""
-        if not self.checks:
-            return None
-        return max(self.checks, key=lambda c: c.residual / c.tol if c.tol > 0 else c.residual)
-
     def to_payload(self) -> dict:
         return {
             "command": self.command,

@@ -151,13 +151,15 @@ def match_spectrum(
     """Compare ``(value, multiplicity)`` clusters against a template of such pairs.
 
     ``clusters`` is ascending, as :func:`cluster_eigenvalues` returns it and
-    :attr:`SpectrumReport.clusters` holds it.  Values are matched in
-    ascending order with relative tolerance ``rel_tol`` (absolute near
-    zero).  Returns ``(matched, worst_relative_deviation)``; a spectrum
-    whose cluster multiplicities differ from the template's, in number or in
-    any entry, deviates by ``inf``.
+    :attr:`SpectrumReport.clusters` holds it.  The template is clustered by
+    the same rule, so it may be unsorted, repeat a value or hold a
+    multiplicity 0.  Values are matched in ascending order with relative
+    tolerance ``rel_tol`` (absolute near zero).  Returns
+    ``(matched, worst_relative_deviation)``; a spectrum whose cluster
+    multiplicities differ from the template's, in number or in any entry,
+    deviates by ``inf``.
     """
-    expected = sorted(template)
+    expected = cluster_eigenvalues(np.repeat([v for v, _ in template], [k for _, k in template]))
     if len(clusters) != len(expected):
         return False, float("inf")
     worst = 0.0

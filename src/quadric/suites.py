@@ -16,8 +16,8 @@ from .classification import classify, principal_nonexistence_certificate
 from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
-    _frame_max_norm,
     _in_frame,
+    _max_column_norm,
     alpha_gradient_residual,
     hopf_identity_residual,
     normal_component_residual,
@@ -98,12 +98,11 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
 
     # Ambient Jacobi spectra: 0 and 2, each m-fold, for a principal direction;
     # 0, 1, 4 with multiplicities 3, 2m-4, 1 for an isotropic one, whose
-    # middle entry disappears at m = 2.
+    # middle entry is empty at m = 2 (match_spectrum drops it).
     for label, U, template in (
         ("principal", principal_vector(model), [(0.0, m), (2.0, m)]),
         ("isotropic", isotropic_vector(model), [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]),
     ):
-        template = [(v, k) for v, k in template if k > 0]
         # sym_eigen below refuses an R_U that is not self-adjoint (exit 2).
         R_U = ambient_jacobi(model, U)
         checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.max(np.abs(R_U @ U))), 1e-13))
@@ -152,7 +151,7 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
     # directions whose curvature is the partner of the block's.
     alpha = tube_reeb_curvature(r)
     pairing = max(
-        _frame_max_norm(h.S_phi - paired_curvature(alpha, lam) * h.phi, tube.bases[block])
+        _max_column_norm((h.S_phi - paired_curvature(alpha, lam) * h.phi) @ tube.bases[block])
         for block, lam in (("W1", -math.tan(r)), ("W2", 1.0 / math.tan(r)))
     )
     checks.append(Check("partner_curvature_fixed_points", pairing, 1e-12))

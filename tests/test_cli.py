@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -584,6 +585,19 @@ def test_refusal_is_the_process_exit_status(tmp_path, case):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("m, expected", [("4", 0), ("1", 2)])
+def test_module_entry_exits_with_mains_code(monkeypatch, capsys, m, expected):
+    """``python -m quadric.cli`` ends with ``main``'s return value as its exit
+    status.  The module runs afresh as ``__main__``, in this process."""
+    monkeypatch.setattr(sys, "argv", ["quadric.cli", "verify", "ambient", "--m", m])
+    monkeypatch.delitem(sys.modules, "quadric.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("quadric.cli", run_name="__main__")
+    assert exc.value.code == expected
+    out = capsys.readouterr().out
+    assert (json.loads(out)["command"] == "verify ambient") if expected == 0 else out == ""
+
+
 # ---------------------------------------------------------------------------
 # Parser reuse and options
 # ---------------------------------------------------------------------------
@@ -639,6 +653,11 @@ class TestSeedAndToleranceValues:
         assert "Traceback" not in err
         code, _, _ = run(capsys, *argv, "--seed", "0")
         assert code == 0
+
+    def test_non_integer_seed_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", "ambient", "--m", "4", "--seed", "abc")
+        assert code == 2
+        assert out == "" and "--seed" in err and "integer >= 0" in err
 
     @pytest.mark.parametrize(
         "command",
@@ -736,6 +755,11 @@ class TestRenderJson:
         text = render_json({"x": np.float64(0.5), "k": np.int64(3)})
         decoded = json.loads(text)
         assert decoded == {"x": 0.5, "k": 3}
+
+    def test_empty_dict_and_unsupported_type(self):
+        assert render_json({}) == "{}"
+        with pytest.raises(TypeError, match="cannot serialize"):
+            render_json(object())
 
     def test_nonfinite_become_strings(self):
         decoded = json.loads(render_json({"x": float("inf"), "y": float("nan")}))

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import quadric as q
-from quadric import ExcludedParameterError, InvalidDimensionError
+from quadric import ExcludedParameterError, InvalidDimensionError, ModelValidationError
 from quadric.models import _complex_pair_columns, tube_reeb_curvature
 
 from conftest import paired_candidate
@@ -147,7 +147,8 @@ class TestTubeJacobiSpectrum:
         rep = q.tube_structure_jacobi_spectrum(tube)
         assert [k for _, k in rep.clusters] == [3, 8]
         npt.assert_allclose([v for v, _ in rep.clusters], [0.0, 1.0], atol=1e-12)
-        # The template merges tan^2 = cot^2 = 1 into one entry, as the solver does.
+        # match_spectrum merges the template's tan^2 = cot^2 = 1 into one cluster,
+        # as the solver's clusters merge them.
         ok, _ = q.match_spectrum(rep.clusters, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
         assert ok
         shape = q.sym_eigen(q.restrict_to_frame(tube.h.S, tube.h.frame))
@@ -200,6 +201,12 @@ class TestPrincipalCandidates:
     def test_zero_alpha_excluded(self):
         with pytest.raises(ExcludedParameterError):
             paired_candidate(0.0, [1.0, 1.0])
+        with pytest.raises(ExcludedParameterError):
+            q.reeb_parallel_principal_candidate(3, 0.0)
+
+    def test_curvature_count_checked(self):
+        with pytest.raises(ModelValidationError, match="expected 4 curvatures, got 1"):
+            q.build_principal_candidate(3, 1.0, [1.0])
 
     def test_half_alpha_curvature_excluded(self):
         with pytest.raises(ExcludedParameterError):
@@ -219,6 +226,10 @@ class TestRandomHopfData:
         h = q.random_hopf_data(4, rng, kind=kind)
         assert q.canonical_angle(h.model, h.N).kind == expected
         assert h.hopf
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown normal kind"):
+            q.random_hopf_data(3, np.random.default_rng(0), "bogus")
 
     def test_generic_kind(self):
         rng = np.random.default_rng(10)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,33 @@ def test_formula_layer_is_gone(name):
     assert name not in q.__all__
     assert not hasattr(q, name)
     assert not hasattr(q.hypersurface, name)
+
+
+def test_tangent_frame_is_gone():
+    """``h.frame`` is the tangent frame; ``induce_from_normal`` forms it."""
+    assert "tangent_frame" not in q.__all__
+    assert not hasattr(q.hypersurface, "tangent_frame")
+
+
+def test_every_exported_function_has_a_reader():
+    """Each function of ``__all__`` is named outside its own module: in another
+    module of the package, a test or a demo.  ``__init__.py`` and this file,
+    which name exports without reading them, do not count."""
+    package = Path(q.__file__).resolve().parent
+    root = package.parent.parent
+    paths = [*package.glob("*.py"), *(root / "tests").rglob("*.py"), *(root / "demos").glob("*.py")]
+    texts = {path: path.read_text(encoding="utf-8") for path in paths}
+    del texts[package / "__init__.py"], texts[Path(__file__).resolve()]
+    orphans = []
+    for name in q.__all__:
+        obj = getattr(q, name)
+        if not inspect.isfunction(obj):
+            continue
+        own = package / f"{obj.__module__.rpartition('.')[2]}.py"
+        word = re.compile(rf"\b{name}\b")
+        if not any(word.search(text) for path, text in texts.items() if path != own):
+            orphans.append(name)
+    assert orphans == []
 
 
 def test_conjugation_split_is_gone():

@@ -125,6 +125,16 @@ class TestClustering:
         ok, dev = match_spectrum(rep.clusters, [(0.0, 3)])
         assert not ok and dev == float("inf")
 
+    def test_match_spectrum_clusters_its_template(self):
+        """The template is clustered by the rule of computed spectra: in any
+        order, values that coincide merge and a multiplicity 0 drops out."""
+        template = [(1.0, 4), (0.0, 3), (1.0 + 1e-14, 4), (5.0, 0)]
+        ok, dev = match_spectrum(((0.0, 3), (1.0, 8)), template, rel_tol=1e-10)
+        assert ok and 0.0 < dev < 1e-14
+
+    def test_empty_input_has_no_clusters(self):
+        assert cluster_eigenvalues([]) == ()
+
 
 def _refusal(solver, op):
     with pytest.raises((AsymmetryError, NonFiniteError)) as excinfo:

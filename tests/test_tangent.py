@@ -71,6 +71,10 @@ class TestBuildTangentModel:
         with pytest.raises(InvalidDimensionError):
             build_tangent_model(m)
 
+    def test_no_isotropic_direction_at_m_one(self):
+        with pytest.raises(InvalidDimensionError):
+            isotropic_vector(build_tangent_model(1))
+
 
 # ---------------------------------------------------------------------------
 # Conjugation circle
