@@ -53,7 +53,6 @@ from .errors import (
 from .tangent import (
     TangentModel,
     UNIT_TOL,
-    _STACK_BUDGET,
     _apply,
     _as_columns,
     _col_dot,
@@ -353,6 +352,29 @@ def induce_from_normal(
 # Curvature of the hypersurface
 # ---------------------------------------------------------------------------
 
+def _gauss_terms(h: HypersurfaceData) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The operator pairs ``(P, Q)`` of the Gauss equation.
+
+    With them the curvature of the hypersurface reads
+
+        R(X,Y)Z = sum_(P,Q) [g(PY,Z) QX - g(PX,Z) QY] - 2 g(JX,Y) phi Z,
+
+    the ambient curvature rewritten in hypersurface quantities (``phi``, the
+    conjugation splitting ``B``/``rho``) plus the shape-operator term.
+    """
+    J, A = h.model.J, h.conj
+    JA = J @ A
+    eye = np.eye(h.model.dim)
+    return [
+        (eye, eye),
+        (J, h.phi),
+        (A, h.B),
+        (JA, h.phi @ h.B),
+        (JA, -np.outer(h.xi, h.A_N)),
+        (h.S, h.S),
+    ]
+
+
 def induced_curvature(
     h: HypersurfaceData, X: np.ndarray, Y: np.ndarray, Z: np.ndarray
 ) -> np.ndarray:
@@ -368,6 +390,10 @@ def induced_curvature(
                   - g(JAX,Z) phi B Y + g(JAX,Z) rho(Y) xi
                   + g(SY,Z) S X - g(SX,Z) S Y.
 
+    It is evaluated as the sum over the operator pairs of
+    :func:`_gauss_terms`, ``g(PY,Z) QX - g(PX,Z) QY`` for each pair, plus
+    ``-2 g(JX,Y) phi Z``.
+
     Each argument is a tangent vector ``(n,)`` or a stack of tangent vectors
     with the vector index on axis 0, under the stack rule of
     :func:`~quadric.tangent.ambient_curvature`: ``(n, k)`` stacks evaluate
@@ -378,29 +404,10 @@ def induced_curvature(
     """
     h.require_tangent(X, Y, Z)
     (X, Y, Z), batched = _as_columns(X, Y, Z)
-    J, A = h.model.J, h.conj
-    phi, B, S = h.phi, h.B, h.S
-    JX, JY = _apply(J, X), _apply(J, Y)
-    AX, AY = _apply(A, X), _apply(A, Y)
-    JAX, JAY = _apply(J, AX), _apply(J, AY)
-    BX, BY = _apply(B, X), _apply(B, Y)
-    SX, SY = _apply(S, X), _apply(S, Y)
-    g_JAX_Z, g_JAY_Z = _col_dot(JAX, Z), _col_dot(JAY, Z)
-    xi = h.xi.reshape(h.xi.shape + (1,) * (X.ndim - 1))
-    R = (
-        _col_dot(Y, Z) * X
-        - _col_dot(X, Z) * Y
-        + _col_dot(JY, Z) * _apply(phi, X)
-        - _col_dot(JX, Z) * _apply(phi, Y)
-        - 2.0 * _col_dot(JX, Y) * _apply(phi, Z)
-        + _col_dot(AY, Z) * BX
-        - _col_dot(AX, Z) * BY
-        + g_JAY_Z * _apply(phi, BX)
-        - g_JAX_Z * _apply(phi, BY)
-        + xi * (g_JAX_Z * h.rho(Y) - g_JAY_Z * h.rho(X))
-        + _col_dot(SY, Z) * SX
-        - _col_dot(SX, Z) * SY
-    )
+    R = -2.0 * _col_dot(_apply(h.model.J, X), Y) * _apply(h.phi, Z)
+    for P, Q in _gauss_terms(h):
+        R += _col_dot(_apply(P, Y), Z) * _apply(Q, X)
+        R -= _col_dot(_apply(P, X), Z) * _apply(Q, Y)
     return R if batched else R[:, 0]
 
 
@@ -435,23 +442,23 @@ def ricci_contraction(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
 
     Independent route kept deliberately separate from :func:`ricci`; the two
     must agree for consistent data.  ``X`` is a tangent vector ``(n,)`` or a
-    stack ``(n, k)``, and the result has its shape.  The columns are
-    evaluated in slices: one :func:`induced_curvature` call takes a slice
-    ``X_s[:, :, None]`` against ``E = frame[:, None, :]`` and sums the last
-    axis, and each slice is as wide as keeps its ``n x width x (n - 1)``
-    stacked temporaries within ``_STACK_BUDGET`` entries (one column at the
-    least).
+    stack ``(n, k)``, and the result has its shape.  The index sum is done
+    on the operator pairs of :func:`_gauss_terms`: with ``E = h.frame`` and
+    ``Pi = E E^T``, ``sum_i g(P e_i, e_i) = tr(E^T P E)`` and
+    ``sum_i g(PX, e_i) Q e_i = Q Pi P X``, so
+
+        Ric = sum_(P,Q) [tr(E^T P E) Q - Q Pi P] - 2 phi Pi J,
+
+    about 20 ``n x n`` products, applied to ``X`` in one more.
     """
+    h.require_tangent(X)
     X = np.asarray(X, dtype=float)
-    columns = X.reshape(X.shape[0], -1)
-    n, j = h.frame.shape
-    E = h.frame[:, None, :]
-    width = max(1, _STACK_BUDGET // (n * j))
-    slices = [
-        induced_curvature(h, columns[:, a : a + width, None], E, E).sum(axis=-1)
-        for a in range(0, columns.shape[1], width)
-    ]
-    return np.concatenate(slices, axis=1).reshape(X.shape)
+    Pi = h.frame @ h.frame.T
+    Ric = -2.0 * (h.phi @ (Pi @ h.model.J))
+    for P, Q in _gauss_terms(h):
+        Ric += float(np.vdot(Pi, P)) * Q  # tr(E^T P E) = tr(P Pi), Pi symmetric
+        Ric -= Q @ (Pi @ P)
+    return (Ric @ X.reshape(X.shape[0], -1)).reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------

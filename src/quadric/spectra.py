@@ -25,6 +25,7 @@ operator norm, as the eigenvalue error of a backward-stable solver does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,7 @@ def match_spectrum(
     tolerance ``rel_tol`` (absolute near zero).  Returns
     ``(matched, worst_relative_deviation)``; a spectrum whose cluster
     multiplicities differ from the template's, in number or in any entry,
-    deviates by ``inf``.
+    deviates by ``inf``, and so does a NaN value on either side.
     """
     expected = cluster_eigenvalues(np.repeat([v for v, _ in template], [k for _, k in template]))
     if len(clusters) != len(expected):
@@ -166,5 +167,8 @@ def match_spectrum(
     for (got_v, got_k), (exp_v, exp_k) in zip(clusters, expected):
         if got_k != exp_k:
             return False, float("inf")
-        worst = max(worst, abs(got_v - exp_v) / max(1.0, abs(exp_v)))
+        deviation = abs(got_v - exp_v) / max(1.0, abs(exp_v))
+        if math.isnan(deviation):  # max() would keep the previous worst
+            return False, float("inf")
+        worst = max(worst, deviation)
     return worst <= rel_tol, worst

@@ -239,8 +239,10 @@ def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
 def ricci_consistency(h: HypersurfaceData) -> Check:
     """Closed-form Ricci against the direct curvature contraction, over the tangent frame.
 
-    Both routes take the whole frame as one stack; the contraction bounds
-    its own working set (see :func:`~quadric.hypersurface.ricci_contraction`).
+    Both routes take the whole frame as one stack.  :func:`~quadric.hypersurface.ricci`
+    is the hand-contracted closed form; :func:`~quadric.hypersurface.ricci_contraction`
+    contracts the operator pairs of the Gauss equation over the frame as ``n x n``
+    products, so neither forms a stack of curvature values.
     """
     worst = float(np.max(np.abs(ricci(h, h.frame) - ricci_contraction(h, h.frame))))
     return Check("ricci_contraction", worst, 1e-9)

@@ -571,3 +571,41 @@ def test_early_stop_fails_admissible_alone(capsys, tmp_path, data):
     assert [(c["name"], c["pass"]) for c in payload["checks"]] == [
         ("classification_admissible", False)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The Ricci oracle pair: a library check, outside the command matrix
+# ---------------------------------------------------------------------------
+
+#: The operator pairs of ``hypersurface._gauss_terms``, in order.
+GAUSS_PAIRS = ["I I", "J phi", "A B", "JA phiB", "JA -xi rho", "S S"]
+
+
+@pytest.fixture(scope="module")
+def generic_hopf():
+    return q.random_hopf_data(4, np.random.default_rng(31), "generic")
+
+
+@pytest.mark.parametrize("dropped", range(len(GAUSS_PAIRS)), ids=GAUSS_PAIRS)
+def test_dropped_gauss_pair_fails_ricci_consistency(monkeypatch, generic_hopf, dropped):
+    """Each pair of the Gauss table is seen by ``ricci_consistency``: the
+    contraction without it disagrees with the closed form."""
+    assert suites.ricci_consistency(generic_hopf).passed
+    terms = hypersurface._gauss_terms
+
+    def mutant(h):
+        pairs = terms(h)
+        assert len(pairs) == len(GAUSS_PAIRS)
+        return pairs[:dropped] + pairs[dropped + 1 :]
+
+    monkeypatch.setattr(hypersurface, "_gauss_terms", mutant)
+    assert not suites.ricci_consistency(generic_hopf).passed
+
+
+def test_dropped_trace_term_fails_ricci_consistency(monkeypatch, generic_hopf):
+    """The closed form's side of the pair: ``ricci`` without ``tr(S) S``."""
+    ricci = hypersurface.ricci
+    monkeypatch.setattr(
+        suites, "ricci", lambda h, X: ricci(h, X) - float(np.trace(h.S)) * (h.S @ X)
+    )
+    assert not suites.ricci_consistency(generic_hopf).passed

@@ -132,6 +132,20 @@ class TestClustering:
         ok, dev = match_spectrum(((0.0, 3), (1.0, 8)), template, rel_tol=1e-10)
         assert ok and 0.0 < dev < 1e-14
 
+    @pytest.mark.parametrize(
+        "clusters, template",
+        [
+            (((1.0, 2),), [(float("nan"), 2)]),
+            (((float("nan"), 2),), [(1.0, 2)]),
+            (((0.5, 1), (float("nan"), 2)), [(0.0, 1), (1.0, 2)]),
+        ],
+        ids=["nan_template", "nan_cluster", "nan_after_a_deviation"],
+    )
+    def test_match_spectrum_fails_on_nan(self, clusters, template):
+        """A NaN value on either side deviates by inf.  ``max(worst, nan)``
+        keeps ``worst``, so a NaN must not reach it as a deviation of 0."""
+        assert match_spectrum(clusters, template) == (False, float("inf"))
+
     def test_empty_input_has_no_clusters(self):
         assert cluster_eigenvalues([]) == ()
 
