@@ -36,7 +36,11 @@ from .hypersurface import (
 from .models import _complex_pair_columns, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import _STACK_BUDGET, _angle_from_image, _require_dimension, principal_vector
+from .tangent import _angle_from_image, _require_dimension, principal_vector
+
+#: Largest stacked temporary, in float entries, that the nonexistence
+#: certificate forms; it splits its samples into stacks that fit.
+_STACK_BUDGET = 1 << 16
 
 
 # ---------------------------------------------------------------------------

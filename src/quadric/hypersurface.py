@@ -26,12 +26,16 @@ Conventions used throughout:
   form ``X alpha = (xi alpha) eta(X) + 2 g(A xi, xi) g(X, A N)`` with
   ``xi alpha = 0`` (both singular normal types have constant Reeb
   curvature); :meth:`HypersurfaceData.with_dalpha` declares any other;
+* vector arguments follow the one rule of
+  :func:`~quadric.tangent._as_columns`: a vector ``(n,)`` or a column
+  stack ``(n, k)``, nothing else;
 * the tangent frame ``h.frame`` is columns 2..n of a Householder
   reflection, and the residual gauges apply it as one, in O(n^2), instead
-  of multiplying by the stored frame; ``_max_column_norm`` gauges every
-  frame image, and :func:`restrict_to_frame` is the dense reference;
-* ``h.phi_S``, ``h.S_phi``, ``h.S_phi_S``, the two Reeb derivatives and the
-  reflection behind ``h.frame`` are formed on first read and kept read-only.
+  of forming the dense frame; ``_max_column_norm`` gauges every frame
+  image, and :func:`restrict_to_frame` is the dense reference;
+* ``h.phi_S``, ``h.S_phi``, ``h.S_phi_S``, ``h.frame``, the two Reeb
+  derivatives and the reflection behind ``h.frame`` are formed on first
+  read and kept read-only; no command reads ``h.frame``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .errors import (
 from .tangent import (
     TangentModel,
     UNIT_TOL,
-    _apply,
     _as_columns,
     _col_dot,
     adapted_conjugation,
@@ -102,12 +105,12 @@ class HypersurfaceData:
         A_xi, A_N: images ``A xi`` and ``A N`` under ``conj``.
         g_axixi: ``g(A xi, xi)``; -1 for a principal and 0 for an isotropic normal.
         projector: orthogonal projection onto the tangent hyperplane.
-        frame: orthonormal tangent basis, one vector per column.
         hopf_defect: measured ``|S xi - alpha xi|``.
         warnings: construction notes (e.g. auto-projected shape operator).
 
     Derived attributes, formed on first read and kept read-only:
         phi_S, S_phi, S_phi_S: ``phi S``, ``S phi`` and ``S phi S`` (``S @ phi_S``).
+        frame: orthonormal tangent basis, one vector per column.
 
     The reflection behind ``frame`` and the two Reeb derivatives (read by
     :func:`reeb_shape_derivative` and :func:`reeb_covariant_derivative`)
@@ -129,13 +132,13 @@ class HypersurfaceData:
     A_N: np.ndarray
     g_axixi: float
     projector: np.ndarray
-    frame: np.ndarray
     hopf_defect: float
     warnings: tuple[str, ...]
 
     phi_S = _derived(lambda h: h.phi @ h.S)
     S_phi = _derived(lambda h: h.S @ h.phi)
     S_phi_S = _derived(lambda h: h.S @ h.phi_S)
+    frame = _derived(lambda h: _frame(h._reflection[0]))
     _reflection = _derived(lambda h: _reflector(h.N))
     _reeb_shape = _derived(lambda h: _reeb_shape_matrix(h))
     _reeb_covariant = _derived(lambda h: _reeb_covariant_matrix(h))
@@ -147,26 +150,25 @@ class HypersurfaceData:
 
     def eta(self, X: np.ndarray) -> float | np.ndarray:
         """Contact form ``eta(X) = g(X, xi)``, one value per vector."""
-        return _apply(self.xi, np.asarray(X, dtype=float))
+        return _pairing(self.xi, X)
 
     def rho(self, X: np.ndarray) -> float | np.ndarray:
         """Normal pairing ``rho(X) = g(A X, N) = g(X, A N)``, one value per vector."""
-        return _apply(self.A_N, np.asarray(X, dtype=float))
+        return _pairing(self.A_N, X)
 
     def require_tangent(self, *vectors: np.ndarray) -> None:
-        """Check every vector, and every vector of every stack, for tangency.
+        """Check every vector, and every column of every stack, for tangency.
 
-        The vector index is on axis 0.  A vector passes when
-        ``|g(X, N)| <= UNIT_TOL * max(1, |X|)``.
+        Vectors and stacks follow :func:`~quadric.tangent._as_columns`.  A
+        vector passes when ``|g(X, N)| <= UNIT_TOL * max(1, |X|)``.
 
         Raises:
+            ValueError: if an input is neither ``(n,)`` nor ``(n, k)``.
             NonFiniteError: if an input has a NaN or infinite entry.
             NonTangentError: if a vector or column has a normal component.
         """
-        for X in vectors:
-            X = np.asarray(X, dtype=float)
+        for X in _as_columns(*vectors)[0]:
             _require_finite(vector=X)
-            X = X.reshape(X.shape[0], -1)
             bound = UNIT_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0))
             normal = self.N @ X
             if not np.all(np.abs(normal) <= bound):
@@ -184,6 +186,12 @@ class HypersurfaceData:
         return replace(self, dalpha=v)
 
 
+def _pairing(v: np.ndarray, X: np.ndarray) -> float | np.ndarray:
+    """``g(v, X)``: a scalar for a vector, one value per column of a stack."""
+    (X,), batched = _as_columns(X)
+    return v @ X if batched else (v @ X)[0]
+
+
 def _reflector(N: np.ndarray) -> np.ndarray:
     """Rows ``u`` and ``beta u`` of the Householder reflection ``I - beta u u^T``
     whose columns 2..n are ``h.frame``: ``u = N + e_1`` if ``N_1 >= 0``, else
@@ -191,6 +199,11 @@ def _reflector(N: np.ndarray) -> np.ndarray:
     u = N.copy()
     u[0] -= -1.0 if N[0] >= 0.0 else 1.0
     return np.stack([u, (2.0 / float(u @ u)) * u])
+
+
+def _frame(u: np.ndarray) -> np.ndarray:
+    """Columns 2..n of ``I - 2 u u^T / (u^T u)``, the tangent frame ``h.frame``."""
+    return _identity_minus(np.outer(u, u) * 2.0 / float(u @ u))[:, 1:]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -321,12 +334,7 @@ def induce_from_normal(
         q_xi = 2.0 * alpha
     dalpha = 2.0 * c * A_N
 
-    u = _reflector(N)[0]  # the frame is columns 2..n of I - 2 u u^T / (u^T u)
-    frame = np.outer(u, u)
-    frame *= 2.0
-    frame /= float(u @ u)
-    frame = _identity_minus(frame)[:, 1:]
-    _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, frame, dalpha)
+    _freeze(N, xi, phi, S, conj, A_xi, A_N, B, P, dalpha)
     return HypersurfaceData(
         model=model,
         N=N,
@@ -342,7 +350,6 @@ def induce_from_normal(
         A_N=A_N,
         g_axixi=c,
         projector=P,
-        frame=frame,
         hopf_defect=float(np.linalg.norm(S @ xi - alpha * xi)),
         warnings=tuple(warnings),
     )
@@ -394,20 +401,16 @@ def induced_curvature(
     :func:`_gauss_terms`, ``g(PY,Z) QX - g(PX,Z) QY`` for each pair, plus
     ``-2 g(JX,Y) phi Z``.
 
-    Each argument is a tangent vector ``(n,)`` or a stack of tangent vectors
-    with the vector index on axis 0, under the stack rule of
-    :func:`~quadric.tangent.ambient_curvature`: ``(n, k)`` stacks evaluate
-    column by column and return ``(n, k)``, and ``(n, k, 1)`` against
-    ``(n, 1, j)`` returns every ``R(X_a, Y_i) Z_i`` as ``(n, k, j)``, with
-    the products of each distinct vector formed once.  All-vector input
-    returns a vector.
+    Each argument is a tangent vector or a column stack of tangent vectors
+    under :func:`~quadric.tangent._as_columns`; stacks evaluate column by
+    column and return ``(n, k)``, and all-vector input returns a vector.
     """
-    h.require_tangent(X, Y, Z)
     (X, Y, Z), batched = _as_columns(X, Y, Z)
-    R = -2.0 * _col_dot(_apply(h.model.J, X), Y) * _apply(h.phi, Z)
+    h.require_tangent(X, Y, Z)
+    R = -2.0 * _col_dot(h.model.J @ X, Y) * (h.phi @ Z)
     for P, Q in _gauss_terms(h):
-        R += _col_dot(_apply(P, Y), Z) * _apply(Q, X)
-        R -= _col_dot(_apply(P, X), Z) * _apply(Q, Y)
+        R += _col_dot(P @ Y, Z) * (Q @ X)
+        R -= _col_dot(P @ X, Z) * (Q @ Y)
     return R if batched else R[:, 0]
 
 
@@ -417,11 +420,11 @@ def ricci(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
         Ric X = (2m-1) X - 3 eta(X) xi + g(A xi, xi) B X - g(A X, N) phi A xi
                 + g(A X, xi) A xi + tr(S) S X - S^2 X.
 
-    ``X`` is a vector ``(n,)`` or a stack of tangent columns ``(n, k)``, and
-    the result has the same shape.
+    ``X`` is a tangent vector or column stack under
+    :func:`~quadric.tangent._as_columns`, and the result has its shape.
     """
-    h.require_tangent(X)
     (X,), batched = _as_columns(X)
+    h.require_tangent(X)
     m = h.model.m
     A_xi = h.A_xi
     SX = h.S @ X
@@ -441,24 +444,27 @@ def ricci_contraction(h: HypersurfaceData, X: np.ndarray) -> np.ndarray:
     """Ricci by direct contraction ``sum_i R(X, e_i) e_i`` over a tangent frame.
 
     Independent route kept deliberately separate from :func:`ricci`; the two
-    must agree for consistent data.  ``X`` is a tangent vector ``(n,)`` or a
-    stack ``(n, k)``, and the result has its shape.  The index sum is done
-    on the operator pairs of :func:`_gauss_terms`: with ``E = h.frame`` and
-    ``Pi = E E^T``, ``sum_i g(P e_i, e_i) = tr(E^T P E)`` and
-    ``sum_i g(PX, e_i) Q e_i = Q Pi P X``, so
+    must agree for consistent data.  ``X`` is a tangent vector or column
+    stack under :func:`~quadric.tangent._as_columns`, and the result has its
+    shape.  The index sum is done on the operator pairs of
+    :func:`_gauss_terms`: for any orthonormal tangent frame ``E``,
+    ``E E^T`` is the tangent projection ``Pi = h.projector``, so
+    ``sum_i g(P e_i, e_i) = tr(E^T P E) = tr(P Pi)`` and
+    ``sum_i g(PX, e_i) Q e_i = Q Pi P X``, and
 
-        Ric = sum_(P,Q) [tr(E^T P E) Q - Q Pi P] - 2 phi Pi J,
+        Ric = sum_(P,Q) [tr(P Pi) Q - Q Pi P] - 2 phi Pi J,
 
     about 20 ``n x n`` products, applied to ``X`` in one more.
     """
+    (X,), batched = _as_columns(X)
     h.require_tangent(X)
-    X = np.asarray(X, dtype=float)
-    Pi = h.frame @ h.frame.T
+    Pi = h.projector
     Ric = -2.0 * (h.phi @ (Pi @ h.model.J))
     for P, Q in _gauss_terms(h):
-        Ric += float(np.vdot(Pi, P)) * Q  # tr(E^T P E) = tr(P Pi), Pi symmetric
+        Ric += float(np.vdot(Pi, P)) * Q  # tr(P Pi), Pi symmetric
         Ric -= Q @ (Pi @ P)
-    return (Ric @ X.reshape(X.shape[0], -1)).reshape(X.shape)
+    R = Ric @ X
+    return R if batched else R[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,14 @@ def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
 
 
 def ricci_consistency(h: HypersurfaceData) -> Check:
-    """Closed-form Ricci against the direct curvature contraction, over the tangent frame.
+    """Closed-form Ricci against the direct curvature contraction, on the tangent space.
 
-    Both routes take the whole frame as one stack.  :func:`~quadric.hypersurface.ricci`
-    is the hand-contracted closed form; :func:`~quadric.hypersurface.ricci_contraction`
-    contracts the operator pairs of the Gauss equation over the frame as ``n x n``
-    products, so neither forms a stack of curvature values.
+    Both routes take the columns of ``h.projector``, which span the tangent
+    space, as one stack.  :func:`~quadric.hypersurface.ricci` is the
+    hand-contracted closed form; :func:`~quadric.hypersurface.ricci_contraction`
+    contracts the Gauss equation's operator pairs as ``n x n`` products.
     """
-    worst = float(np.max(np.abs(ricci(h, h.frame) - ricci_contraction(h, h.frame))))
+    worst = float(np.max(np.abs(ricci(h, h.projector) - ricci_contraction(h, h.projector))))
     return Check("ricci_contraction", worst, 1e-9)
 
 

@@ -194,41 +194,28 @@ def adapted_conjugation(model: TangentModel, U: np.ndarray) -> np.ndarray:
     return rotate_conjugation(model, math.atan2(b, a))
 
 
-#: Largest stacked temporary, in float entries, that a stacked evaluation may
-#: form; stacked callers split their work into slices that fit.
-_STACK_BUDGET = 1 << 16
-
-
 def _as_columns(*vectors: np.ndarray) -> tuple[list[np.ndarray], bool]:
-    """Promote vectors and stacks to arrays of one rank that broadcast.
+    """The one vector rule: every vector argument as a column stack ``(n, k)``.
 
-    Axis 0 is the vector index and the trailing axes broadcast: each input
-    is padded with trailing unit axes to a common rank of at least 2.  A
-    vector ``(n,)`` becomes ``(n, 1, ..., 1)`` and pairs with everything; so
-    ``(n, k, 1)`` against ``(n, 1, j)`` evaluates every ``(k, j)`` pair.
-    Also returns whether any input was a stack, so callers can hand a 1-D
-    result back for all-vector input.
+    Axis 0 is the vector index.  A vector ``(n,)`` becomes the one column
+    ``(n, 1)``, which pairs with every column of a stack; an ``(n, k)`` stack
+    passes through unchanged.  Also returns whether any input was a stack,
+    so callers can hand a vector (or a scalar) back for all-vector input.
+
+    Raises:
+        ValueError: if an argument is neither a vector ``(n,)`` nor a
+            column stack ``(n, k)``.
     """
     arrays = [np.asarray(V, dtype=float) for V in vectors]
-    rank = max(2, *(a.ndim for a in arrays))
-    padded = [a.reshape(a.shape + (1,) * (rank - a.ndim)) for a in arrays]
-    return padded, any(a.ndim > 1 for a in arrays)
+    for a in arrays:
+        if a.ndim not in (1, 2):
+            raise ValueError(f"expected a vector (n,) or a column stack (n, k), got {a.shape}")
+    return [a if a.ndim == 2 else a[:, None] for a in arrays], any(a.ndim == 2 for a in arrays)
 
 
 def _col_dot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Inner products ``g(U, V)`` over axis 0 of two broadcasting stacks."""
+    """Inner products ``g(U, V)`` column by column of two column stacks."""
     return (U * V).sum(axis=0)
-
-
-def _apply(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``M`` applied to every vector of a stack (axis 0 of ``X``).
-
-    A stack of rank above 2 is flattened to columns for one product, so
-    each distinct vector is multiplied once however it broadcasts later.
-    """
-    if X.ndim <= 2:
-        return M @ X
-    return (M @ X.reshape(X.shape[0], -1)).reshape(M.shape[:-1] + X.shape[1:])
 
 
 def ambient_curvature(
@@ -243,16 +230,15 @@ def ambient_curvature(
                   - 2 g(JX,Y) JZ + g(AY,Z) AX - g(AX,Z) AY
                   + g(JAY,Z) JAX - g(JAX,Z) JAY.
 
-    Each argument is a vector ``(n,)`` or a stack with the vector index on
-    axis 0 (see :func:`_as_columns`): ``(n, k)`` stacks evaluate column by
-    column and return ``(n, k)``, and higher-rank stacks broadcast their
-    trailing axes.  All-vector input returns a vector.
+    Each argument is a vector or a column stack under :func:`_as_columns`;
+    stacks evaluate column by column and return ``(n, k)``, and all-vector
+    input returns a vector.
     """
     (X, Y, Z), batched = _as_columns(X, Y, Z)
     J, A = model.J, model.A
-    JX, JY, JZ = _apply(J, X), _apply(J, Y), _apply(J, Z)
-    AX, AY = _apply(A, X), _apply(A, Y)
-    JAX, JAY = _apply(J, AX), _apply(J, AY)
+    JX, JY, JZ = J @ X, J @ Y, J @ Z
+    AX, AY = A @ X, A @ Y
+    JAX, JAY = J @ AX, J @ AY
     R = (
         _col_dot(Y, Z) * X
         - _col_dot(X, Z) * Y

@@ -15,10 +15,9 @@ from quadric import (
     classification,
     suites,
 )
-from quadric.classification import affine_pair_matrices, _quadratic_roots
+from quadric.classification import _STACK_BUDGET, affine_pair_matrices, _quadratic_roots
 from quadric.models import _complex_pair_columns
 from quadric.report import Check
-from quadric.tangent import _STACK_BUDGET
 
 from conftest import paired_candidate, rotated
 

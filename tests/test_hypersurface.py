@@ -245,55 +245,69 @@ class TestInducedCurvature:
                 stacked[:, j], q.induced_curvature(h, Y[:, j], X, Z[:, j]), rtol=0.0, atol=1e-13
             )
 
-    def test_broadcast_stacks_match_vector_pairs(self):
-        """``(n, k, 1)`` against ``(n, 1, j)`` is the double loop of vector calls
-        ``R(X_a, Y_i) Z_i``."""
-        h = random_hopf(m=5, seed=18)
-        rng = np.random.default_rng(19)
-        X = h.projector @ rng.standard_normal((10, 3))
-        Y, Z = (h.projector @ rng.standard_normal((10, 4)) for _ in range(2))
-        R = q.induced_curvature(h, X[:, :, None], Y[:, None, :], Z[:, None, :])
-        assert R.shape == (10, 3, 4)
-        for a in range(3):
-            for i in range(4):
-                npt.assert_allclose(
-                    R[:, a, i],
-                    q.induced_curvature(h, X[:, a], Y[:, i], Z[:, i]),
-                    rtol=0.0,
-                    atol=1e-13,
-                )
-
     def test_pairings_follow_the_stack_rule(self):
-        """``eta`` and ``rho`` give one value per vector of any stack."""
+        """``eta`` and ``rho`` give a scalar for a vector and one value per
+        column of an ``(n, k)`` stack."""
         h = random_hopf(m=3, seed=20)
-        X = h.frame[:, :4, None]
+        X = h.frame[:, :4]
         for pairing in (h.eta, h.rho):
             values = pairing(X)
-            assert values.shape == (4, 1)
-            expected = [pairing(x) for x in X[:, :, 0].T]
-            npt.assert_allclose(values[:, 0], expected, rtol=0, atol=1e-15)
+            assert values.shape == (4,)
+            expected = [pairing(x) for x in X.T]
+            assert all(np.ndim(value) == 0 for value in expected)
+            npt.assert_allclose(values, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("column", [0, 2])
-    def test_one_normal_column_rejects_a_broadcast_stack(self, tube, column):
-        """Every vector of each broadcast stack is checked, on either side."""
+    def test_one_normal_column_rejects_either_stack(self, tube, column):
+        """Every column of each ``(n, k)`` stack is checked, on either side."""
         h = tube.h
         X = h.frame[:, :3].copy()
         X[:, column] += 1e-6 * h.N
-        E = h.frame[:, None, :]
+        E = h.frame[:, 3:6]
         with pytest.raises(NonTangentError):
-            h.require_tangent(X[:, :, None])
+            h.require_tangent(X)
         with pytest.raises(NonTangentError):
-            q.induced_curvature(h, X[:, :, None], E, E)
+            q.induced_curvature(h, X, E, E)
         with pytest.raises(NonTangentError):
-            q.induced_curvature(h, h.frame[:, :3, None], X[:, None, :], E)
+            q.induced_curvature(h, h.frame[:, :3], X, E)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_rejects_a_broadcast_stack(self, tube, bad):
+    def test_non_finite_entry_rejects_either_stack(self, tube, bad):
         h = tube.h
-        E = h.frame[:, None, :].copy()
-        E[5, 0, 4] = bad
+        E = h.frame[:, 3:6].copy()
+        E[5, 2] = bad
         with pytest.raises(NonFiniteError):
-            q.induced_curvature(h, h.frame[:, :3, None], h.frame[:, None, :], E)
+            q.induced_curvature(h, h.frame[:, :3], h.frame[:, :3], E)
+        with pytest.raises(NonFiniteError):
+            q.induced_curvature(h, E, h.frame[:, :3], h.frame[:, :3])
+
+    @pytest.mark.parametrize("shape", [(), (8, 8, 2)], ids=["0-d", "rank-3"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h, V: q.ambient_curvature(h.model, h.xi, V, h.xi),
+            lambda h, V: q.induced_curvature(h, h.xi, h.xi, V),
+            q.ricci,
+            q.ricci_contraction,
+            lambda h, V: h.eta(V),
+            lambda h, V: h.rho(V),
+            lambda h, V: h.require_tangent(h.xi, V),
+        ],
+        ids=[
+            "ambient_curvature",
+            "induced_curvature",
+            "ricci",
+            "ricci_contraction",
+            "eta",
+            "rho",
+            "require_tangent",
+        ],
+    )
+    def test_only_vectors_and_column_stacks_are_accepted(self, tube, call, shape):
+        """A 0-d or rank-3 argument is refused by name, never evaluated: a
+        bare ``xi @ V`` on ``(n, n, 2)`` would contract the wrong axis."""
+        with pytest.raises(ValueError, match=r"a vector \(n,\) or a column stack \(n, k\)"):
+            call(tube.h, np.zeros(shape))
 
     @pytest.mark.parametrize("column", [0, 3, 6])
     def test_one_normal_column_rejects_the_stack(self, tube, column):
@@ -362,15 +376,13 @@ class TestRicci:
     @pytest.mark.parametrize("m", [3, 16])
     @pytest.mark.parametrize("width", [None, 5], ids=["vector", "stack"])
     def test_contraction_equals_the_frame_sum(self, kind, m, width):
-        """The operator contraction equals ``sum_i R(X, e_i) e_i`` summed over
-        the broadcast stack of :func:`induced_curvature`, to 1e-12 relative."""
+        """The operator contraction equals ``sum_i R(X, e_i) e_i``, one
+        :func:`induced_curvature` call per frame vector, to 1e-12 relative."""
         h = random_hopf(m=m, kind=kind, seed=33)
         rng = np.random.default_rng(34)
         j = h.frame.shape[1]
         X = h.frame @ rng.standard_normal(j if width is None else (j, width))
-        columns = X.reshape(X.shape[0], -1)
-        E = h.frame[:, None, :]
-        expected = q.induced_curvature(h, columns[:, :, None], E, E).sum(axis=-1).reshape(X.shape)
+        expected = sum(q.induced_curvature(h, X, e, e) for e in h.frame.T)
         got = q.ricci_contraction(h, X)
         assert got.shape == X.shape
         npt.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))

@@ -36,7 +36,7 @@ def test_formula_layer_is_gone(name):
 
 
 def test_tangent_frame_is_gone():
-    """``h.frame`` is the tangent frame; ``induce_from_normal`` forms it."""
+    """``h.frame`` is the tangent frame, formed on first read."""
     assert "tangent_frame" not in q.__all__
     assert not hasattr(q.hypersurface, "tangent_frame")
 
@@ -124,7 +124,7 @@ def test_hypersurface_data_init_fields_are_the_defining_data():
     """Derived arrays are cached attributes, not fields, so copies start without them."""
     assert [f.name for f in dataclasses.fields(q.HypersurfaceData)] == [
         "model", "N", "xi", "phi", "S", "alpha", "q_xi", "dalpha", "conj",
-        "B", "A_xi", "A_N", "g_axixi", "projector", "frame", "hopf_defect", "warnings",
+        "B", "A_xi", "A_N", "g_axixi", "projector", "hopf_defect", "warnings",
     ]
 
 

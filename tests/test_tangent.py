@@ -256,22 +256,6 @@ class TestAmbientCurvature:
                 stacked[:, j], ambient_curvature(model, X, Y[:, j], Z[:, j]), rtol=0.0, atol=1e-13
             )
 
-    def test_broadcast_stacks_match_vector_pairs(self):
-        """Trailing axes broadcast: ``(n, k, 1)`` against ``(n, 1, j)`` and a
-        vector give every ``R(X_a, Y_i) Z``, and ``(n, k)`` pads to ``(n, k, 1)``."""
-        model = build_tangent_model(3)
-        rng = np.random.default_rng(21)
-        X = rng.standard_normal((model.dim, 2))
-        Y = rng.standard_normal((model.dim, 3))
-        Z = rng.standard_normal(model.dim)
-        R = ambient_curvature(model, X, Y[:, None, :], Z)
-        assert R.shape == (model.dim, 2, 3)
-        for a in range(2):
-            for i in range(3):
-                npt.assert_allclose(
-                    R[:, a, i], ambient_curvature(model, X[:, a], Y[:, i], Z), rtol=0.0, atol=1e-13
-                )
-
 
 # ---------------------------------------------------------------------------
 # Ambient Jacobi operator
@@ -291,6 +275,22 @@ class TestAmbientJacobi:
         rep = sym_eigen(ambient_jacobi(model, isotropic_vector(model)))
         assert [k for _, k in rep.clusters] == [3, 2 * m - 4, 1]
         npt.assert_allclose([v for v, _ in rep.clusters], (0.0, 1.0, 4.0), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_matrix_is_the_curvature_tensor(self, m):
+        """``ambient_jacobi(model, U) @ Y = ambient_curvature(model, Y, U, U)``:
+        the two hand-typed forms of the quadric's curvature agree on a column
+        stack, for principal, isotropic and random unit directions."""
+        model = build_tangent_model(m)
+        rng = np.random.default_rng(m)
+        Y = rng.standard_normal((model.dim, 7))
+        directions = [principal_vector(model), isotropic_vector(model)]
+        for U in rng.standard_normal((5, model.dim)):
+            directions.append(U / np.linalg.norm(U))
+        for U in directions:
+            npt.assert_allclose(
+                ambient_jacobi(model, U) @ Y, ambient_curvature(model, Y, U, U), rtol=0.0, atol=1e-13
+            )
 
     def test_annihilates_its_direction(self):
         model = build_tangent_model(5)

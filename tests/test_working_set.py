@@ -4,10 +4,11 @@ The nonexistence certificate evaluates stacks of matrices, split so that no
 stacked temporary exceeds ``_STACK_BUDGET`` float entries; the memory it
 holds beyond its result is therefore set by the budget, not by the sample
 count.  The Ricci contraction forms no stack at all: it contracts the Gauss
-equation over the frame as ``n x n`` products, so at the dimension cap it
-holds a bounded number of dense matrices, as the tube suite does.  The tube
-suite's shared products are formed once per instance, and its spectrum
-checks solve for eigenvalues only.
+equation with the tangent projection as ``n x n`` products, so at the
+dimension cap it holds a bounded number of dense matrices, as the tube
+suite does.  The tube suite's shared products are formed once per instance,
+and its spectrum checks solve for eigenvalues only.  No suite forms the
+dense tangent frame ``h.frame``: the gauges apply it as a reflection.
 """
 
 import tracemalloc
@@ -17,7 +18,7 @@ import pytest
 
 import quadric as q
 from quadric import hypersurface, suites
-from quadric.tangent import _STACK_BUDGET
+from quadric.classification import _STACK_BUDGET
 
 #: Budget-sized temporaries a stacked evaluation may hold at once, beyond
 #: what it returns.  Measured: about 11 for the certificate at m = 16 or 64
@@ -123,6 +124,32 @@ def test_copies_start_empty(copy):
     q.reeb_parallel_residual(h)
     assert set(DERIVED) <= set(vars(h))
     assert not set(DERIVED) & set(vars(copy(h)))
+
+
+def test_no_suite_forms_the_dense_frame(monkeypatch):
+    """``h.frame`` is formed only where it is read, and no suite reads it."""
+    tube = q.build_tube(32, 0.6)
+    monkeypatch.setattr(suites, "build_tube", lambda *args, **kwargs: tube)
+    h = tube.h
+    assert suites.verify_tube(32, 0.6).all_passed
+    suites.classify_report(h)
+    suites.spectrum_report(h)
+    assert suites.ricci_consistency(h).passed
+    assert "frame" not in vars(h)
+
+
+def test_frame_formed_once_on_first_read(monkeypatch):
+    h = q.build_tube(3, 0.6).h
+    calls = []
+    attribute = vars(q.HypersurfaceData)["frame"]
+    build = attribute.func
+    monkeypatch.setattr(attribute, "func", lambda data: calls.append(1) or build(data))
+    frame = h.frame
+    assert h.frame is frame is vars(h)["frame"]
+    assert calls == [1]
+    assert not frame.flags.writeable
+    for copy in (h.with_gauge(h.q_xi + 1.0), h.with_dalpha(h.dalpha + h.xi)):
+        assert "frame" not in vars(copy)
 
 
 @pytest.mark.parametrize(
