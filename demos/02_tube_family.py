@@ -21,7 +21,7 @@ shape = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
 print("shape spectrum:      ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in shape.clusters))
 print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_shape_template(k, r))))
 
-jac = q.tube_structure_jacobi_spectrum(tube)
+jac = q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(h), h.frame))
 print("structure Jacobi:    ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in jac.clusters))
 print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_jacobi_template(k, r))))
 
@@ -50,5 +50,6 @@ for kk in (2, 3, 4):
 # classification but still constructible for inspection.
 flat = q.build_tube(2, math.pi / 4.0, non_vanishing=False)
 print(f"\nat r = pi/4 the Reeb curvature vanishes: alpha = {flat.h.alpha:.2e}")
+flat_jac = q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(flat.h), flat.h.frame))
 print("structure Jacobi spectrum degenerates to",
-      ", ".join(f"{v:.3f} (x{mult})" for v, mult in q.tube_structure_jacobi_spectrum(flat).clusters))
+      ", ".join(f"{v:.3f} (x{mult})" for v, mult in flat_jac.clusters))

@@ -58,7 +58,6 @@ from .models import (
     reeb_parallel_principal_candidate,
     tube_jacobi_template,
     tube_shape_template,
-    tube_structure_jacobi_spectrum,
 )
 from .report import Check, CheckReport, VERSION, render_json, report_to_json
 from .spectra import SpectrumReport, match_spectrum, sym_eigen, sym_eigvals
@@ -137,5 +136,4 @@ __all__ = [
     "to_dict",
     "tube_jacobi_template",
     "tube_shape_template",
-    "tube_structure_jacobi_spectrum",
 ]

@@ -27,6 +27,7 @@ from .hypersurface import (
     HypersurfaceData,
     _hopf_identity_matrix,
     _in_frame,
+    _max_abs,
     _max_column_norm,
     reeb_covariant_derivative,
     reeb_derivative_reduced,
@@ -38,6 +39,9 @@ from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
 from .tangent import _angle_from_image, _require_dimension, principal_vector
 
+#: Largest deviation of the shape spectrum from the tube template that
+#: ``classify`` admits, and the bound of the ``tube_spectrum_match`` check.
+SPECTRUM_TOL = 1e-8
 #: Largest stacked temporary, in float entries, that the nonexistence
 #: certificate forms; it splits its samples into stacks that fit.
 _STACK_BUDGET = 1 << 16
@@ -163,11 +167,6 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
     R_signed = R.copy()
     np.negative(R[..., n:], out=R_signed[..., n:])
     return R_signed @ R.swapaxes(-1, -2)
-
-
-def _stack_max_abs(M: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each matrix of a stack (the last two axes)."""
-    return np.max(np.abs(M), axis=(-2, -1))
 
 
 def _draw_stack(
@@ -312,14 +311,14 @@ def principal_nonexistence_certificate(
 
         a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        difference = _stack_max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye))
+        difference = _max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye), axis=(-2, -1))
 
         # Each 1x1 pair has the bits of its diagonal entry in the dense
         # evaluation, whose off-diagonal entries are exact zeros.  With A = I
         # the two equations evaluate the same terms in the same order, so E_a
         # equals E_b bit for bit.
         e_star, _ = affine_pair_matrices(alpha[..., None], diag[..., None, None], np.eye(1))
-        solvable = _stack_max_abs(e_star).max(axis=-1)
+        solvable = _max_abs(e_star, axis=(-3, -2, -1))
         residuals = np.stack([difference, solvable], axis=1)
         checks += _stack_checks(stack, tags[start : start + width], residuals)
 
@@ -418,9 +417,8 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
         return result(reason=f"no tube family in complex dimension {m}")
     k = m // 2
     r = recover_radius(h.alpha)
-    spectrum = sym_eigen(_in_frame(h, h.S))
-    matched, deviation = match_spectrum(spectrum.clusters, tube_shape_template(k, r))
-    if not matched:
+    deviation = match_spectrum(sym_eigen(_in_frame(h, h.S)).clusters, tube_shape_template(k, r))
+    if deviation > SPECTRUM_TOL:
         return result(
             reason=f"shape spectrum does not match the tube of radius {r:.6g}",
             spectrum_deviation=deviation,

@@ -219,9 +219,10 @@ def _identity_minus(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _max_abs(M: np.ndarray) -> float:
-    """``max |M|`` without the ``|M|`` temporary."""
-    return float(max(M.max(), -M.min()))
+def _max_abs(M: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray | float:
+    """``np.max(np.abs(M), axis)``, NaN included, without the ``|M|``
+    temporary; ``+ 0.0`` turns the ``-0.0`` of a matrix of zeros into ``+0.0``."""
+    return np.maximum(M.max(axis=axis), -M.min(axis=axis)) + 0.0
 
 
 def _project(

@@ -17,6 +17,8 @@ Candidates with a principal normal (``A N = N``, ``A xi = -xi``) are built
 synthetically for the nonexistence analysis, with a prescribed spectrum of
 the shape operator on the maximal complex subbundle.  They are plain
 :class:`~quadric.hypersurface.HypersurfaceData` with normal ``Z_1``.
+The module holds constructors and closed-form templates only; spectra are
+read on the built ``h`` (:func:`~quadric.suites.verify_tube` compares them).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExcludedParameterError, InvalidDimensionError, ModelValidationError
-from .hypersurface import HypersurfaceData, _in_frame, induce_from_normal, structure_jacobi
-from .spectra import SpectrumReport, sym_eigen
+from .hypersurface import HypersurfaceData, induce_from_normal
 from .tangent import (
     MAX_COMPLEX_DIM,
     TangentModel,
@@ -148,11 +149,6 @@ def build_tube(k: int, r: float, non_vanishing: bool = True) -> TubeModel:
     h = induce_from_normal(model, N, S)
     eye = np.eye(model.dim)
     return TubeModel(k=int(k), r=float(r), h=h, bases={"W1": eye[:, w1], "W2": eye[:, w2]})
-
-
-def tube_structure_jacobi_spectrum(tube: TubeModel) -> SpectrumReport:
-    """Spectrum of the structure Jacobi operator restricted to the tube's tangent space."""
-    return sym_eigen(_in_frame(tube.h, structure_jacobi(tube.h)))
 
 
 def default_radius_grid(points: int = 20) -> list[float]:

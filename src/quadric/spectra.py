@@ -21,6 +21,8 @@ Two entry points share one set of guards (square shape, finite entries,
 Eigenvalues are grouped into multiplicity clusters so that spectra can be
 compared against exact closed-form lists; the cluster width scales with the
 operator norm, as the eigenvalue error of a backward-stable solver does.
+:func:`match_spectrum` returns the deviation of the clusters from such a
+list and applies no bound: each caller bounds it in its own check.
 """
 
 from __future__ import annotations
@@ -145,30 +147,28 @@ def sym_eigvals(op: np.ndarray) -> np.ndarray:
 
 
 def match_spectrum(
-    clusters: tuple[tuple[float, int], ...],
-    template: list[tuple[float, int]],
-    rel_tol: float = 1e-8,
-) -> tuple[bool, float]:
-    """Compare ``(value, multiplicity)`` clusters against a template of such pairs.
+    clusters: tuple[tuple[float, int], ...], template: list[tuple[float, int]]
+) -> float:
+    """Worst relative deviation of ``(value, multiplicity)`` clusters from a template.
 
     ``clusters`` is ascending, as :func:`cluster_eigenvalues` returns it and
     :attr:`SpectrumReport.clusters` holds it.  The template is clustered by
     the same rule, so it may be unsorted, repeat a value or hold a
-    multiplicity 0.  Values are matched in ascending order with relative
-    tolerance ``rel_tol`` (absolute near zero).  Returns
-    ``(matched, worst_relative_deviation)``; a spectrum whose cluster
+    multiplicity 0.  Values are compared in ascending order, relative to
+    ``max(1, |expected|)`` (absolute near zero).  A spectrum whose cluster
     multiplicities differ from the template's, in number or in any entry,
-    deviates by ``inf``, and so does a NaN value on either side.
+    deviates by ``inf``, and so does a NaN value on either side.  The bound
+    is the caller's: a check passes the deviation with its own ``tol``.
     """
     expected = cluster_eigenvalues(np.repeat([v for v, _ in template], [k for _, k in template]))
     if len(clusters) != len(expected):
-        return False, float("inf")
+        return math.inf
     worst = 0.0
     for (got_v, got_k), (exp_v, exp_k) in zip(clusters, expected):
         if got_k != exp_k:
-            return False, float("inf")
+            return math.inf
         deviation = abs(got_v - exp_v) / max(1.0, abs(exp_v))
         if math.isnan(deviation):  # max() would keep the previous worst
-            return False, float("inf")
+            return math.inf
         worst = max(worst, deviation)
-    return worst <= rel_tol, worst
+    return worst

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .classification import classify, principal_nonexistence_certificate
+from .classification import SPECTRUM_TOL, classify, principal_nonexistence_certificate
 from .errors import ExcludedParameterError
 from .hypersurface import (
     HypersurfaceData,
@@ -106,9 +106,9 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
         # sym_eigen below refuses an R_U that is not self-adjoint (exit 2).
         R_U = ambient_jacobi(model, U)
         checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.max(np.abs(R_U @ U))), 1e-13))
-        spectrum = sym_eigen(R_U)
-        matched, deviation = match_spectrum(spectrum.clusters, template, rel_tol=tol)
-        checks.append(Check(f"jacobi_spectrum[{label}]", deviation if matched else float("inf"), tol))
+        checks.append(
+            Check(f"jacobi_spectrum[{label}]", match_spectrum(sym_eigen(R_U).clusters, template), tol)
+        )
         checks.append(
             Check(f"jacobi_trace[{label}]", abs(float(np.trace(R_U)) - 2.0 * m), 1e-12)
         )
@@ -145,8 +145,7 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
         ("structure_jacobi_spectrum", structure_jacobi(h), tube_jacobi_template(k, r)),
     ):
         clusters = cluster_eigenvalues(sym_eigvals(_in_frame(h, op)))
-        ok, dev = match_spectrum(clusters, template, rel_tol=1e-10)
-        checks.append(Check(name, dev if ok else float("inf"), 1e-10))
+        checks.append(Check(name, match_spectrum(clusters, template), 1e-10))
     # Partner-curvature relation: phi maps each invariant block onto
     # directions whose curvature is the partner of the block's.
     alpha = tube_reeb_curvature(r)
@@ -274,7 +273,7 @@ def classify_report(h: HypersurfaceData, tol: float = 1e-8) -> tuple[CheckReport
     if result.reeb_residual is not None:
         checks.append(Check("reeb_parallel_structure_jacobi", result.reeb_residual, tol))
     if result.spectrum_deviation is not None:
-        checks.append(Check("tube_spectrum_match", result.spectrum_deviation, 1e-8))
+        checks.append(Check("tube_spectrum_match", result.spectrum_deviation, SPECTRUM_TOL))
     return CheckReport(command="classify", params=params, checks=checks), result.describe()
 
 

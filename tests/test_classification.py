@@ -443,6 +443,37 @@ class TestClassify:
         res = q.classify(h)
         assert res.verdict == "outside-hypotheses"
         assert "spectrum" in res.reason
+        assert res.spectrum_deviation == math.inf
+
+    @pytest.mark.parametrize("shift, verdict", [(1e-8, "tube"), (3e-8, "outside-hypotheses")])
+    def test_one_spectrum_bound(self, shift, verdict):
+        """``classify`` and the ``tube_spectrum_match`` check of its report
+        apply the one ``SPECTRUM_TOL``, whatever the Reeb-parallel ``tol``.
+        The tube's ``-tan r`` block, scaled by ``1 + shift``, deviates by
+        ``shift tan r``: 6.8e-9 and 2.1e-8 at ``r = 0.6``, one on each side
+        of the bound, with a Reeb-parallel residual under ``tol = 1e-5``."""
+        tube = q.build_tube(2, 0.6)
+        W1 = tube.bases["W1"]
+        S = tube.h.S - shift * math.tan(0.6) * (W1 @ W1.T)
+        h = q.induce_from_normal(tube.h.model, tube.h.N, S)
+        res = q.classify(h, tol=1e-5)
+        assert res.verdict == verdict
+        assert res.spectrum_deviation == pytest.approx(shift * math.tan(0.6), rel=1e-6)
+        report, _ = suites.classify_report(h, tol=1e-5)
+        (check,) = [c for c in report.checks if c.name == "tube_spectrum_match"]
+        assert check.tol == classification.SPECTRUM_TOL
+        assert check.residual == res.spectrum_deviation
+        assert check.passed == (verdict == "tube")
+
+    def test_classify_reads_the_spectrum_bound(self, monkeypatch):
+        """The verdict follows ``SPECTRUM_TOL``, not a literal of its own."""
+        h = q.build_tube(2, 0.6).h
+        deviation = q.classify(h).spectrum_deviation
+        assert 0.0 < deviation <= classification.SPECTRUM_TOL
+        monkeypatch.setattr(classification, "SPECTRUM_TOL", deviation / 2.0)
+        res = q.classify(h)
+        assert res.verdict == "outside-hypotheses"
+        assert res.reason.startswith("shape spectrum does not match")
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3])
     @pytest.mark.parametrize("case", OUTCOMES)

@@ -119,6 +119,18 @@ class TestVerifyCommands:
         failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
         assert {"hopf", "isometric_reeb_flow", "hopf_identity"} <= failed
 
+    @pytest.mark.parametrize("k", ["2", "32"])
+    def test_spectrum_value_mismatch_reports_its_deviation(self, capsys, k):
+        """At r = 1e-6 the structure Jacobi clusters have the template's
+        multiplicities but not its values: the check fails with the measured
+        deviation (4.9e-5 at k = 2, 3.8e-6 at k = 32), not a stand-in inf."""
+        code, out, _ = run(capsys, "verify", "tube", "--k", k, "--r", "1e-6")
+        assert code == 1
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "structure_jacobi_spectrum"]
+        assert isinstance(check["residual"], float)
+        assert 1e-10 < check["residual"] < 1e-3
+        assert not check["pass"]
+
     def test_scan_tube_skips_exclusion_window(self, capsys):
         code, out, _ = run(
             capsys, "scan", "tube", "--k", "3", "--r-min", "0.1", "--r-max", "1.5",

@@ -27,8 +27,8 @@ class TestBuildTube:
             (2.0 / math.sqrt(3.0), 1),
             (math.sqrt(3.0), 2),
         ]
-        ok, dev = q.match_spectrum(rep.clusters, expected, rel_tol=1e-12)
-        assert ok and dev < 1e-14
+        dev = q.match_spectrum(rep.clusters, expected)
+        assert dev < 1e-14
 
     def test_tangent_dimension_sums(self):
         tube = q.build_tube(3, 0.9)
@@ -133,32 +133,35 @@ class TestTubeGridInvariants:
         assert all(abs(r - math.pi / 4.0) >= 0.01 for r in grid)
 
 
+def _jacobi_spectrum(tube):
+    """Spectrum of the structure Jacobi operator on the tube's tangent space."""
+    return q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(tube.h), tube.h.frame))
+
+
 class TestTubeJacobiSpectrum:
     def test_spectrum_at_point_six(self):
         tube = q.build_tube(2, 0.6)
-        rep = q.tube_structure_jacobi_spectrum(tube)
+        rep = _jacobi_spectrum(tube)
         expected = [(0.0, 3), (math.tan(0.6) ** 2, 2), (1.0 / math.tan(0.6) ** 2, 2)]
-        ok, dev = q.match_spectrum(rep.clusters, expected, rel_tol=1e-10)
-        assert ok and dev < 1e-12
+        dev = q.match_spectrum(rep.clusters, expected)
+        assert dev < 1e-12
 
     def test_degenerate_radius_limit(self):
         """At the vanishing-curvature radius the two nonzero branches merge at 1."""
         tube = q.build_tube(3, math.pi / 4.0, non_vanishing=False)
-        rep = q.tube_structure_jacobi_spectrum(tube)
+        rep = _jacobi_spectrum(tube)
         assert [k for _, k in rep.clusters] == [3, 8]
         npt.assert_allclose([v for v, _ in rep.clusters], [0.0, 1.0], atol=1e-12)
         # match_spectrum merges the template's tan^2 = cot^2 = 1 into one cluster,
         # as the solver's clusters merge them.
-        ok, _ = q.match_spectrum(rep.clusters, q.tube_jacobi_template(3, math.pi / 4.0), rel_tol=1e-10)
-        assert ok
+        assert q.match_spectrum(rep.clusters, q.tube_jacobi_template(3, math.pi / 4.0)) <= 1e-10
         shape = q.sym_eigen(q.restrict_to_frame(tube.h.S, tube.h.frame))
-        ok, _ = q.match_spectrum(shape.clusters, q.tube_shape_template(3, math.pi / 4.0), rel_tol=1e-10)
-        assert ok
+        assert q.match_spectrum(shape.clusters, q.tube_shape_template(3, math.pi / 4.0)) <= 1e-10
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_kernel_multiplicity_exactly_three(self, k):
         for r in q.default_radius_grid(10):
-            rep = q.tube_structure_jacobi_spectrum(q.build_tube(k, r))
+            rep = _jacobi_spectrum(q.build_tube(k, r))
             zero_mults = [mult for v, mult in rep.clusters if abs(v) < 1e-9]
             assert zero_mults == [3]
 

@@ -225,10 +225,12 @@ def real_rotated_A(monkeypatch):
 def shifted_A(monkeypatch):
     """``A + eps Id``: trace ``2m eps``.
 
-    ``tr A = -tr(J A J^-1)`` once ``A`` anti-commutes with ``J``, so a defect
-    that makes the trace nonzero also breaks the anti-commutation.  The
-    check is kept as the measured form of ``nonexistence``'s
-    ``required_trace``.
+    ``tr A = -tr(J A J^-1)`` holds exactly only when ``A`` anti-commutes with
+    ``J``, but a small shift breaks the anti-commutation by ``2 eps`` per
+    entry, under that check's bound, while the trace grows with ``m``: a
+    shift of ``2e-15`` fails ``conjugation_trace`` alone
+    (``test_small_shift_fails_the_trace_alone``).  The check is kept as the
+    measured form of ``nonexistence``'s ``required_trace``.
     """
     monkeypatch.setattr(
         suites, "build_tangent_model", _model_with(A=lambda mo: mo.A + EPS * np.eye(mo.dim))
@@ -515,6 +517,19 @@ def test_common_term_fails_solvability_alone(capsys, monkeypatch, tmp_path):
     assert code == 1
     failed = {base_name(c["name"]) for c in payload["checks"] if not c["pass"]}
     assert failed == {"affine_pair_solvable"}
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_small_shift_fails_the_trace_alone(capsys, monkeypatch, m):
+    """``A + 2e-15 Id`` moves each entry of ``A J + J A`` by ``4e-15``, under
+    the ``1e-14`` bound of ``conjugation_anti_commutes``, while the trace
+    ``2m * 2e-15`` exceeds it: only ``conjugation_trace`` sees the defect."""
+    monkeypatch.setattr(
+        suites, "build_tangent_model", _model_with(A=lambda mo: mo.A + 2e-15 * np.eye(mo.dim))
+    )
+    code, payload = run_command(capsys, ["verify", "ambient", "--m", str(m)])
+    assert code == 1
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["conjugation_trace"]
 
 
 def _spectrum_match_fails_alone(capsys, tmp_path, h):

@@ -41,6 +41,13 @@ def test_tangent_frame_is_gone():
     assert not hasattr(q.hypersurface, "tangent_frame")
 
 
+def test_tube_structure_jacobi_spectrum_is_gone():
+    """The tube's Jacobi spectrum is read on ``tube.h``, as its shape spectrum is."""
+    assert "tube_structure_jacobi_spectrum" not in q.__all__
+    assert not hasattr(q, "tube_structure_jacobi_spectrum")
+    assert not hasattr(q.models, "tube_structure_jacobi_spectrum")
+
+
 def test_every_exported_function_has_a_reader():
     """Each function of ``__all__`` is named outside its own module: in another
     module of the package, a test or a demo.  ``__init__.py`` and this file,

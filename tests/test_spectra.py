@@ -116,21 +116,33 @@ class TestClustering:
 
     def test_match_spectrum_accepts_and_rejects(self):
         rep = sym_eigen(np.diag([0.0, 0.0, 4.0]))
-        ok, dev = match_spectrum(rep.clusters, [(0.0, 2), (4.0, 1)])
-        assert ok and dev < 1e-15
-        ok, dev = match_spectrum(rep.clusters, [(0.0, 1), (4.0, 2)])
-        assert not ok and dev == float("inf")
-        ok, _ = match_spectrum(rep.clusters, [(0.0, 2), (4.1, 1)])
-        assert not ok
-        ok, dev = match_spectrum(rep.clusters, [(0.0, 3)])
-        assert not ok and dev == float("inf")
+        dev = match_spectrum(rep.clusters, [(0.0, 2), (4.0, 1)])
+        assert dev < 1e-15
+        dev = match_spectrum(rep.clusters, [(0.0, 1), (4.0, 2)])
+        assert dev == float("inf")
+        dev = match_spectrum(rep.clusters, [(0.0, 2), (4.1, 1)])
+        # A value mismatch with the template's multiplicities is measured.
+        assert dev == pytest.approx(0.1 / 4.1, rel=1e-12)
+        dev = match_spectrum(rep.clusters, [(0.0, 3)])
+        assert dev == float("inf")
+
+    @pytest.mark.parametrize(
+        "template",
+        [[(0.0, 2), (4.0, 1), (5.0, 1)], [(0.0, 2), (4.0, 2)]],
+        ids=["more_clusters", "larger_multiplicity"],
+    )
+    def test_match_spectrum_is_inf_on_a_multiplicity_mismatch(self, template):
+        """Clusters that differ from the template in number or in any
+        multiplicity have no deviation to measure, however close the values
+        (fewer clusters and a moved multiplicity: ``accepts_and_rejects``)."""
+        assert match_spectrum(((0.0, 2), (4.0, 1)), template) == float("inf")
 
     def test_match_spectrum_clusters_its_template(self):
         """The template is clustered by the rule of computed spectra: in any
         order, values that coincide merge and a multiplicity 0 drops out."""
         template = [(1.0, 4), (0.0, 3), (1.0 + 1e-14, 4), (5.0, 0)]
-        ok, dev = match_spectrum(((0.0, 3), (1.0, 8)), template, rel_tol=1e-10)
-        assert ok and 0.0 < dev < 1e-14
+        dev = match_spectrum(((0.0, 3), (1.0, 8)), template)
+        assert 0.0 < dev < 1e-14
 
     @pytest.mark.parametrize(
         "clusters, template",
@@ -144,7 +156,7 @@ class TestClustering:
     def test_match_spectrum_fails_on_nan(self, clusters, template):
         """A NaN value on either side deviates by inf.  ``max(worst, nan)``
         keeps ``worst``, so a NaN must not reach it as a deviation of 0."""
-        assert match_spectrum(clusters, template) == (False, float("inf"))
+        assert match_spectrum(clusters, template) == float("inf")
 
     def test_empty_input_has_no_clusters(self):
         assert cluster_eigenvalues([]) == ()
