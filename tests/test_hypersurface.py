@@ -509,6 +509,19 @@ class TestProjectionAndRankSum:
         expected = np.eye(n) - M
         assert hypersurface._identity_minus(M).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("axis", [None, (-2, -1), (-3, -2, -1)])
+    def test_max_abs_has_the_bits_of_max_of_abs(self, axis):
+        """Signed zeros, NaN and inf included: a matrix of zeros gives
+        ``+0.0``, as ``np.max(np.abs(M))`` does."""
+        M = np.random.default_rng(4).standard_normal((5, 3, 4, 4))
+        M[0] = -0.0
+        M[1, 0] = 0.0
+        M[1, 1] = -0.0
+        M[2, 0, 1, 2] = np.nan
+        M[3, 1, 0, 0] = -np.inf
+        expected = np.max(np.abs(M), axis=axis)
+        assert np.asarray(hypersurface._max_abs(M, axis)).tobytes() == expected.tobytes()
+
     def test_project_into_out_has_the_same_bits(self):
         rng = np.random.default_rng(2)
         M = rng.standard_normal((10, 10))
