@@ -84,13 +84,19 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
         )
 
     # Curvature symmetries over 20 random quadruples, one residual per
-    # property; the quadruples are the columns of four (n, 20) stacks.
+    # property; the quadruples are the columns of four (n, 20) stacks.  The
+    # five argument orders go through one call on 100 columns: each column is
+    # computed on its own and J, A are signed permutations, so every column
+    # has the bits of its own call.
     X, Y, Z, W = rng.standard_normal((20, 4, model.dim)).transpose(1, 2, 0)
-    RXYZ = ambient_curvature(model, X, Y, Z)
+    R = ambient_curvature(
+        model, np.hstack((X, X, Z, Y, Z)), np.hstack((Y, Y, W, Z, X)), np.hstack((Z, W, X, X, Y))
+    )
+    RXYZ, RXYW, RZWX, RYZX, RZXY = np.hsplit(R, 5)
     g_RXYZ_W = _col_dot(RXYZ, W)
-    anti = float(np.max(np.abs(g_RXYZ_W + _col_dot(ambient_curvature(model, X, Y, W), Z))))
-    pair_sym = float(np.max(np.abs(g_RXYZ_W - _col_dot(ambient_curvature(model, Z, W, X), Y))))
-    cyc = RXYZ + ambient_curvature(model, Y, Z, X) + ambient_curvature(model, Z, X, Y)
+    anti = float(np.max(np.abs(g_RXYZ_W + _col_dot(RXYW, Z))))
+    pair_sym = float(np.max(np.abs(g_RXYZ_W - _col_dot(RZWX, Y))))
+    cyc = RXYZ + RYZX + RZXY
     bianchi = float(np.max(np.abs(cyc)))
     checks.append(Check("curvature_skew_in_last_slots", anti, 1e-11))
     checks.append(Check("curvature_pair_symmetry", pair_sym, 1e-11))

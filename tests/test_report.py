@@ -1,12 +1,15 @@
 """Deterministic JSON rendering of reports."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadric
-from quadric.report import _escape, render_json
+from quadric import suites
+from quadric.report import VERSION, Check, CheckReport, _escape, render_json, report_to_json
 
 
 def per_character_escape(s):
@@ -48,3 +51,156 @@ def test_package_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == quadric.VERSION
+
+
+def reference_payload(report):
+    """The report as the nested dict whose :func:`render_json` text is the reference."""
+    passed = sum(1 for c in report.checks if c.passed)
+    return {
+        "command": report.command,
+        "version": VERSION,
+        "seed": report.seed,
+        "params": report.params,
+        "checks": [
+            {"name": c.name, "residual": c.residual, "tol": c.tol, "pass": c.passed}
+            for c in report.checks
+        ],
+        "summary": {
+            "total": len(report.checks),
+            "passed": passed,
+            "failed": len(report.checks) - passed,
+        },
+    }
+
+
+def _command_reports():
+    tube = quadric.build_tube(2, 0.6).h
+    hopf = quadric.random_hopf_data(4, np.random.default_rng(3))
+    return {
+        "verify ambient m=2": suites.verify_ambient(2, seed=1),
+        "verify ambient m=4": suites.verify_ambient(4),
+        "verify tube": suites.verify_tube(2, 0.6),
+        "verify tube failing": suites.verify_tube(2, 1e-6),
+        "scan tube": suites.scan_tube(2, 0.1, 1.4, 5),
+        "nonexistence": suites.nonexistence(3, samples=4, seed=5),
+        "nonexistence one sample": suites.nonexistence(2, samples=1),
+        "classify tube": suites.classify_report(tube)[0],
+        "classify random hopf": suites.classify_report(hopf)[0],
+        "spectrum tube": suites.spectrum_report(tube),
+        "spectrum random hopf": suites.spectrum_report(hopf),
+    }
+
+
+def test_command_reports_render_as_their_reference_payload():
+    reports = _command_reports()
+    assert not reports["verify tube failing"].all_passed
+    for label, report in reports.items():
+        assert report_to_json(report) == render_json(reference_payload(report)) + "\n", label
+
+
+NAMES = ['quote " here', "back\\slash", "new\nline", "unit\x1fsep", "\u03b1 = 2", "a b", ""]
+RESIDUALS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    5e-324,
+    1e300,
+    np.float64(0.1),
+    np.int64(3),
+    2,
+    np.float32(0.5),
+]
+
+
+def _hand_built_reports():
+    checks = [Check(name, 1e-15, 1e-12) for name in NAMES]
+    checks += [Check(f"residual[{i}]", residual, 1e-10) for i, residual in enumerate(RESIDUALS)]
+    checks += [Check("int_tol", 0.5, 1), Check("int_tol_exceeded", 2.0, 1)]
+    nested = {
+        "lists": [[1.5, [2, []]], (), (None, True)],
+        "flag": np.bool_(True),
+        "none": None,
+        "empty": {},
+        "k\"ey": {"inner": (0.25, "x\ty")},
+    }
+    return [
+        CheckReport("verify ambient", {"m": 3}, checks, seed=11),
+        CheckReport("classify", {}, []),
+        CheckReport("spectrum", nested, checks[:2], seed=0),
+        CheckReport('odd "command"\n', {"r": math.nan}, checks[-3:]),
+    ]
+
+
+def test_hand_built_reports_render_as_their_reference_payload():
+    for report in _hand_built_reports():
+        assert report_to_json(report) == render_json(reference_payload(report)) + "\n"
+
+
+EXACT_TEXT = """{
+  "command": "verify ambient",
+  "version": "0.3.0",
+  "seed": 3,
+  "params": {
+    "m": 2,
+    "tol": 1e-10,
+    "warnings": [
+      "m < 3 is outside the classification range"
+    ]
+  },
+  "checks": [
+    {
+      "name": "jacobi_trace[principal]",
+      "residual": 0.10000000000000001,
+      "tol": 9.9999999999999998e-13,
+      "pass": false
+    },
+    {
+      "name": "conjugation_trace",
+      "residual": 2.5e-15,
+      "tol": 1e-14,
+      "pass": true
+    },
+    {
+      "name": "hopf",
+      "residual": "inf",
+      "tol": 9.9999999999999998e-13,
+      "pass": false
+    }
+  ],
+  "summary": {
+    "total": 3,
+    "passed": 1,
+    "failed": 2
+  }
+}
+"""
+
+
+def test_report_text_is_pinned():
+    """The whole text of one report, independent of the reference renderer."""
+    report = CheckReport(
+        "verify ambient",
+        {"m": 2, "tol": 1e-10, "warnings": ["m < 3 is outside the classification range"]},
+        [
+            Check("jacobi_trace[principal]", 0.1, 1e-12),
+            Check("conjugation_trace", 2.5e-15, 1e-14),
+            Check("hopf", math.inf, 1e-12),
+        ],
+        seed=3,
+    )
+    assert report_to_json(report) == EXACT_TEXT
+
+
+def test_escape_matches_the_per_character_rule_on_any_text():
+    """The unescaped fast path and the translation agree with the rule on mixed strings."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    special = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u03b1"])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.text() | st.text(st.characters() | special))
+    def check(s):
+        assert _escape(s) == per_character_escape(s)
+
+    check()
