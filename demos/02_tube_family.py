@@ -17,11 +17,11 @@ tube = q.build_tube(k, r)
 h = tube.h
 print(f"tube k={k}, r={r}: ambient complex dimension {h.model.m}, alpha = {h.alpha:.6f}")
 
-shape = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
+shape = q.sym_eigen(h.frame.T @ h.S @ h.frame)
 print("shape spectrum:      ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in shape.clusters))
 print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_shape_template(k, r))))
 
-jac = q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(h), h.frame))
+jac = q.sym_eigen(h.frame.T @ q.structure_jacobi(h) @ h.frame)
 print("structure Jacobi:    ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in jac.clusters))
 print("expected:            ", ", ".join(f"{v:+.6f} (x{mult})" for v, mult in sorted(q.tube_jacobi_template(k, r))))
 
@@ -50,6 +50,6 @@ for kk in (2, 3, 4):
 # classification but still constructible for inspection.
 flat = q.build_tube(2, math.pi / 4.0, non_vanishing=False)
 print(f"\nat r = pi/4 the Reeb curvature vanishes: alpha = {flat.h.alpha:.2e}")
-flat_jac = q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(flat.h), flat.h.frame))
+flat_jac = q.sym_eigen(flat.h.frame.T @ q.structure_jacobi(flat.h) @ flat.h.frame)
 print("structure Jacobi spectrum degenerates to",
       ", ".join(f"{v:.3f} (x{mult})" for v, mult in flat_jac.clusters))

@@ -27,7 +27,8 @@ for _ in range(8):
     h = q.perturbed_tube(k, r, rng)
     a = abs(h.alpha)
     residual = q.reeb_parallel_residual(h)
-    predicted = a * (a / 2.0) * q.shape_commutator_scale(h)
+    commutator = np.max(np.linalg.norm((h.phi_S - h.S_phi) @ h.frame, axis=0))
+    predicted = a * (a / 2.0) * commutator
     print(f"{k:>3} {r:>6.3f} {h.alpha:>8.3f} {residual:>12.6e} {predicted:>12.6e} "
           f"{abs(residual - predicted):>11.2e}")
 

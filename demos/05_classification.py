@@ -16,17 +16,15 @@ import numpy as np
 import quadric as q
 from quadric.report import render_json
 
-workdir = Path(tempfile.mkdtemp(prefix="quadric-demo-"))
-
 # Round trip through the JSON schema.
 tube = q.build_tube(3, 0.85)
 payload = q.to_dict(tube.h)
 payload.update({"family": "T_A", "k": tube.k, "r": tube.r})
-path = workdir / "tube.json"
-path.write_text(render_json(payload) + "\n", encoding="utf-8")
-print(f"serialized tube(k=3, r=0.85) to {path}")
-
-h = q.from_dict(json.loads(path.read_text()))
+with tempfile.TemporaryDirectory(prefix="quadric-demo-") as workdir:
+    path = Path(workdir) / "tube.json"
+    path.write_text(render_json(payload) + "\n", encoding="utf-8")
+    print(f"serialized tube(k=3, r=0.85) to {path}")
+    h = q.from_dict(json.loads(path.read_text()))
 res = q.classify(h)
 print(f"classified: {res.describe()}  (radius error {abs(res.r - 0.85):.2e})")
 

@@ -40,10 +40,8 @@ from .hypersurface import (
     reeb_parallel_residual,
     reeb_shape_derivative,
     reeb_shape_residual,
-    restrict_to_frame,
     ricci,
     ricci_contraction,
-    shape_commutator_scale,
     structure_jacobi,
     to_dict,
 )
@@ -125,11 +123,9 @@ __all__ = [
     "reeb_shape_residual",
     "render_json",
     "report_to_json",
-    "restrict_to_frame",
     "ricci",
     "ricci_contraction",
     "rotate_conjugation",
-    "shape_commutator_scale",
     "structure_jacobi",
     "sym_eigen",
     "sym_eigvals",

@@ -32,7 +32,7 @@ Conventions used throughout:
 * the tangent frame ``h.frame`` is columns 2..n of a Householder
   reflection, and the residual gauges apply it as one, in O(n^2), instead
   of forming the dense frame; ``_max_column_norm`` gauges every frame
-  image, and :func:`restrict_to_frame` is the dense reference;
+  image, and ``h.frame.T @ M @ h.frame`` is the dense reference;
 * ``h.phi_S``, ``h.S_phi``, ``h.S_phi_S``, ``h.frame``, the two Reeb
   derivatives and the reflection behind ``h.frame`` are formed on first
   read and kept read-only; no command reads ``h.frame``.
@@ -647,11 +647,6 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
 # Residual gauges
 # ---------------------------------------------------------------------------
 
-def restrict_to_frame(M: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Matrix of an operator in the given orthonormal frame."""
-    return frame.T @ M @ frame
-
-
 def _max_column_norm(K: np.ndarray) -> float:
     """Largest column norm of ``K``: for ``K = M @ frame``, the largest image norm of ``M``."""
     return float(np.max(np.linalg.norm(K, axis=0)))
@@ -668,7 +663,7 @@ def _times_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
 
 
 def _in_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
-    """``restrict_to_frame(M, h.frame)`` in O(n^2), by :func:`_times_frame`
+    """``h.frame.T @ M @ h.frame`` in O(n^2), by :func:`_times_frame`
     and the same rank-one update on the left."""
     u, beta_u = h._reflection
     K = _times_frame(h, M)
@@ -682,14 +677,6 @@ def reeb_parallel_residual(h: HypersurfaceData) -> float:
     Zero characterizes a Reeb-parallel structure Jacobi operator.
     """
     return _max_column_norm(_times_frame(h, reeb_covariant_derivative(h)))
-
-
-def shape_commutator_scale(h: HypersurfaceData) -> float:
-    """``max_i | (phi S - S phi) Y_i |`` over the tangent frame.
-
-    Vanishes exactly when the Reeb flow is isometric.
-    """
-    return _max_column_norm(_times_frame(h, h.phi_S - h.S_phi))
 
 
 def reeb_shape_residual(h: HypersurfaceData) -> float:

@@ -93,8 +93,6 @@ def render_json(obj, indent: int = 0) -> str:
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -54,7 +54,7 @@ def test_criterion_2_tube_identity_suite():
         for r in q.default_radius_grid(20):
             tube = q.build_tube(k, r)
             h = tube.h
-            spec = q.sym_eigen(q.restrict_to_frame(h.S, h.frame))
+            spec = q.sym_eigen(h.frame.T @ h.S @ h.frame)
             dev = q.match_spectrum(spec.clusters, q.tube_shape_template(k, r))
             ok = ok and dev <= 1e-10
             track("shape_spectrum", dev)
@@ -89,7 +89,7 @@ def test_criterion_3_tube_structure_jacobi_spectrum():
     for k in (2, 3, 4):
         for r in q.default_radius_grid(20):
             h = q.build_tube(k, r).h
-            rep = q.sym_eigen(q.restrict_to_frame(q.structure_jacobi(h), h.frame))
+            rep = q.sym_eigen(h.frame.T @ q.structure_jacobi(h) @ h.frame)
             dev = q.match_spectrum(rep.clusters, q.tube_jacobi_template(k, r))
             ok = ok and dev <= 1e-10
             worst = max(worst, dev)
@@ -120,7 +120,7 @@ def test_criterion_4_reeb_parallel_commutator_equivalence():
     for k, r in samples:
         h = q.perturbed_tube(k, r, rng)
         a = abs(h.alpha)
-        comparator = (a / 2.0) * q.shape_commutator_scale(h)
+        comparator = (a / 2.0) * float(np.max(np.linalg.norm((h.phi_S - h.S_phi) @ h.frame, axis=0)))
         residual = q.reeb_parallel_residual(h)
         worst_eq = max(worst_eq, abs(residual - a * comparator))
         if abs(a - 1.0) < 1e-9:

@@ -1,4 +1,5 @@
-"""Every script under ``demos/`` runs to completion, with runtime warnings raised as errors.
+"""Every script under ``demos/`` runs to completion, with runtime warnings raised as errors,
+and leaves nothing behind in its temporary directory.
 
 The ``filterwarnings`` setting in ``pyproject.toml`` does not reach the demo
 subprocesses, so each one gets ``-W error::RuntimeWarning`` itself.
@@ -20,10 +21,12 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_exits_zero(script):
+def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(tmp_path)
     result = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -48,6 +48,15 @@ def test_tube_structure_jacobi_spectrum_is_gone():
     assert not hasattr(q.models, "tube_structure_jacobi_spectrum")
 
 
+@pytest.mark.parametrize("name", ["shape_commutator_scale", "restrict_to_frame"])
+def test_restated_routes_are_gone(name):
+    """``isometric_reeb_flow`` is the one gauge of ``phi S - S phi``, and a
+    restriction to a frame is written ``F.T @ M @ F``."""
+    assert name not in q.__all__
+    assert not hasattr(q, name)
+    assert not hasattr(q.hypersurface, name)
+
+
 def test_every_exported_function_has_a_reader():
     """Each function of ``__all__`` is named outside its own module: in another
     module of the package, a test or a demo.  ``__init__.py`` and this file,

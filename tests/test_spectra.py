@@ -192,7 +192,7 @@ REFUSALS = {
 def _tube_operators(k, r):
     """Shape and structure Jacobi operators of a tube in its tangent frame."""
     h = q.build_tube(k, r, non_vanishing=False).h
-    return [q.restrict_to_frame(M, h.frame) for M in (h.S, q.structure_jacobi(h))]
+    return [h.frame.T @ M @ h.frame for M in (h.S, q.structure_jacobi(h))]
 
 
 def _assert_agree(op):
@@ -229,7 +229,7 @@ class TestEigenvaluesOnly:
     def test_agrees_on_densely_rotated_tubes(self, k, seed):
         h = rotated(q.build_tube(k, 0.7).h, seed)
         for M in (h.S, q.structure_jacobi(h)):
-            _assert_agree(q.restrict_to_frame(M, h.frame))
+            _assert_agree(h.frame.T @ M @ h.frame)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 128])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
