@@ -27,7 +27,6 @@ from .hypersurface import (
     HypersurfaceData,
     _hopf_identity_matrix,
     _in_frame,
-    _max_abs,
     _max_column_norm,
     reeb_covariant_derivative,
     reeb_derivative_reduced,
@@ -311,14 +310,14 @@ def principal_nonexistence_certificate(
 
         a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        difference = _max_abs(e_a - e_b - 4.0 * alpha * (a_rand - eye), axis=(-2, -1))
+        difference = np.max(np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)), axis=(-2, -1))
 
         # Each 1x1 pair has the bits of its diagonal entry in the dense
         # evaluation, whose off-diagonal entries are exact zeros.  With A = I
         # the two equations evaluate the same terms in the same order, so E_a
         # equals E_b bit for bit.
         e_star, _ = affine_pair_matrices(alpha[..., None], diag[..., None, None], np.eye(1))
-        solvable = _max_abs(e_star, axis=(-3, -2, -1))
+        solvable = np.max(np.abs(e_star), axis=(-3, -2, -1))
         residuals = np.stack([difference, solvable], axis=1)
         checks += _stack_checks(stack, tags[start : start + width], residuals)
 
@@ -383,18 +382,27 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     Hopf data with non-vanishing Reeb curvature and Reeb-parallel structure
     Jacobi operator must have singular normal; the isotropic case is the
     tube family (radius recovered from the Reeb curvature, spectrum matched
-    to the tube template), the principal case cannot occur.  Everything else
-    is reported outside the hypotheses with the failing condition.
+    to the tube template), the principal case cannot occur.  Data in complex
+    dimension ``m < 3``, below the theorem's range, and everything else is
+    reported outside the hypotheses with the failing condition.
     """
     # canonical_angle(h.model, h.N), read off the stored image h.A_N = h.conj N.
     angle = _angle_from_image(h.A_N, h.N)
 
+    m = h.model.m
+    if m < 3:
+        return ClassificationResult(
+            angle.kind,
+            reason=f"complex dimension m = {m} is outside the classification range (m >= 3)",
+        )
     if not h.hopf:
         return ClassificationResult(
             angle.kind, reason=f"not Hopf (|S xi - alpha xi| = {h.hopf_defect:.3e})"
         )
     if abs(h.alpha) < tol:
-        return ClassificationResult(angle.kind, reason="vanishing geodesic Reeb flow (alpha = 0)")
+        return ClassificationResult(
+            angle.kind, reason=f"vanishing geodesic Reeb flow (|alpha| = {abs(h.alpha):.3e})"
+        )
 
     residual = reeb_parallel_residual(h)
     result = functools.partial(ClassificationResult, angle.kind, residual)
@@ -412,8 +420,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
         )
 
     # Isotropic: recover the tube parameters and match the spectrum.
-    m = h.model.m
-    if m % 2 != 0 or m < 4:
+    if m % 2 != 0:
         return result(reason=f"no tube family in complex dimension {m}")
     k = m // 2
     r = recover_radius(h.alpha)

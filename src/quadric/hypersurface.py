@@ -203,7 +203,7 @@ def _reflector(N: np.ndarray) -> np.ndarray:
 
 def _frame(u: np.ndarray) -> np.ndarray:
     """Columns 2..n of ``I - 2 u u^T / (u^T u)``, the tangent frame ``h.frame``."""
-    return _identity_minus(np.outer(u, u) * 2.0 / float(u @ u))[:, 1:]
+    return (np.eye(u.size) - np.outer(u, u) * 2.0 / float(u @ u))[:, 1:]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -211,35 +211,19 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _identity_minus(M: np.ndarray) -> np.ndarray:
-    """``np.eye(n) - M`` written into ``M``, with the same bits: ``0 - m`` off
-    the diagonal (so zeros come out ``+0.0``) and ``(0 - m) + 1 = 1 - m`` on it."""
-    np.subtract(0.0, M, out=M)
-    M.reshape(-1)[:: M.shape[0] + 1] += 1.0
-    return M
-
-
-def _max_abs(M: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray | float:
-    """``np.max(np.abs(M), axis)``, NaN included, without the ``|M|``
-    temporary; ``+ 0.0`` turns the ``-0.0`` of a matrix of zeros into ``+0.0``."""
-    return np.maximum(M.max(axis=axis), -M.min(axis=axis)) + 0.0
-
-
-def _project(
-    M: np.ndarray, N: np.ndarray, left: bool = True, out: np.ndarray | None = None
-) -> np.ndarray:
+def _project(M: np.ndarray, N: np.ndarray, left: bool = True) -> np.ndarray:
     """``P M P`` (or ``M P`` with ``left=False``) for ``P = I - N N^T``, in O(n^2).
 
     The projection is a rank-one update, so it is applied as one:
     ``P M P = M - N (N^T M) - (M N - (N^T M N) N) N^T`` and
-    ``M P = M - (M N) N^T``.  ``N`` must be a unit vector.  ``out=M``
-    overwrites a temporary ``M`` instead of allocating the result.
+    ``M P = M - (M N) N^T``.  ``N`` must be a unit vector.  The result is a
+    new array; ``M`` is left as it is.
     """
     MN = M @ N
     if not left:
-        return np.subtract(M, np.outer(MN, N), out=out)
+        return M - np.outer(MN, N)
     NM = N @ M
-    return np.subtract(M, _rank_sum((N, NM), (MN - float(N @ MN) * N, N)), out=out)
+    return M - _rank_sum((N, NM), (MN - float(N @ MN) * N, N))
 
 
 def _rank_sum(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -283,7 +267,7 @@ def induce_from_normal(
     if S.shape != (model.dim, model.dim):
         raise ModelValidationError(f"shape operator must be {model.dim}x{model.dim}, got {S.shape}")
 
-    P = _identity_minus(np.outer(N, N))
+    P = np.eye(model.dim) - np.outer(N, N)
     warnings: list[str] = []
     normal_leak = max(float(np.max(np.abs(S @ N))), float(np.max(np.abs(N @ S))))
     if normal_leak > CONSTRUCTION_TOL:
@@ -291,10 +275,7 @@ def induce_from_normal(
         warnings.append(f"shape operator projected to the tangent space (leak {normal_leak:.3e})")
     else:
         S = S.copy()
-    # One n x n work array serves every check below, so each adds at most one
-    # short-lived n x n temporary: fresh pages are what these checks cost most.
-    work = S - S.T
-    sym_defect = _max_abs(_project(work, N, out=work))
+    sym_defect = float(np.max(np.abs(_project(S - S.T, N))))
     if sym_defect > max(CONSTRUCTION_TOL, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
         raise AsymmetryError(sym_defect, "shape operator not self-adjoint on the tangent space")
 
@@ -312,17 +293,13 @@ def induce_from_normal(
     # a small multiple of the length defect of N, which UNIT_TOL admits.
     # phi = P J P maps into the tangent space, so phi^2 + P - xi xi^T is
     # phi^2 + Id - eta (x) xi on it.
-    np.matmul(phi, phi, out=work)
-    work += P
-    work -= np.outer(xi, xi)
-    almost_contact = _max_abs(work)
-    np.subtract(B, conj, out=work)
-    work += np.outer(N, A_N)
     checks = {
         "phi xi != 0": float(np.max(np.abs(phi @ xi))),
-        "phi^2 + Id - eta (x) xi != 0 on the tangent space": almost_contact,
-        "conjugation split does not reconstruct A": _max_abs(
-            _project(work, N, left=False, out=work)
+        "phi^2 + Id - eta (x) xi != 0 on the tangent space": float(
+            np.max(np.abs(phi @ phi + P - np.outer(xi, xi)))
+        ),
+        "conjugation split does not reconstruct A": float(
+            np.max(np.abs(_project(B - conj + np.outer(N, A_N), N, left=False)))
         ),
         "g(xi, A N) != 0": abs(float(xi @ A_N)),
     }
@@ -507,7 +484,7 @@ def _reeb_shape_matrix(h: HypersurfaceData) -> np.ndarray:
         (-c * xi, A_N),
         (-(phi @ A_xi), A_xi),
     )
-    return _project(G, h.N, left=False, out=G)
+    return _project(G, h.N, left=False)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +513,7 @@ def structure_jacobi(h: HypersurfaceData) -> np.ndarray:
             (-h.alpha**2 * xi, xi),
         )
     )
-    return _project(M, h.N, out=M)
+    return _project(M, h.N)
 
 
 def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
@@ -593,7 +570,7 @@ def _reeb_covariant_matrix(h: HypersurfaceData) -> np.ndarray:
         (-alpha**2 * xi, phiSX),
         (-alpha**2 * phiSX, xi),
     )
-    return _project(M, N, left=False, out=M)
+    return _project(M, N, left=False)
 
 
 def reeb_covariant_derivative(h: HypersurfaceData) -> np.ndarray:
@@ -640,7 +617,7 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
         (-c * (q - alpha) * xi, phi_A_xi),
         (-2.0 * alpha * xi_alpha * xi, xi),
     )
-    return _project(M, N, left=False, out=M)
+    return _project(M, N, left=False)
 
 
 # ---------------------------------------------------------------------------

@@ -77,28 +77,22 @@ def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats.
 
     Dicts keep insertion order; only types that appear in reports are
-    supported (dict, list/tuple, str, bool, None, int, float).
+    supported (dict, list/tuple, str, bool, None, int, float).  ``bool`` is
+    tested before ``int``, its base class; ``np.float64`` is a ``float``, and
+    other numpy scalars are written through their ``.item()``.
     """
-    # Exact builtin types first; subclasses and numpy scalars take the chain below.
-    kind = type(obj)
-    if kind is float:
-        return _format_float(obj)
-    if kind is str:
-        return _escape(obj)
-    if kind is int:
-        return str(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if obj is None:
         return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
     if isinstance(obj, str):
         return _escape(obj)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -267,8 +267,8 @@ def classify_report(h: HypersurfaceData, tol: float = 1e-8) -> tuple[CheckReport
     if result.k is not None:
         params["k"] = result.k
         params["r"] = result.r
-    # The only check that fails when classify stops before any residual (data
-    # that is not Hopf, alpha = 0), so the exit code follows the verdict.
+    # The only check that fails when classify stops before any residual (m < 3,
+    # data that is not Hopf, alpha = 0), so the exit code follows the verdict.
     checks = [
         Check(
             "classification_admissible",

@@ -104,6 +104,11 @@ def _isometric_flow_data(m, pairs):
 # the expected verdict, singular type, reason prefix, and which of
 # ``reeb_residual``, ``k``, ``r`` and ``spectrum_deviation`` are set.
 OUTCOMES = {
+    "below-range": (
+        lambda: q.reeb_parallel_principal_candidate(2, 1.2),
+        "outside-hypotheses", "A-principal",
+        "complex dimension m = 2 is outside the classification range (m >= 3)", set(),
+    ),
     "not-hopf": (
         _non_hopf_data,
         "outside-hypotheses", "A-principal", "not Hopf (", set(),
@@ -395,6 +400,12 @@ class TestClassify:
         res = q.classify(h)
         assert res.verdict == "outside-hypotheses"
         assert "vanishing geodesic Reeb flow" in res.reason
+
+    def test_vanishing_reason_reports_the_measured_alpha(self):
+        """Under a loose ``tol`` a nonzero alpha takes the vanishing branch;
+        the reason gives ``|alpha|``, not ``alpha = 0``."""
+        res = q.classify(q.build_tube(2, 0.7).h, tol=0.5)
+        assert res.reason == "vanishing geodesic Reeb flow (|alpha| = 3.450e-01)"
 
     def test_non_hopf_outside(self):
         res = q.classify(_non_hopf_data())

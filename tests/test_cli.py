@@ -222,6 +222,27 @@ class TestClassifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "nonexistent"
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_principal_candidate_below_range_exits_one(self, capsys, tmp_path, m):
+        """Below ``m = 3``, outside the theorem's range, a Reeb-parallel principal
+        candidate is not certified ``nonexistent``: at ``m = 1`` the forced
+        trace ``2m - 2`` is 0, the required trace."""
+        path = tmp_path / "candidate.json"
+        path.write_text(
+            render_json(q.to_dict(q.reeb_parallel_principal_candidate(m, 1.2))) + "\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "classify", str(path), "--json", str(tmp_path / "r.json"))
+        assert code == 1
+        reason = f"complex dimension m = {m} is outside the classification range (m >= 3)"
+        assert out.splitlines()[0] == f"outside-hypotheses ({reason})"
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["params"]["verdict"] == "outside-hypotheses"
+        assert report["params"]["reason"] == reason
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("classification_admissible", False)
+        ]
+
     def test_vanishing_curvature_exits_one(self, capsys, tmp_path):
         path = write_tube_payload(tmp_path / "flat.json", r=math.pi / 4.0)
         code, out, _ = run(capsys, "classify", str(path))

@@ -83,7 +83,7 @@ class TestInduceFromNormal:
     @pytest.mark.parametrize("m", [3, 16, 64])
     @pytest.mark.parametrize("kind", ["generic", "principal", "isotropic"])
     def test_projector_and_frame_have_the_dense_bits(self, m, kind):
-        """Built in place, both keep the bits of their dense sums, signed zeros included."""
+        """Both have the bits of their dense sums, signed zeros included."""
         h = random_hopf(m, kind, seed=m)
         N, n = h.N, h.model.dim
         assert h.projector.tobytes() == (np.eye(n) - np.outer(N, N)).tobytes()
@@ -496,42 +496,6 @@ class TestProjectionAndRankSum:
         bound = 1e-13 * max(1.0, float(np.max(np.abs(M))))
         assert np.max(np.abs(hypersurface._project(M, N) - P @ M @ P)) <= bound
         assert np.max(np.abs(hypersurface._project(M, N, left=False) - M @ P)) <= bound
-
-    @pytest.mark.parametrize("m", [1, 3, 64])
-    def test_identity_minus_has_the_bits_of_eye_minus(self, m):
-        """Signed zeros included: ``0 - (-0.0)`` and ``0 - 0.0`` are both ``+0.0``."""
-        rng = np.random.default_rng(m)
-        n = 2 * m
-        N = rng.standard_normal(n)
-        N[::3] = 0.0
-        N[1::4] = -0.0
-        M = np.outer(N, N)
-        expected = np.eye(n) - M
-        assert hypersurface._identity_minus(M).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("axis", [None, (-2, -1), (-3, -2, -1)])
-    def test_max_abs_has_the_bits_of_max_of_abs(self, axis):
-        """Signed zeros, NaN and inf included: a matrix of zeros gives
-        ``+0.0``, as ``np.max(np.abs(M))`` does."""
-        M = np.random.default_rng(4).standard_normal((5, 3, 4, 4))
-        M[0] = -0.0
-        M[1, 0] = 0.0
-        M[1, 1] = -0.0
-        M[2, 0, 1, 2] = np.nan
-        M[3, 1, 0, 0] = -np.inf
-        expected = np.max(np.abs(M), axis=axis)
-        assert np.asarray(hypersurface._max_abs(M, axis)).tobytes() == expected.tobytes()
-
-    def test_project_into_out_has_the_same_bits(self):
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((10, 10))
-        N = rng.standard_normal(10)
-        N /= np.linalg.norm(N)
-        for left in (True, False):
-            expected = hypersurface._project(M, N, left=left)
-            work = M.copy()
-            assert hypersurface._project(work, N, left=left, out=work) is work
-            assert work.tobytes() == expected.tobytes()
 
     def test_rank_sum_matches_outer_products(self):
         rng = np.random.default_rng(5)
