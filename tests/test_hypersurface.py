@@ -92,6 +92,18 @@ class TestInduceFromNormal:
         H = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
         assert h.frame.tobytes() == H[:, 1:].tobytes()
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_projector_and_frame_of_a_normal_with_signed_zeros_hold_no_negative_zero(self, m):
+        """``0 - 0.0`` and ``0 - (-0.0)`` are both ``+0.0``, so every zero
+        entry of the projector and the frame is ``+0.0``."""
+        model = q.build_tangent_model(m)
+        N = model.zvec(1).copy()
+        N[1::2] = -0.0
+        h = q.induce_from_normal(model, N, np.zeros((model.dim, model.dim)))
+        for M in (h.projector, h.frame):
+            assert (M == 0.0).any()
+            assert not (np.signbit(M) & (M == 0.0)).any()
+
     @pytest.mark.parametrize("scale", [1.0 + 1e-11, 1.0 - 1e-11, 1.0 + 9e-10])
     @pytest.mark.parametrize(
         "data",
@@ -496,6 +508,17 @@ class TestProjectionAndRankSum:
         bound = 1e-13 * max(1.0, float(np.max(np.abs(M))))
         assert np.max(np.abs(hypersurface._project(M, N) - P @ M @ P)) <= bound
         assert np.max(np.abs(hypersurface._project(M, N, left=False) - M @ P)) <= bound
+
+    @pytest.mark.parametrize("left", [True, False], ids=["PMP", "MP"])
+    def test_project_returns_a_new_array_and_leaves_its_input(self, left):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((10, 10))
+        N = rng.standard_normal(10)
+        N /= np.linalg.norm(N)
+        before = M.copy()
+        projected = hypersurface._project(M, N, left=left)
+        assert not np.shares_memory(projected, M)
+        assert M.tobytes() == before.tobytes()
 
     def test_rank_sum_matches_outer_products(self):
         rng = np.random.default_rng(5)
