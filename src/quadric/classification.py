@@ -36,7 +36,7 @@ from .hypersurface import (
 from .models import _complex_pair_columns, _quadratic_roots, tube_shape_template
 from .report import Check, CheckReport
 from .spectra import match_spectrum, sym_eigen
-from .tangent import _angle_from_image, _require_dimension, principal_vector
+from .tangent import _require_dimension, canonical_angle, principal_vector
 
 #: Largest deviation of the shape spectrum from the tube template that
 #: ``classify`` admits, and the bound of the ``tube_spectrum_match`` check.
@@ -386,9 +386,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     dimension ``m < 3``, below the theorem's range, and everything else is
     reported outside the hypotheses with the failing condition.
     """
-    # canonical_angle(h.model, h.N), read off the stored image h.A_N = h.conj N.
-    angle = _angle_from_image(h.A_N, h.N)
-
+    angle = canonical_angle(h.model, h.N)
     m = h.model.m
     if m < 3:
         return ClassificationResult(

@@ -8,15 +8,15 @@ Two entry points share one set of guards (square shape, finite entries,
   backward-stable solver).  Its report carries a certificate that does not
   depend on which solver produced it: the reconstruction residual
   ``||op - Q diag Q^T||_F`` and the orthogonality residual ``||Q^T Q - I||_F``.
-  ``spectrum`` reports the reconstruction residuals; ``classify`` and
-  ``verify ambient`` read the clusters of the same certified solve.
+  ``spectrum`` reports the reconstruction residuals; ``classify`` reads the
+  clusters of the same certified solve.
 * :func:`sym_eigvals` returns the eigenvalues alone: no eigenvectors, no
   certificate products.  A row of the symmetrized operator whose
   off-diagonal entries are all exactly zero has its diagonal entry as an
   exact eigenvalue, read off without a solve (no threshold applies: a
   subnormal entry still couples); only the principal submatrix of the
-  remaining rows goes to ``np.linalg.eigvalsh``.  ``verify tube`` and
-  ``scan tube`` compare clusters only and use it.
+  remaining rows goes to ``np.linalg.eigvalsh``.  Every template check of
+  ``verify ambient``, ``verify tube`` and ``scan tube`` uses it.
 
 Eigenvalues are grouped into multiplicity clusters so that spectra can be
 compared against exact closed-form lists; the cluster width scales with the

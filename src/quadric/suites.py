@@ -55,6 +55,15 @@ from .tangent import (
 #: before anything is allocated for it.
 MAX_COUNT = 10_000
 
+#: Warning of the ``verify ambient`` and ``nonexistence`` reports below the theorem's range.
+_BELOW_RANGE_NOTE = "m < 3 is outside the classification range; structural checks only"
+
+
+def _spectrum_check(name: str, op: np.ndarray, template: list, tol: float) -> Check:
+    """Every template check of a suite; ``sym_eigvals`` solves for no eigenvectors
+    and refuses an ``op`` that is not self-adjoint (exit 2)."""
+    return Check(name, match_spectrum(cluster_eigenvalues(sym_eigvals(op)), template), tol)
+
 
 def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     """Structural and spectral checks of the ambient model.
@@ -109,21 +118,16 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
         ("principal", principal_vector(model), [(0.0, m), (2.0, m)]),
         ("isotropic", isotropic_vector(model), [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]),
     ):
-        # sym_eigen below refuses an R_U that is not self-adjoint (exit 2).
         R_U = ambient_jacobi(model, U)
         checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.max(np.abs(R_U @ U))), 1e-13))
-        checks.append(
-            Check(f"jacobi_spectrum[{label}]", match_spectrum(sym_eigen(R_U).clusters, template), tol)
-        )
+        checks.append(_spectrum_check(f"jacobi_spectrum[{label}]", R_U, template, tol))
         checks.append(
             Check(f"jacobi_trace[{label}]", abs(float(np.trace(R_U)) - 2.0 * m), 1e-12)
         )
 
     params: dict = {"m": m, "tol": tol}
     if m < 3:
-        params["warnings"] = [
-            "m < 3 is outside the classification range; structural checks only"
-        ]
+        params["warnings"] = [_BELOW_RANGE_NOTE]
     return CheckReport(command="verify ambient", params=params, checks=checks, seed=seed)
 
 
@@ -145,13 +149,11 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
         ("normal_component_cancellation", normal_component_residual, 1e-12),
     )
     checks += [Check(name, f(h) if h.hopf else math.inf, bound) for name, f, bound in hopf_only]
-    # Only the eigenvalue clusters are compared, so no eigenvectors are solved for.
     for name, op, template in (
         ("shape_spectrum", h.S, tube_shape_template(k, r)),
         ("structure_jacobi_spectrum", structure_jacobi(h), tube_jacobi_template(k, r)),
     ):
-        clusters = cluster_eigenvalues(sym_eigvals(_in_frame(h, op)))
-        checks.append(Check(name, match_spectrum(clusters, template), 1e-10))
+        checks.append(_spectrum_check(name, _in_frame(h, op), template, 1e-10))
     # Partner-curvature relation: phi maps each invariant block onto
     # directions whose curvature is the partner of the block's.
     alpha = tube_reeb_curvature(r)
@@ -224,6 +226,8 @@ def scan_tube(
 def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
     """Nonexistence certificate with sampled Reeb curvatures.
 
+    At ``m = 2`` the report warns with ``_BELOW_RANGE_NOTE``.
+
     Raises:
         ExcludedParameterError: if ``samples > MAX_COUNT``; the certificate
             refuses the other invalid inputs.
@@ -238,7 +242,10 @@ def nonexistence(m: int, samples: int = 25, seed: int = 7) -> CheckReport:
     alphas = [
         float(rng.uniform(0.2, 3.0) * (-1.0, 1.0)[rng.integers(0, 2)]) for _ in range(samples)
     ]
-    return principal_nonexistence_certificate(m, alphas, seed=seed)
+    report = principal_nonexistence_certificate(m, alphas, seed=seed)
+    if m < 3:
+        report.params["warnings"] = [_BELOW_RANGE_NOTE]
+    return report
 
 
 def ricci_consistency(h: HypersurfaceData) -> Check:

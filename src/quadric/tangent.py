@@ -151,22 +151,15 @@ def canonical_angle(model: TangentModel, U: np.ndarray) -> CanonicalAngle:
     it), which fixes ``Z_1'`` and negates ``J Z_2'``.  So
     ``|A*U - U| = 2 sin(t)``, and ``t = arcsin(|A*U - U| / 2)`` is well
     conditioned at ``t = 0``.  ``t = 0`` tags a principal direction,
-    ``t = pi/4`` an isotropic one, each up to ``ANGLE_EPS``.
+    ``t = pi/4`` an isotropic one, each up to ``ANGLE_EPS``.  ``classify``
+    applies it to the normal of its data.
 
     Raises:
         NonFiniteError: if ``U`` has a NaN or infinite entry.
         NormalizationError: if ``U`` is not unit length.
     """
     U = _require_unit_direction(U)
-    return _angle_from_image(adapted_conjugation(model, U) @ U, U)
-
-
-def _angle_from_image(AU: np.ndarray, U: np.ndarray) -> CanonicalAngle:
-    """Canonical angle of a unit ``U`` from its image ``AU`` under the adapted member.
-
-    The rule of :func:`canonical_angle`, ``t = arcsin(|A*U - U| / 2)`` and its
-    tag, for a caller that holds ``A*U`` already (``h.A_N`` for ``U = h.N``).
-    """
+    AU = adapted_conjugation(model, U) @ U
     t = math.asin(min(1.0, 0.5 * float(np.linalg.norm(AU - U))))
     if t < ANGLE_EPS:
         kind = "A-principal"

@@ -151,6 +151,17 @@ class TestVerifyCommands:
         assert report["summary"]["failed"] == 0
         assert report["params"]["forced_trace_on_c"] == 4
 
+    def test_nonexistence_below_range_warns(self, capsys):
+        """At m = 2 the certificate still passes, but the report carries the
+        note of ``verify ambient --m 2``: the theorem needs m >= 3."""
+        warnings = {}
+        for m in ("2", "3"):
+            code, out, _ = run(capsys, "nonexistence", "--m", m, "--alpha-samples", "2")
+            assert code == 0
+            warnings[m] = json.loads(out)["params"].get("warnings")
+        _, out, _ = run(capsys, "verify", "ambient", "--m", "2")
+        assert warnings == {"2": json.loads(out)["params"]["warnings"], "3": None}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -37,7 +37,7 @@ UNREACHED = {
     "hypersurface.ricci_contraction": "the independent oracle for ricci, read by ricci_consistency",
     "hypersurface.reeb_derivative_reduced": "paper formula for nabla_xi R_xi in reduced form; waits for ROADMAP item 4",
     "hypersurface.HypersurfaceData.require_tangent": "tangency guard of induced_curvature and ricci",
-    "hypersurface.HypersurfaceData.rho": "the pairing g(X, A N) that induced_curvature and ricci read",
+    "hypersurface.HypersurfaceData.rho": "the pairing g(X, A N) that ricci reads; induced_curvature reads _gauss_terms",
     "suites.ricci_consistency": "the benchmark's oracle-sweep workload runs it; no command does",
     "classification.principal_chain_residuals": "the derivation chain of the nonexistence proof; waits for ROADMAP item 6",
     "models._complex_pair_columns": "the frame of principal_chain_residuals",
@@ -49,7 +49,6 @@ UNREACHED = {
     "hypersurface.to_dict": "library serializer that writes the payloads classify and spectrum read",
     "hypersurface.HypersurfaceData.with_gauge": "library copy with another gauge q(xi)",
     "hypersurface.HypersurfaceData.with_dalpha": "library copy with a declared Reeb-curvature differential",
-    "tangent.canonical_angle": "library form of the angle rule that classify applies through _angle_from_image",
     "hypersurface._frame": "behind h.frame, the dense reference the reflection gauges are tested against",
 }
 

@@ -7,8 +7,9 @@ count.  The Ricci contraction forms no stack at all: it contracts the Gauss
 equation with the tangent projection as ``n x n`` products, so at the
 dimension cap it holds a bounded number of dense matrices, as the tube
 suite does.  The tube suite's shared products are formed once per instance,
-and its spectrum checks solve for eigenvalues only.  No suite forms the
-dense tangent frame ``h.frame``: the gauges apply it as a reflection.
+and every suite's spectrum checks solve for eigenvalues only.  No suite
+forms the dense tangent frame ``h.frame``: the gauges apply it as a
+reflection.
 """
 
 import tracemalloc
@@ -153,18 +154,20 @@ def test_frame_formed_once_on_first_read(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, radii",
+    "suite, solves",
     [
-        (lambda: suites.verify_tube(32, 0.6), 1),
-        (lambda: suites.scan_tube(32, 0.3, 1.2, 3), 3),
+        (lambda: suites.verify_tube(32, 0.6), 2),
+        (lambda: suites.scan_tube(32, 0.3, 1.2, 3), 6),
+        *((lambda m=m: suites.verify_ambient(m), 1) for m in (2, 16, 64)),
     ],
-    ids=["verify_tube", "scan_tube"],
+    ids=["verify_tube", "scan_tube", "verify_ambient-2", "verify_ambient-16", "verify_ambient-64"],
 )
-def test_tube_suites_solve_for_eigenvalues_only(monkeypatch, suite, radii):
-    """The tube checks compare eigenvalue clusters, so no eigenvectors are
-    solved for: two ``eigvalsh`` calls per radius and no ``eigh``.  Each call
-    sees only the coupled block, since ``sym_eigvals`` reads the eigenvalues
-    of decoupled rows off the diagonal."""
+def test_suites_solve_for_eigenvalues_only(monkeypatch, suite, solves):
+    """Every template check compares eigenvalue clusters, so no eigenvectors
+    are solved for: no ``eigh`` call, and one ``eigvalsh`` call per spectrum
+    that has coupled rows.  Each call sees only the coupled block, since
+    ``sym_eigvals`` reads the eigenvalues of decoupled rows off the
+    diagonal."""
     calls = {"eigh": [], "eigvalsh": []}
 
     def recorded(name, solver):
@@ -178,7 +181,10 @@ def test_tube_suites_solve_for_eigenvalues_only(monkeypatch, suite, radii):
         monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     assert suite().all_passed
     # In the frame of build_tube, S and the structure Jacobi operator couple
-    # frame rows 0 and 63 only; the other 125 of 127 rows are diagonal.  The
-    # geometric tube of ROADMAP item 5 couples rows in pairs, so building the
-    # tube that way must re-measure and update these shapes.
-    assert calls == {"eigh": [], "eigvalsh": [(2, 2)] * (2 * radii)}
+    # frame rows 0 and 63 only; the other 125 of 127 rows are diagonal, so a
+    # tube solves two 2 x 2 blocks per radius.  The geometric tube of ROADMAP
+    # item 5 couples rows in pairs, so building the tube that way must
+    # re-measure and update these shapes.  Of the ambient Jacobi operators,
+    # the principal one is diagonal and the isotropic one couples only the
+    # rows of Z_1 and J Z_2, at every m.
+    assert calls == {"eigh": [], "eigvalsh": [(2, 2)] * solves}
