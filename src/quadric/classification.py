@@ -310,14 +310,14 @@ def principal_nonexistence_certificate(
 
         a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        difference = np.max(np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)), axis=(-2, -1))
+        difference = np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)).max(axis=(-2, -1))
 
         # Each 1x1 pair has the bits of its diagonal entry in the dense
         # evaluation, whose off-diagonal entries are exact zeros.  With A = I
         # the two equations evaluate the same terms in the same order, so E_a
         # equals E_b bit for bit.
         e_star, _ = affine_pair_matrices(alpha[..., None], diag[..., None, None], np.eye(1))
-        solvable = np.max(np.abs(e_star), axis=(-3, -2, -1))
+        solvable = np.abs(e_star).max(axis=(-3, -2, -1))
         residuals = np.stack([difference, solvable], axis=1)
         checks += _stack_checks(stack, tags[start : start + width], residuals)
 

@@ -56,5 +56,5 @@ def _require_finite(**values) -> None:
     that accepts outside data calls this first.
     """
     for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(value)):
+        if value is not None and not np.isfinite(value).all():
             raise NonFiniteError(f"{name} has non-finite entries")

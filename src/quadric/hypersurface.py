@@ -171,7 +171,7 @@ class HypersurfaceData:
             _require_finite(vector=X)
             bound = UNIT_TOL * np.maximum(1.0, np.linalg.norm(X, axis=0))
             normal = self.N @ X
-            if not np.all(np.abs(normal) <= bound):
+            if not (np.abs(normal) <= bound).all():
                 worst = float(normal[np.argmax(np.abs(normal))])
                 raise NonTangentError(f"vector has a normal component (g(X, N) = {worst:.3e})")
 
@@ -198,7 +198,7 @@ def _reflector(N: np.ndarray) -> np.ndarray:
     ``N - e_1``, so it maps the first axis onto ``+-N`` for any unit ``N``."""
     u = N.copy()
     u[0] -= -1.0 if N[0] >= 0.0 else 1.0
-    return np.stack([u, (2.0 / float(u @ u)) * u])
+    return np.array([u, (2.0 / float(u @ u)) * u])
 
 
 def _frame(u: np.ndarray) -> np.ndarray:
@@ -227,10 +227,16 @@ def _project(M: np.ndarray, N: np.ndarray, left: bool = True) -> np.ndarray:
 
 
 def _rank_sum(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``sum_j outer(l_j, r_j)`` over ``(l_j, r_j)`` pairs, as one product ``L R^T``."""
-    L = np.stack([left for left, _ in pairs], axis=1)
-    R_T = np.stack([right for _, right in pairs])
-    return L @ R_T
+    """``sum_j outer(l_j, r_j)`` over ``(l_j, r_j)`` pairs, as one product ``L R^T``.
+
+    ``L`` is copied into C order: the transposed view ``np.array(lefts).T``
+    is F-ordered, and BLAS takes an F-ordered ``L`` through another code
+    path whose sums round differently (it moved a ``classify`` residual of
+    a rotated tube).  In C order the product has the bits of
+    ``np.stack(lefts, axis=1) @ np.stack(rights)``.
+    """
+    lefts, rights = zip(*pairs)
+    return np.ascontiguousarray(np.array(lefts).T) @ np.array(rights)
 
 
 def induce_from_normal(
@@ -269,19 +275,20 @@ def induce_from_normal(
 
     P = np.eye(model.dim) - np.outer(N, N)
     warnings: list[str] = []
-    normal_leak = max(float(np.max(np.abs(S @ N))), float(np.max(np.abs(N @ S))))
+    normal_leak = max(float(np.abs(S @ N).max()), float(np.abs(N @ S).max()))
     if normal_leak > CONSTRUCTION_TOL:
         S = _project(S, N)
         warnings.append(f"shape operator projected to the tangent space (leak {normal_leak:.3e})")
     else:
         S = S.copy()
-    sym_defect = float(np.max(np.abs(_project(S - S.T, N))))
-    if sym_defect > max(CONSTRUCTION_TOL, 1e-12 * max(1.0, float(np.max(np.abs(S))))):
+    sym_defect = float(np.abs(_project(S - S.T, N)).max())
+    if sym_defect > max(CONSTRUCTION_TOL, 1e-12 * max(1.0, float(np.abs(S).max()))):
         raise AsymmetryError(sym_defect, "shape operator not self-adjoint on the tangent space")
 
     xi = -(model.J @ N)
     phi = _project(model.J, N)
-    alpha = float(xi @ (S @ xi))
+    S_xi = S @ xi
+    alpha = float(xi @ S_xi)
 
     conj = adapted_conjugation(model, N)
     A_xi = conj @ xi
@@ -294,12 +301,12 @@ def induce_from_normal(
     # phi = P J P maps into the tangent space, so phi^2 + P - xi xi^T is
     # phi^2 + Id - eta (x) xi on it.
     checks = {
-        "phi xi != 0": float(np.max(np.abs(phi @ xi))),
+        "phi xi != 0": float(np.abs(phi @ xi).max()),
         "phi^2 + Id - eta (x) xi != 0 on the tangent space": float(
-            np.max(np.abs(phi @ phi + P - np.outer(xi, xi)))
+            np.abs(phi @ phi + P - np.outer(xi, xi)).max()
         ),
         "conjugation split does not reconstruct A": float(
-            np.max(np.abs(_project(B - conj + np.outer(N, A_N), N, left=False)))
+            np.abs(_project(B - conj + np.outer(N, A_N), N, left=False)).max()
         ),
         "g(xi, A N) != 0": abs(float(xi @ A_N)),
     }
@@ -328,7 +335,7 @@ def induce_from_normal(
         A_N=A_N,
         g_axixi=c,
         projector=P,
-        hopf_defect=float(np.linalg.norm(S @ xi - alpha * xi)),
+        hopf_defect=float(np.linalg.norm(S_xi - alpha * xi)),
         warnings=tuple(warnings),
     )
 
@@ -626,7 +633,7 @@ def reeb_derivative_reduced(h: HypersurfaceData) -> np.ndarray:
 
 def _max_column_norm(K: np.ndarray) -> float:
     """Largest column norm of ``K``: for ``K = M @ frame``, the largest image norm of ``M``."""
-    return float(np.max(np.linalg.norm(K, axis=0)))
+    return float(np.linalg.norm(K, axis=0).max())
 
 
 def _times_frame(h: HypersurfaceData, M: np.ndarray) -> np.ndarray:
@@ -667,7 +674,7 @@ def normal_component_residual(h: HypersurfaceData) -> float:
     Cancels identically for Hopf data.
     """
     M = reeb_covariant_derivative(h)
-    return float(np.max(np.abs(_times_frame(h, h.N @ M))))
+    return float(np.abs(_times_frame(h, h.N @ M)).max())
 
 
 def _hopf_identity_matrix(h: HypersurfaceData) -> np.ndarray:
@@ -703,7 +710,7 @@ def hopf_identity_residual(h: HypersurfaceData) -> float:
     Returns the largest absolute value over all tangent frame pairs.
     """
     _require_hopf(h)
-    return float(np.max(np.abs(_in_frame(h, _hopf_identity_matrix(h)))))
+    return float(np.abs(_in_frame(h, _hopf_identity_matrix(h))).max())
 
 
 def alpha_gradient_residual(h: HypersurfaceData) -> float:
@@ -717,7 +724,7 @@ def alpha_gradient_residual(h: HypersurfaceData) -> float:
     _require_hopf(h)
     xi_alpha = float(h.xi @ h.dalpha)
     v = h.dalpha - xi_alpha * h.xi - 2.0 * h.g_axixi * h.A_N
-    return float(np.max(np.abs(_times_frame(h, v))))
+    return float(np.abs(_times_frame(h, v)).max())
 
 
 # ---------------------------------------------------------------------------

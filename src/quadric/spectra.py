@@ -66,9 +66,15 @@ def cluster_eigenvalues(values: np.ndarray) -> tuple[tuple[float, int], ...]:
     values = np.sort(np.asarray(values, dtype=float))
     if not values.size:
         return ()
-    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, float(np.max(np.abs(values))))
-    cuts = [0, *(np.flatnonzero(np.diff(values) > width) + 1).tolist(), values.size]
-    # block.sum() / size rounds exactly as np.mean(block) does, without its overhead.
+    # The largest |v| of sorted values is at an end.  A NaN sorts last; with
+    # one, max |v| is NaN and max(1.0, nan) is 1.0, so it never widens a cluster.
+    low, high = float(values[0]), float(values[-1])
+    scale = 1.0 if math.isnan(high) else max(1.0, -low, high)
+    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * scale
+    gaps = values[1:] - values[:-1]
+    cuts = [0, *((gaps > width).nonzero()[0] + 1).tolist(), values.size]
+    # block.sum() / size rounds exactly as np.mean(block) does, without its
+    # overhead; np.add.reduceat would keep the sign of a lone -0.0, which sum() drops.
     return tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
 
 
@@ -84,7 +90,7 @@ def _symmetric(op: np.ndarray) -> np.ndarray:
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise AsymmetryError(float("nan"), f"expected a square matrix, got shape {op.shape}")
     _require_finite(operator=op)
-    defect = float(np.max(np.abs(op - op.T))) if op.size else 0.0
+    defect = float(np.abs(op - op.T).max()) if op.size else 0.0
     if defect > DEFAULT_TOL:
         raise AsymmetryError(defect)
     return op

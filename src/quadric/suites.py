@@ -78,16 +78,16 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     eye = np.eye(model.dim)
     checks: list[Check] = []
 
-    checks.append(Check("complex_structure_squares_to_minus_id", float(np.max(np.abs(J @ J + eye))), 1e-14))
-    checks.append(Check("conjugation_is_involution", float(np.max(np.abs(A @ A - eye))), 1e-14))
-    checks.append(Check("conjugation_anti_commutes", float(np.max(np.abs(A @ J + J @ A))), 1e-14))
+    checks.append(Check("complex_structure_squares_to_minus_id", float(np.abs(J @ J + eye).max()), 1e-14))
+    checks.append(Check("conjugation_is_involution", float(np.abs(A @ A - eye).max()), 1e-14))
+    checks.append(Check("conjugation_anti_commutes", float(np.abs(A @ J + J @ A).max()), 1e-14))
     checks.append(Check("conjugation_trace", abs(float(np.trace(A))), 1e-14))
     for theta in (0.3, math.pi / 3.0, 2.0):
         A_t = rotate_conjugation(model, theta)
         checks.append(
             Check(
                 f"rotated_conjugation_involution[theta={theta:.6g}]",
-                float(np.max(np.abs(A_t @ A_t - eye))),
+                float(np.abs(A_t @ A_t - eye).max()),
                 1e-13,
             )
         )
@@ -103,10 +103,10 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
     )
     RXYZ, RXYW, RZWX, RYZX, RZXY = np.hsplit(R, 5)
     g_RXYZ_W = _col_dot(RXYZ, W)
-    anti = float(np.max(np.abs(g_RXYZ_W + _col_dot(RXYW, Z))))
-    pair_sym = float(np.max(np.abs(g_RXYZ_W - _col_dot(RZWX, Y))))
+    anti = float(np.abs(g_RXYZ_W + _col_dot(RXYW, Z)).max())
+    pair_sym = float(np.abs(g_RXYZ_W - _col_dot(RZWX, Y)).max())
     cyc = RXYZ + RYZX + RZXY
-    bianchi = float(np.max(np.abs(cyc)))
+    bianchi = float(np.abs(cyc).max())
     checks.append(Check("curvature_skew_in_last_slots", anti, 1e-11))
     checks.append(Check("curvature_pair_symmetry", pair_sym, 1e-11))
     checks.append(Check("first_bianchi_identity", bianchi, 1e-11))
@@ -119,7 +119,7 @@ def verify_ambient(m: int, tol: float = 1e-10, seed: int = 7) -> CheckReport:
         ("isotropic", isotropic_vector(model), [(0.0, 3), (1.0, 2 * m - 4), (4.0, 1)]),
     ):
         R_U = ambient_jacobi(model, U)
-        checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.max(np.abs(R_U @ U))), 1e-13))
+        checks.append(Check(f"jacobi_kills_direction[{label}]", float(np.abs(R_U @ U).max()), 1e-13))
         checks.append(_spectrum_check(f"jacobi_spectrum[{label}]", R_U, template, tol))
         checks.append(
             Check(f"jacobi_trace[{label}]", abs(float(np.trace(R_U)) - 2.0 * m), 1e-12)
@@ -138,7 +138,7 @@ def _tube_point_checks(tube: TubeModel, tol: float) -> list[Check]:
         Check("isotropic_normal", abs(h.g_axixi), 1e-12),
         Check("shape_kills_A_xi", float(np.linalg.norm(h.S @ h.A_xi)), 1e-12),
         Check("shape_kills_A_N", float(np.linalg.norm(h.S @ h.A_N)), 1e-12),
-        Check("isometric_reeb_flow", float(np.max(np.abs(h.phi_S - h.S_phi))), 1e-12),
+        Check("isometric_reeb_flow", float(np.abs(h.phi_S - h.S_phi).max()), 1e-12),
     ]
     # These gauges are defined for Hopf data only; other data fails them.
     hopf_only = (
@@ -256,7 +256,7 @@ def ricci_consistency(h: HypersurfaceData) -> Check:
     hand-contracted closed form; :func:`~quadric.hypersurface.ricci_contraction`
     contracts the Gauss equation's operator pairs as ``n x n`` products.
     """
-    worst = float(np.max(np.abs(ricci(h, h.projector) - ricci_contraction(h, h.projector))))
+    worst = float(np.abs(ricci(h, h.projector) - ricci_contraction(h, h.projector)).max())
     return Check("ricci_contraction", worst, 1e-9)
 
 

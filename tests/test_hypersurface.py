@@ -526,6 +526,18 @@ class TestProjectionAndRankSum:
         expected = sum(np.outer(left, right) for left, right in pairs)
         npt.assert_allclose(hypersurface._rank_sum(*pairs), expected, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [4, 24, 128])
+    @pytest.mark.parametrize("count", [1, 2, 4, 17])
+    def test_rank_sum_has_the_bits_of_the_stacked_product(self, n, count):
+        """Bit for bit the product of the two stacks.  An F-ordered ``L``
+        (``np.array(lefts).T`` without the copy) differs at ``n = 4`` with
+        17 pairs, and it moved a ``classify`` residual of a rotated tube."""
+        rng = np.random.default_rng(100 * n + count)
+        pairs = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(count)]
+        lefts, rights = zip(*pairs)
+        expected = np.stack(lefts, axis=1) @ np.stack(rights)
+        assert hypersurface._rank_sum(*pairs).tobytes() == expected.tobytes()
+
 
 class TestFrameReflector:
     """The reflector helpers against the dense frame they stand in for."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadric as q
 from quadric import AsymmetryError, NonFiniteError, match_spectrum, sym_eigen, sym_eigvals
-from quadric.spectra import DEFAULT_TOL, cluster_eigenvalues
+from quadric.spectra import CLUSTER_WIDTH_FACTOR, DEFAULT_TOL, cluster_eigenvalues
 
 from conftest import rotated
 
@@ -160,6 +160,56 @@ class TestClustering:
 
     def test_empty_input_has_no_clusters(self):
         assert cluster_eigenvalues([]) == ()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300)
+            | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e300, -1e300, 1.0]),
+            max_size=40,
+        ).map(lambda xs: sorted(xs + xs[: len(xs) // 2]))
+    )
+    def test_clusters_have_the_bits_of_the_reference_rule(self, values):
+        """Sorted finite values, signed zeros, subnormals, +-1e300, repeats
+        and the empty list cluster bit for bit as the reference rule does."""
+        assert _bits(cluster_eigenvalues(np.array(values))) == _bits(_reference_clusters(values))
+
+    @pytest.mark.parametrize(
+        "values, multiplicities",
+        [
+            ([-5.0, -5.0 + 2e-11, math.nan], [1, 2]),
+            ([math.nan, 2.0, -3.0], [1, 2]),
+            ([math.nan, math.nan], [2]),
+            ([math.inf, math.nan, -math.inf], [1, 2]),
+        ],
+        ids=["below_minus_one", "unsorted", "all_nan", "infinite"],
+    )
+    def test_nan_never_widens_the_clusters(self, values, multiplicities):
+        """NaN sorts last and ``max(1.0, nan)`` is 1.0, so a spectrum with a NaN
+        clusters at width ``CLUSTER_WIDTH_FACTOR * DEFAULT_TOL``, whatever its
+        other values; ``max(1.0, -v[0], v[-1])`` would widen it to ``|v[0]|``
+        and merge -5 with -5 + 2e-11.  A NaN joins the cluster before it (its
+        gap compares False), and the spectrum matches nothing."""
+        clusters = cluster_eigenvalues(np.array(values))
+        assert [k for _, k in clusters] == multiplicities
+        assert _bits(clusters) == _bits(_reference_clusters(values))
+        assert match_spectrum(clusters, [(v, 1) for v in values]) == math.inf
+
+
+def _reference_clusters(values):
+    """The clustering rule as numpy reductions: width from ``max |v|``,
+    gaps from ``np.diff``, one slice sum per cluster."""
+    values = np.sort(np.asarray(values, dtype=float))
+    if not values.size:
+        return ()
+    width = CLUSTER_WIDTH_FACTOR * DEFAULT_TOL * max(1.0, float(np.max(np.abs(values))))
+    cuts = [0, *(np.flatnonzero(np.diff(values) > width) + 1).tolist(), values.size]
+    return tuple((float(values[a:b].sum() / (b - a)), b - a) for a, b in zip(cuts, cuts[1:]))
+
+
+def _bits(clusters):
+    """Clusters with each value as its IEEE bytes, so signed zeros and NaNs compare."""
+    return [(np.float64(v).tobytes(), k) for v, k in clusters]
 
 
 def _refusal(solver, op):

@@ -66,6 +66,13 @@ data = {
         f"rotated-tube-{k}-{seed}": rotated(q.build_tube(k, r).h, seed)
         for k, r, seed in [(2, 0.6, 1), (2, 0.6, 2), (3, 0.85, 3)]
     },
+    # The shape of the classify-dense benchmark payloads: k = 6 (m = 12),
+    # dense 23 x 23 frame operators.
+    **{
+        f"rotated-tube-6-{r}-{seed}": rotated(q.build_tube(6, r).h, seed)
+        for r in (0.06, 0.5, 1.0, 1.5)
+        for seed in (4, 5)
+    },
     **{
         f"{kind}-{m}": q.random_hopf_data(m, np.random.default_rng(100 + m), kind=kind)
         for kind in ("generic", "principal", "isotropic")
