@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -55,21 +56,70 @@ class TangentModel:
     def dim(self) -> int:
         return 2 * self.m
 
+    @cached_property
+    def exact(self) -> bool:
+        """Whether ``J`` and ``A`` are sealed and satisfy the model's algebra exactly.
+
+        Sealed means read-only and owning their data, so no caller holds a
+        writeable alias.  The algebra is compared with ``np.array_equal``,
+        once per instance: ``J^T = -J``, ``J^2 = -Id``, ``A^T = A``,
+        ``A^2 = Id`` and ``A J = -J A``.  The model of
+        :func:`build_tangent_model` is exact; a model with a writeable
+        array, a rotated conjugation (whose products round) or a broken
+        entry is not.  On an exact model ``induce_from_normal`` skips its
+        per-normal construction checks, which can then only see rounding.
+        """
+        J, A = self.J, self.A
+        square = (self.dim, self.dim)
+        if not (_sealed(J) and _sealed(A) and J.shape == A.shape == square):
+            return False
+        eye = np.eye(self.dim)
+        return (
+            np.array_equal(J.T, -J)
+            and np.array_equal(J @ J, -eye)
+            and np.array_equal(A.T, A)
+            and np.array_equal(A @ A, eye)
+            and np.array_equal(A @ J, -(J @ A))
+        )
+
     def zvec(self, i: int) -> np.ndarray:
-        """Basis vector ``Z_i`` (1-based index)."""
-        e = np.zeros(self.dim)
-        e[i - 1] = 1.0
-        return e
+        """Basis vector ``Z_i`` (1-based index).
+
+        Raises:
+            IndexError: if ``i`` is not in ``1..m``.
+        """
+        return self._basis_vector(i, i - 1)
 
     def jzvec(self, i: int) -> np.ndarray:
-        """Basis vector ``J Z_i`` (1-based index)."""
+        """Basis vector ``J Z_i`` (1-based index).
+
+        Raises:
+            IndexError: if ``i`` is not in ``1..m``.
+        """
+        return self._basis_vector(i, self.m + i - 1)
+
+    def _basis_vector(self, i: int, position: int) -> np.ndarray:
+        if not 1 <= i <= self.m:
+            raise IndexError(f"basis index i = {i!r} is outside 1..m for m = {self.m}")
         e = np.zeros(self.dim)
-        e[self.m + i - 1] = 1.0
+        e[position] = 1.0
         return e
+
+
+def _sealed(a: np.ndarray) -> bool:
+    """Whether ``a`` is a read-only array that owns its data: no caller can write it."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
 
 
 def build_tangent_model(m: int) -> TangentModel:
-    """Construct the model in the standard basis, with the base conjugation ``A``.
+    """The model in the standard basis, with the base conjugation ``A``.
+
+    The model depends on ``m`` alone, so there is one per dimension: every
+    call with the same ``m`` returns the same instance, whose ``J`` and
+    ``A`` are read-only and which is :attr:`TangentModel.exact`.  At most
+    ``MAX_COMPLEX_DIM`` instances are kept, for the life of the process.
+    ``m`` is validated before the shared instance is looked up, so
+    ``True`` is refused rather than read as ``1``.
 
     A model with another member of the conjugation circle is
     ``TangentModel(m, J, rotate_conjugation(model, theta))``.
@@ -84,7 +134,12 @@ def build_tangent_model(m: int) -> TangentModel:
         raise InvalidDimensionError(f"complex dimension must be >= 1, got {m}")
     if m > MAX_COMPLEX_DIM:
         raise InvalidDimensionError(f"complex dimension must be <= {MAX_COMPLEX_DIM}, got {m}")
+    return _standard_model(int(m))
 
+
+@cache
+def _standard_model(m: int) -> TangentModel:
+    """The shared model of :func:`build_tangent_model`, built once per validated ``m``."""
     eye = np.eye(m)
     J = np.zeros((2 * m, 2 * m))
     A = np.zeros((2 * m, 2 * m))
@@ -94,7 +149,7 @@ def build_tangent_model(m: int) -> TangentModel:
     A[m:, m:] = -eye
     J.flags.writeable = False
     A.flags.writeable = False
-    return TangentModel(m=int(m), J=J, A=A)
+    return TangentModel(m=m, J=J, A=A)
 
 
 def _require_dimension(m: int, command: str) -> None:
@@ -176,14 +231,16 @@ def adapted_conjugation(model: TangentModel, U: np.ndarray) -> np.ndarray:
     Returns the rotated conjugation ``A*`` for which ``g(A*U, U) = cos(2t) >= 0``
     and ``g(J A*U, U) = 0``; with respect to ``A*`` the direction takes the
     canonical form ``cos(t) Z_1 + sin(t) J Z_2``.  For an isotropic ``U`` both
-    pairings already vanish for every member and a copy of the base
-    conjugation is returned.
+    pairings already vanish for every member, and the base conjugation is
+    returned: the model's own ``A`` when it is read-only and owns its data
+    (as in the model of :func:`build_tangent_model`), else a copy, so the
+    result never aliases an array that a caller can still write.
     """
     U = np.asarray(U, dtype=float)
     a = float(U @ (model.A @ U))
     b = float(U @ (model.J @ (model.A @ U)))
     if math.hypot(a, b) < 1e-15:
-        return model.A.copy()
+        return model.A if _sealed(model.A) else model.A.copy()
     return rotate_conjugation(model, math.atan2(b, a))
 
 

@@ -763,6 +763,15 @@ class TestParserReuse:
 # Determinism and JSON rendering
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def dense_payload(tmp_path_factory):
+    """A rotated ``k = 6`` tube, the shape of the ``classify-dense`` payloads."""
+    path = tmp_path_factory.mktemp("determinism") / "rotated-tube-6.json"
+    h = rotated(q.build_tube(6, 0.5).h, 4)
+    path.write_text(render_json(q.to_dict(h)) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -770,9 +779,15 @@ class TestDeterminism:
             ("verify", "ambient", "--m", "3", "--seed", "11"),
             ("nonexistence", "--m", "3", "--alpha-samples", "4", "--seed", "11"),
             ("scan", "tube", "--k", "2", "--r-min", "0.2", "--r-max", "1.3", "--steps", "5"),
+            ("verify", "tube", "--k", "32", "--r", "0.6"),
+            ("classify", "PAYLOAD"),
+            ("spectrum", "PAYLOAD"),
         ],
     )
-    def test_byte_identical_reports(self, capsys, argv):
+    def test_byte_identical_reports(self, capsys, dense_payload, argv):
+        """A repeated call reads the shared tangent model that the first call
+        left behind, and prints the same bytes."""
+        argv = [dense_payload if arg == "PAYLOAD" else arg for arg in argv]
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2

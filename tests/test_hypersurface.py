@@ -7,6 +7,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadric as q
 from quadric import hypersurface, suites
@@ -17,8 +18,10 @@ from quadric import (
     NonFiniteError,
     NonTangentError,
     NormalizationError,
+    TangentModel,
 )
 from quadric.hypersurface import reeb_covariant_derivative, reeb_derivative_reduced
+from quadric.tangent import UNIT_TOL
 
 from conftest import paired_candidate
 
@@ -35,6 +38,39 @@ def principal_paired():
 
 def random_hopf(m=4, kind="generic", seed=0):
     return q.random_hopf_data(m, np.random.default_rng(seed), kind=kind)
+
+
+def forced_construction_checks(monkeypatch) -> list:
+    """Make every model read as not exact, so that ``induce_from_normal`` runs
+    its per-normal construction checks; returns the list of reads."""
+    reads = []
+
+    def exact(model):
+        reads.append(model)
+        return False
+
+    monkeypatch.setattr(TangentModel, "exact", property(exact))
+    return reads
+
+
+#: A model broken in one entry or by a scale, and the check that refuses it.
+BROKEN_MODELS = [
+    ("J", None, 1.0 + 1e-6, "phi^2 + Id - eta (x) xi != 0 on the tangent space (defect 2.000e-06)"),
+    ("A", (0, 1), 1e-6, "conjugation split does not reconstruct A (defect 5.000e-07)"),
+    ("J", (2, 7), 1e-6, "phi xi != 0 (defect 7.071e-07)"),
+]
+BROKEN_IDS = ["J-scaled", "A-asymmetric", "J-entry"]
+
+
+def broken_model(model, field, index, factor, sealed=False):
+    """``model`` with ``field`` scaled by ``factor``, or ``factor`` added at ``index``."""
+    broken = getattr(model, field).copy()
+    if index is None:
+        broken *= factor
+    else:
+        broken[index] += factor
+    broken.flags.writeable = not sealed
+    return dataclasses.replace(model, **{field: broken})
 
 
 # ---------------------------------------------------------------------------
@@ -116,33 +152,57 @@ class TestInduceFromNormal:
         ],
         ids=["tube-32", "tube-2", "generic", "principal", "candidate"],
     )
-    def test_normal_within_unit_tol_accepted(self, scale, data):
+    def test_normal_within_unit_tol_accepted(self, monkeypatch, scale, data):
         """A normal that UNIT_TOL admits is not refused by the construction
         invariants, whose defects grow with its length defect.  Before, a tube
-        normal scaled by 1 + 1e-11 failed as ``phi xi != 0``."""
+        normal scaled by 1 + 1e-11 failed as ``phi xi != 0``.  The standard
+        model is exact, so the checks are forced here."""
         h = data()
+        reads = forced_construction_checks(monkeypatch)
         scaled = q.induce_from_normal(h.model, scale * h.N, h.S)
+        assert reads
         assert scaled.warnings == h.warnings
         assert scaled.alpha == pytest.approx(h.alpha, rel=1e-8)
 
-    @pytest.mark.parametrize(
-        "field, index, factor, message",
-        [
-            ("J", None, 1.0 + 1e-6, "phi^2 + Id - eta (x) xi != 0 on the tangent space (defect 2.000e-06)"),
-            ("A", (0, 1), 1e-6, "conjugation split does not reconstruct A (defect 5.000e-07)"),
-            ("J", (2, 7), 1e-6, "phi xi != 0 (defect 7.071e-07)"),
-        ],
-        ids=["J-scaled", "A-asymmetric", "J-entry"],
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["generic", "principal", "isotropic"]),
+        m=st.sampled_from([2, 3, 16, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        defect=st.floats(-0.999 * UNIT_TOL, 0.999 * UNIT_TOL),
     )
+    def test_construction_checks_never_fire_on_the_standard_model(self, kind, m, seed, defect):
+        """The premise of skipping them on an exact model: forced, the
+        construction checks pass for every normal kind and every length
+        defect that UNIT_TOL admits, and the data keeps its bits."""
+        h = random_hopf(m, kind, seed=seed)
+        N = (1.0 + defect) * h.N
+        skipped = q.induce_from_normal(h.model, N, h.S)
+        with pytest.MonkeyPatch.context() as patch:
+            reads = forced_construction_checks(patch)
+            checked = q.induce_from_normal(h.model, N, h.S)
+        assert reads
+        for field in ("xi", "phi", "S", "conj", "B", "A_xi", "A_N", "projector"):
+            assert getattr(checked, field).tobytes() == getattr(skipped, field).tobytes()
+
+    @pytest.mark.parametrize("field, index, factor, message", BROKEN_MODELS, ids=BROKEN_IDS)
     def test_construction_invariants_refuse_a_broken_model(self, field, index, factor, message):
         """Each construction invariant still sees a model that breaks it."""
         h = q.build_tube(3, 0.6).h
-        broken = getattr(h.model, field).copy()
-        if index is None:
-            broken *= factor
-        else:
-            broken[index] += factor
-        model = dataclasses.replace(h.model, **{field: broken})
+        model = broken_model(h.model, field, index, factor)
+        assert not model.exact
+        with pytest.raises(ModelValidationError) as excinfo:
+            q.induce_from_normal(model, h.N, h.S)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("field, index, factor, message", BROKEN_MODELS, ids=BROKEN_IDS)
+    def test_sealed_broken_model_is_not_exact_and_still_refused(
+        self, field, index, factor, message
+    ):
+        """Read-only arrays do not certify a model: its algebra is compared too."""
+        h = q.build_tube(3, 0.6).h
+        model = broken_model(h.model, field, index, factor, sealed=True)
+        assert not model.exact
         with pytest.raises(ModelValidationError) as excinfo:
             q.induce_from_normal(model, h.N, h.S)
         assert str(excinfo.value) == message

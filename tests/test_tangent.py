@@ -16,11 +16,13 @@ from quadric import (
     ambient_jacobi,
     build_tangent_model,
     canonical_angle,
+    induce_from_normal,
     isotropic_vector,
     principal_vector,
     rotate_conjugation,
     sym_eigen,
 )
+from quadric.tangent import adapted_conjugation
 
 thetas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -66,14 +68,87 @@ class TestBuildTangentModel:
         npt.assert_array_equal(model.A @ model.J + model.J @ model.A, np.zeros_like(eye))
         npt.assert_array_equal(model.A, model.A.T)
 
-    @pytest.mark.parametrize("m", [0, -2, 65, 2.5])
-    def test_invalid_dimension(self, m):
-        with pytest.raises(InvalidDimensionError):
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            pytest.param(m, message, id=str(m))
+            for m, message in [
+                (0, "complex dimension must be >= 1, got 0"),
+                (-2, "complex dimension must be >= 1, got -2"),
+                (65, "complex dimension must be <= 64, got 65"),
+                (2.5, "complex dimension must be an integer, got 2.5"),
+                (True, "complex dimension must be an integer, got True"),
+                (3.0, "complex dimension must be an integer, got 3.0"),
+                ("3", "complex dimension must be an integer, got '3'"),
+            ]
+        ],
+    )
+    def test_invalid_dimension(self, m, message):
+        """Validation runs before the shared model is looked up, so ``True``
+        is refused rather than read as the ``m = 1`` model."""
+        with pytest.raises(InvalidDimensionError) as excinfo:
             build_tangent_model(m)
+        assert str(excinfo.value) == message
+
+    def test_one_shared_model_per_dimension(self):
+        model = build_tangent_model(3)
+        assert build_tangent_model(np.int64(3)) is model
+        assert build_tangent_model(3) is model
+        assert build_tangent_model(4) is not model
+        assert type(model.m) is int
+
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_shared_arrays_are_read_only(self, m):
+        model = build_tangent_model(m)
+        for M in (model.J, model.A):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 2.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 64])
+    def test_standard_model_is_exact(self, m):
+        assert build_tangent_model(m).exact is True
+
+    def test_model_with_writeable_arrays_is_not_exact(self):
+        """The copies satisfy the algebra, but a caller can still write them."""
+        model = build_tangent_model(3)
+        assert not TangentModel(3, model.J.copy(), model.A.copy()).exact
+        assert not TangentModel(3, model.J, model.A.copy()).exact
+
+    def test_model_with_a_read_only_view_of_a_writeable_array_is_not_exact(self):
+        model = build_tangent_model(3)
+        A = model.A.copy()
+        view = A[:]
+        view.flags.writeable = False
+        assert not TangentModel(3, model.J, view).exact
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 3.0])
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_model_with_a_rotated_conjugation_is_not_exact(self, theta, sealed):
+        """``A_theta`` holds the algebra up to rounding, not exactly."""
+        model = build_tangent_model(3)
+        A = rotate_conjugation(model, theta)
+        A.flags.writeable = not sealed
+        assert not TangentModel(3, model.J, A).exact
+
+    def test_model_with_the_wrong_shape_is_not_exact(self):
+        model = build_tangent_model(3)
+        assert not TangentModel(2, model.J, model.A).exact
 
     def test_no_isotropic_direction_at_m_one(self):
         with pytest.raises(InvalidDimensionError):
             isotropic_vector(build_tangent_model(1))
+
+
+class TestBasisVectors:
+    @pytest.mark.parametrize("i", [0, 4, -1, 7])
+    @pytest.mark.parametrize("method", ["zvec", "jzvec"])
+    def test_index_outside_one_to_m_refused(self, method, i):
+        """Before, ``zvec(0)`` returned ``J Z_3``, ``zvec(4)`` ``J Z_1`` and
+        ``jzvec(0)`` ``Z_3`` at ``m = 3``."""
+        model = build_tangent_model(3)
+        with pytest.raises(IndexError, match=rf"i = {i} is outside 1\.\.m for m = 3"):
+            getattr(model, method)(i)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +180,36 @@ class TestRotateConjugation:
         assert np.max(np.abs(A_t @ A_t - eye)) < 1e-13
         assert np.max(np.abs(A_t - A_t.T)) < 1e-13
         assert np.max(np.abs(A_t @ model.J + model.J @ A_t)) < 1e-13
+
+
+class TestAdaptedConjugation:
+    def test_isotropic_direction_reads_the_shared_conjugation(self):
+        """No copy of ``A``: the shared model's ``A`` is sealed."""
+        model = build_tangent_model(3)
+        assert adapted_conjugation(model, isotropic_vector(model)) is model.A
+
+    def test_writeable_conjugation_is_copied_and_left_writeable(self):
+        """A caller's writeable ``A`` is neither aliased nor frozen, also
+        through ``induce_from_normal``, which freezes its conjugation."""
+        base = build_tangent_model(3)
+        A = base.A.copy()
+        model = TangentModel(3, base.J, A)
+        U = isotropic_vector(model)
+        conj = adapted_conjugation(model, U)
+        assert conj is not A and not np.shares_memory(conj, A)
+        npt.assert_array_equal(conj, A)
+        h = induce_from_normal(model, U, np.zeros((6, 6)))
+        assert not np.shares_memory(h.conj, A)
+        assert A.flags.writeable
+
+    def test_read_only_view_of_a_writeable_conjugation_is_copied(self):
+        base = build_tangent_model(3)
+        A = base.A.copy()
+        view = A[:]
+        view.flags.writeable = False
+        model = TangentModel(3, base.J, view)
+        conj = adapted_conjugation(model, isotropic_vector(model))
+        assert not np.shares_memory(conj, A)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ Usage, from anywhere::
 Each argument is the ``src`` directory of a checkout, the one that holds
 ``quadric/``.  The hypersurface payloads that ``classify`` and ``spectrum``
 read are written once, by PARENT_SRC's ``quadric``.  Each tree then runs the
-same fixed corpus of in-process ``cli.main`` calls in a fresh interpreter
-with one BLAS thread.  The corpus covers all six commands, their error exits
-and ``--json PATH``.  For every run the exit code, stdout, stderr and the
-file that ``--json PATH`` writes are compared byte for byte.  Each differing
-argv is printed with the fields that differ; the exit status is 1 on any
-difference and 0 when every run is identical.
+same fixed corpus of in-process ``cli.main`` calls twice in one fresh
+interpreter with one BLAS thread, so state that the package keeps between
+calls (the shared tangent model of each dimension) cannot change an output
+unseen.  The corpus covers all six commands, their error exits and
+``--json PATH``.  For every run the exit code, stdout, stderr and the file
+that ``--json PATH`` writes are compared byte for byte against the parent's
+first pass: the change's two passes and the parent's second.  Each differing
+argv is printed with the pass and the fields that differ; the exit status is
+1 on any difference and 0 when every run is identical.
 """
 
 from __future__ import annotations
@@ -102,31 +105,41 @@ for name, payload in payloads.items():
 print("\n".join(sorted(p.stem for p in out.glob("*.json"))))
 """
 
+#: Passes of the corpus in one interpreter of each tree.
+PASSES = 2
+
 #: Run in the tree's own interpreter, with the run directory as its working
-#: directory: every argv of ``sys.argv[1]`` through ``cli.main``, results to
+#: directory: every argv of ``sys.argv[1]`` through ``cli.main``, ``PASSES``
+#: times, each pass with an empty ``reports/``; one result list per pass to
 #: ``sys.argv[2]``.
 _RUN = r"""
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, shutil, sys, traceback
 from pathlib import Path
 
 from quadric import cli
 
-results = []
-for argv in json.loads(Path(sys.argv[1]).read_text(encoding="utf-8")):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except BaseException:  # a crash is an output too
-            code = "raised: " + traceback.format_exc().splitlines()[-1]
-    written = None
-    if "--json" in argv:
-        path = Path(argv[argv.index("--json") + 1])
-        written = path.read_text(encoding="utf-8") if path.is_file() else None
-    results.append(
-        {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "json": written}
-    )
-Path(sys.argv[2]).write_text(json.dumps(results), encoding="utf-8")
+corpus = json.loads(Path(sys.argv[1]).read_text(encoding="utf-8"))
+passes = []
+for _ in range(int(sys.argv[3])):
+    shutil.rmtree("reports", ignore_errors=True)
+    Path("reports").mkdir()
+    results = []
+    for argv in corpus:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except BaseException:  # a crash is an output too
+                code = "raised: " + traceback.format_exc().splitlines()[-1]
+        written = None
+        if "--json" in argv:
+            path = Path(argv[argv.index("--json") + 1])
+            written = path.read_text(encoding="utf-8") if path.is_file() else None
+        results.append(
+            {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "json": written}
+        )
+    passes.append(results)
+Path(sys.argv[2]).write_text(json.dumps(passes), encoding="utf-8")
 """
 
 
@@ -213,10 +226,11 @@ def _corpus(payloads: Path, names: list[str]) -> list[list[str]]:
     return runs
 
 
-def _run_tree(src: Path, corpus: Path, workdir: Path) -> list[dict]:
-    (workdir / "reports").mkdir(parents=True)
+def _run_tree(src: Path, corpus: Path, workdir: Path) -> list[list[dict]]:
+    """The results of every pass of the corpus, in one interpreter of ``src``."""
+    workdir.mkdir()
     results = workdir / "results.json"
-    _python(src, _RUN, str(corpus), str(results), cwd=workdir)
+    _python(src, _RUN, str(corpus), str(results), str(PASSES), cwd=workdir)
     return json.loads(results.read_text(encoding="utf-8"))
 
 
@@ -231,15 +245,16 @@ def _python(src: Path, code: str, *args: str, cwd: Path) -> str:
     return done.stdout
 
 
-def _first_difference(old, new) -> str:
-    """The first line on which two outputs differ, or both values when not text."""
+def _first_difference(old, new, label: str) -> str:
+    """The first line on which the parent's output and ``label``'s differ,
+    or both values when not text."""
     if not (isinstance(old, str) and isinstance(new, str)):
-        return f"parent {old!r}, change {new!r}"
+        return f"parent {old!r}, {label} {new!r}"
     old_lines, new_lines = old.splitlines(), new.splitlines()
     for i, (a, b) in enumerate(zip(old_lines, new_lines)):
         if a != b:
-            return f"line {i + 1}: parent {a!r}, change {b!r}"
-    return f"parent {len(old_lines)} lines, change {len(new_lines)} lines"
+            return f"line {i + 1}: parent {a!r}, {label} {b!r}"
+    return f"parent {len(old_lines)} lines, {label} {len(new_lines)} lines"
 
 
 def main(argv: list[str]) -> int:
@@ -262,15 +277,25 @@ def main(argv: list[str]) -> int:
         before = _run_tree(parent, corpus_file, root / "parent")
         after = _run_tree(change, corpus_file, root / "change")
 
+    # Every pass is held to the parent's first.
+    others = {
+        **{f"parent pass {i + 1}": results for i, results in enumerate(before[1:], 1)},
+        **{f"change pass {i + 1}": results for i, results in enumerate(after)},
+    }
     differing = 0
-    for argv, old, new in zip(corpus, before, after):
-        fields = [key for key in old if old[key] != new[key]]
-        if fields:
-            differing += 1
-            shown = [arg.replace(str(payloads) + os.sep, "") for arg in argv]
-            print(f"DIFF {' '.join(shown)}: {', '.join(fields)}")
-            for key in fields:
-                print(f"  {key}: {_first_difference(old[key], new[key])}")
+    for run, argv in enumerate(corpus):
+        old = before[0][run]
+        shown = " ".join(arg.replace(str(payloads) + os.sep, "") for arg in argv)
+        differs = False
+        for label, results in others.items():
+            new = results[run]
+            fields = [key for key in old if old[key] != new[key]]
+            if fields:
+                differs = True
+                print(f"DIFF {shown} ({label}): {', '.join(fields)}")
+                for key in fields:
+                    print(f"  {key}: {_first_difference(old[key], new[key], label)}")
+        differing += differs
     print(f"{len(corpus)} runs, {differing} differ")
     return 1 if differing else 0
 
