@@ -86,7 +86,7 @@ def _derived(build) -> cached_property:
     return cached_property(get)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypersurfaceData:
     """Pointwise data of a real hypersurface of the quadric.
 

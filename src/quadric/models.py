@@ -46,7 +46,7 @@ RADIUS_EXCLUSION_HALFWIDTH = 0.01
 # Tube over a totally geodesic complex projective space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeModel:
     """Tube of radius ``r`` around a complex projective space in the quadric.
 

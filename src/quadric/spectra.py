@@ -40,7 +40,7 @@ DEFAULT_TOL = 1e-12
 CLUSTER_WIDTH_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Sorted eigenvalues of a self-adjoint operator with multiplicities.
 

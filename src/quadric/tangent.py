@@ -38,7 +38,7 @@ ANGLE_EPS = 1e-8
 UNIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentModel:
     """Real 2m-dimensional model of the quadric tangent space.
 

@@ -1,8 +1,10 @@
-"""Helpers shared by the test modules."""
+"""Helpers and fixtures shared by the test modules."""
 
-import numpy as np
+import pytest
 
+import corpus
 import quadric as q
+from corpus import rotated  # noqa: F401  (re-exported to the test modules)
 
 
 def paired_candidate(alpha, curvatures):
@@ -12,16 +14,16 @@ def paired_candidate(alpha, curvatures):
     return q.build_principal_candidate(len(curvatures) + 1, alpha, list(curvatures) + partners)
 
 
-def rotated(h, seed):
-    """``h`` moved by ``diag(Q, Q)`` for a seeded ``Q`` in ``O(m)``.
+@pytest.fixture(scope="session")
+def payloads(tmp_path_factory):
+    """The directory of the payloads of ``tools/corpus.py``."""
+    path = tmp_path_factory.mktemp("corpus") / "payloads"
+    corpus.write_payloads(path)
+    return path
 
-    The rotation commutes with ``J`` and the base conjugation, so the singular
-    type, the Hopf property and every curvature are kept, while ``N`` and
-    ``S`` become dense.
-    """
-    m = h.model.m
-    Q, upper = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
-    Q *= np.sign(np.diag(upper))
-    R = np.block([[Q, np.zeros((m, m))], [np.zeros((m, m)), Q]])
-    S = R @ h.S @ R.T
-    return q.induce_from_normal(h.model, R @ h.N, 0.5 * (S + S.T))
+
+@pytest.fixture(scope="session")
+def corpus_run(payloads):
+    """The whole corpus, run once in a fresh profiled interpreter of ``src/``:
+    its outcome table and the ``(file, first line)`` of every code object called."""
+    return corpus.run_once(payloads)

@@ -20,7 +20,7 @@ from quadric import cli, suites
 from quadric.cli import main
 from quadric.report import render_json, report_to_json
 
-from conftest import rotated
+from corpus import non_hopf
 
 
 def run(capsys, *argv):
@@ -224,25 +224,18 @@ class TestClassifyCommand:
         assert code == 0
         assert out.splitlines()[0] == "tube k=2 r=0.600000"
 
-    def test_rotated_principal_candidate_is_nonexistent(self, capsys, tmp_path):
+    def test_rotated_principal_candidate_is_nonexistent(self, capsys, payloads):
         """Seed 2 gave ``normal not singular`` with the pairing formula."""
-        h = rotated(q.reeb_parallel_principal_candidate(5, 0.7), 2)
-        path = tmp_path / "candidate.json"
-        path.write_text(render_json(q.to_dict(h)) + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, "classify", str(path))
+        code, out, _ = run(capsys, "classify", str(payloads / "rotated-candidate-5.json"))
         assert code == 0
         assert out.splitlines()[0] == "nonexistent"
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_principal_candidate_below_range_exits_one(self, capsys, tmp_path, m):
+    def test_principal_candidate_below_range_exits_one(self, capsys, tmp_path, payloads, m):
         """Below ``m = 3``, outside the theorem's range, a Reeb-parallel principal
         candidate is not certified ``nonexistent``: at ``m = 1`` the forced
         trace ``2m - 2`` is 0, the required trace."""
-        path = tmp_path / "candidate.json"
-        path.write_text(
-            render_json(q.to_dict(q.reeb_parallel_principal_candidate(m, 1.2))) + "\n",
-            encoding="utf-8",
-        )
+        path = payloads / f"candidate-{m}.json"
         code, out, _ = run(capsys, "classify", str(path), "--json", str(tmp_path / "r.json"))
         assert code == 1
         reason = f"complex dimension m = {m} is outside the classification range (m >= 3)"
@@ -261,12 +254,8 @@ class TestClassifyCommand:
         assert out.splitlines()[0].startswith("outside-hypotheses")
 
     def test_non_hopf_exits_one(self, capsys, tmp_path):
-        model = q.build_tangent_model(3)
-        rng = np.random.default_rng(1)
-        raw = rng.standard_normal((6, 6))
-        h = q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
         path = tmp_path / "nonhopf.json"
-        path.write_text(render_json(q.to_dict(h)) + "\n", encoding="utf-8")
+        path.write_text(render_json(q.to_dict(non_hopf(3, 1))) + "\n", encoding="utf-8")
         code, out, _ = run(capsys, "classify", str(path))
         assert code == 1
         assert "not Hopf" in out
@@ -764,12 +753,9 @@ class TestParserReuse:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def dense_payload(tmp_path_factory):
-    """A rotated ``k = 6`` tube, the shape of the ``classify-dense`` payloads."""
-    path = tmp_path_factory.mktemp("determinism") / "rotated-tube-6.json"
-    h = rotated(q.build_tube(6, 0.5).h, 4)
-    path.write_text(render_json(q.to_dict(h)) + "\n", encoding="utf-8")
-    return str(path)
+def dense_payload(payloads):
+    """The corpus payload of a rotated ``k = 6`` tube, the shape of the ``classify-dense`` payloads."""
+    return str(payloads / "rotated-tube-6-0.5-4.json")
 
 
 class TestDeterminism:

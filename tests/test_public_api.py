@@ -144,6 +144,24 @@ def test_hypersurface_data_init_fields_are_the_defining_data():
     ]
 
 
+ARRAY_HOLDERS = {
+    "TangentModel": lambda: q.build_tangent_model(3),
+    "HypersurfaceData": lambda: q.build_tube(2, 0.6).h,
+    "TubeModel": lambda: q.build_tube(2, 0.6),
+    "SpectrumReport": lambda: q.sym_eigen(np.diag([1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(build):
+    """The shared model of each ``m`` makes identity the meaningful equality."""
+    obj = build()
+    copy = dataclasses.replace(obj)
+    assert obj == obj and hash(obj) == hash(obj) and (build() == obj) is (build() is obj)
+    assert copy != obj and len({obj, copy}) == 2
+    assert all(getattr(copy, f.name) is getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init)
+
+
 def test_classification_result_does_not_copy_h():
     names = {f.name for f in dataclasses.fields(q.ClassificationResult)}
     assert "hopf" not in names and "alpha" not in names
