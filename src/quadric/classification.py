@@ -158,13 +158,8 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
     """
     n = raw.shape[-1]
     u, _ = np.linalg.qr(raw)
-    # R = [[Re u, -Im u], [Im u, Re u]], written in place.
-    R = np.empty(u.shape[:-2] + (2 * n, 2 * n))
-    R[..., :n, :n] = R[..., n:, n:] = u.real
-    R[..., n:, :n] = u.imag
-    np.negative(u.imag, out=R[..., :n, n:])
-    R_signed = R.copy()
-    np.negative(R[..., n:], out=R_signed[..., n:])
+    R = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    R_signed = np.concatenate((R[..., :n], -R[..., n:]), axis=-1)
     return R_signed @ R.swapaxes(-1, -2)
 
 
@@ -384,7 +379,9 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     tube family (radius recovered from the Reeb curvature, spectrum matched
     to the tube template), the principal case cannot occur.  Data in complex
     dimension ``m < 3``, below the theorem's range, and everything else is
-    reported outside the hypotheses with the failing condition.
+    reported outside the hypotheses with the failing condition.  The
+    residual and the spectrum deviation pass by the rule of ``Check.passed``,
+    ``value <= bound``, so a NaN fails as its report check does.
     """
     angle = canonical_angle(h.model, h.N)
     m = h.model.m
@@ -406,7 +403,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     result = functools.partial(ClassificationResult, angle.kind, residual)
     if angle.kind == "generic":
         return result(reason=f"normal not singular (canonical angle t = {angle.t:.6g})")
-    if residual >= tol:
+    if not residual <= tol:
         return result(
             reason=f"structure Jacobi operator not Reeb parallel (residual {residual:.3e})"
         )
@@ -423,7 +420,7 @@ def classify(h: HypersurfaceData, tol: float = 1e-8) -> ClassificationResult:
     k = m // 2
     r = recover_radius(h.alpha)
     deviation = match_spectrum(sym_eigen(_in_frame(h, h.S)).clusters, tube_shape_template(k, r))
-    if deviation > SPECTRUM_TOL:
+    if not deviation <= SPECTRUM_TOL:
         return result(
             reason=f"shape spectrum does not match the tube of radius {r:.6g}",
             spectrum_deviation=deviation,

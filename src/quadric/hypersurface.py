@@ -255,8 +255,8 @@ def induce_from_normal(
     Raises:
         NonFiniteError: if any input has a NaN or infinite entry.
         ModelValidationError: if ``N`` or ``S`` has the wrong shape, or a
-            construction invariant fails; they are checked on a model that
-            is not :attr:`~quadric.tangent.TangentModel.exact`.
+            construction invariant fails; they are checked on every model
+            but the shared one (:attr:`~quadric.tangent.TangentModel.exact`).
         NormalizationError: if ``|N|`` is off 1 by more than ``UNIT_TOL``;
             ``N`` is not normalised, and the construction bounds grow with
             its length defect (``LENGTH_DEFECT_FACTOR``).
@@ -300,7 +300,7 @@ def induce_from_normal(
     # Construction invariants; all exact up to round-off by design, and up to
     # a small multiple of the length defect of N, which UNIT_TOL admits.
     # phi = P J P maps into the tangent space, so phi^2 + P - xi xi^T is
-    # phi^2 + Id - eta (x) xi on it.  On an exact model (TangentModel.exact)
+    # phi^2 + Id - eta (x) xi on it.  On the shared model (TangentModel.exact)
     # each defect is rounding plus O(length_defect), inside the bound, so
     # only other models are checked at every normal.
     if not model.exact:

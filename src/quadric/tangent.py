@@ -58,29 +58,16 @@ class TangentModel:
 
     @cached_property
     def exact(self) -> bool:
-        """Whether ``J`` and ``A`` are sealed and satisfy the model's algebra exactly.
+        """Whether this is the instance :func:`build_tangent_model` returns for ``m``.
 
-        Sealed means read-only and owning their data, so no caller holds a
-        writeable alias.  The algebra is compared with ``np.array_equal``,
-        once per instance: ``J^T = -J``, ``J^2 = -Id``, ``A^T = A``,
-        ``A^2 = Id`` and ``A J = -J A``.  The model of
-        :func:`build_tangent_model` is exact; a model with a writeable
-        array, a rotated conjugation (whose products round) or a broken
-        entry is not.  On an exact model ``induce_from_normal`` skips its
-        per-normal construction checks, which can then only see rounding.
+        False for an ``m`` it refuses, and for every other model, even one
+        on the same arrays.  On an exact model ``induce_from_normal`` skips
+        its per-normal construction checks, which can then only see rounding.
         """
-        J, A = self.J, self.A
-        square = (self.dim, self.dim)
-        if not (_sealed(J) and _sealed(A) and J.shape == A.shape == square):
+        try:
+            return build_tangent_model(self.m) is self
+        except InvalidDimensionError:
             return False
-        eye = np.eye(self.dim)
-        return (
-            np.array_equal(J.T, -J)
-            and np.array_equal(J @ J, -eye)
-            and np.array_equal(A.T, A)
-            and np.array_equal(A @ A, eye)
-            and np.array_equal(A @ J, -(J @ A))
-        )
 
     def zvec(self, i: int) -> np.ndarray:
         """Basis vector ``Z_i`` (1-based index).
@@ -106,17 +93,14 @@ class TangentModel:
         return e
 
 
-def _sealed(a: np.ndarray) -> bool:
-    """Whether ``a`` is a read-only array that owns its data: no caller can write it."""
-    return isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
-
-
 def build_tangent_model(m: int) -> TangentModel:
     """The model in the standard basis, with the base conjugation ``A``.
 
     The model depends on ``m`` alone, so there is one per dimension: every
     call with the same ``m`` returns the same instance, whose ``J`` and
-    ``A`` are read-only and which is :attr:`TangentModel.exact`.  At most
+    ``A`` are read-only.  It is the one model that is
+    :attr:`TangentModel.exact`: only its arrays are handed out without a
+    copy, and only it skips the construction checks.  At most
     ``MAX_COMPLEX_DIM`` instances are kept, for the life of the process.
     ``m`` is validated before the shared instance is looked up, so
     ``True`` is refused rather than read as ``1``.
@@ -232,15 +216,15 @@ def adapted_conjugation(model: TangentModel, U: np.ndarray) -> np.ndarray:
     and ``g(J A*U, U) = 0``; with respect to ``A*`` the direction takes the
     canonical form ``cos(t) Z_1 + sin(t) J Z_2``.  For an isotropic ``U`` both
     pairings already vanish for every member, and the base conjugation is
-    returned: the model's own ``A`` when it is read-only and owns its data
-    (as in the model of :func:`build_tangent_model`), else a copy, so the
-    result never aliases an array that a caller can still write.
+    returned: the model's own ``A`` when the model is
+    :attr:`TangentModel.exact`, whose arrays are read-only, else a copy, so
+    the result never aliases an array that a caller can still write.
     """
     U = np.asarray(U, dtype=float)
     a = float(U @ (model.A @ U))
     b = float(U @ (model.J @ (model.A @ U)))
     if math.hypot(a, b) < 1e-15:
-        return model.A if _sealed(model.A) else model.A.copy()
+        return model.A if model.exact else model.A.copy()
     return rotate_conjugation(model, math.atan2(b, a))
 
 

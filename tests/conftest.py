@@ -25,5 +25,6 @@ def payloads(tmp_path_factory):
 @pytest.fixture(scope="session")
 def corpus_run(payloads):
     """The whole corpus, run once in a fresh profiled interpreter of ``src/``:
-    its outcome table and the ``(file, first line)`` of every code object called."""
+    its outcome table, the ``(file, first line)`` of every code object called
+    and the output of every run."""
     return corpus.run_once(payloads)

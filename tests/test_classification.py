@@ -20,6 +20,7 @@ from quadric.models import _complex_pair_columns
 from quadric.report import Check
 
 from conftest import paired_candidate, rotated
+from corpus import non_hopf
 
 
 def _reference_affine_pair(alpha, S, A):
@@ -75,13 +76,6 @@ def reference_certificate_checks(m, alpha_samples, seed):
     return checks
 
 
-def _non_hopf_data():
-    """A random symmetric shape operator on the normal ``Z_1`` of ``Q^3``."""
-    model = q.build_tangent_model(3)
-    raw = np.random.default_rng(31).standard_normal((6, 6))
-    return q.induce_from_normal(model, model.zvec(1), 0.5 * (raw + raw.T))
-
-
 def _isometric_flow_data(m, pairs):
     """Isotropic data with ``alpha = 0.9`` on the Reeb direction and the
     isometric-flow curvature on ``span{Z_i, J Z_i}`` for each ``i`` in
@@ -110,7 +104,7 @@ OUTCOMES = {
         "complex dimension m = 2 is outside the classification range (m >= 3)", set(),
     ),
     "not-hopf": (
-        _non_hopf_data,
+        lambda: non_hopf(3, 31),
         "outside-hypotheses", "A-principal", "not Hopf (", set(),
     ),
     "vanishing-alpha": (
@@ -408,9 +402,22 @@ class TestClassify:
         assert res.reason == "vanishing geodesic Reeb flow (|alpha| = 3.450e-01)"
 
     def test_non_hopf_outside(self):
-        res = q.classify(_non_hopf_data())
+        res = q.classify(non_hopf(3, 31))
         assert res.verdict == "outside-hypotheses"
         assert "not Hopf" in res.reason
+
+    def test_nan_residual_is_not_reeb_parallel(self):
+        """A shape operator scaled to overflow gives a NaN residual, which
+        fails as its report check does; before, ``nan >= tol`` was false and
+        the data was certified ``nonexistent``."""
+        c = q.reeb_parallel_principal_candidate(3, 1.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = q.induce_from_normal(c.model, c.N, 1e150 * c.S)
+            res = q.classify(h)
+            report, _ = suites.classify_report(h)
+        assert res.verdict == "outside-hypotheses"
+        assert res.reason.endswith("(residual nan)")
+        assert [check.passed for check in report.checks] == [False, False]
 
     def test_principal_reeb_parallel_is_nonexistent(self):
         res = q.classify(q.reeb_parallel_principal_candidate(4, 1.2))

@@ -199,13 +199,30 @@ class TestInduceFromNormal:
     def test_sealed_broken_model_is_not_exact_and_still_refused(
         self, field, index, factor, message
     ):
-        """Read-only arrays do not certify a model: its algebra is compared too."""
+        """Read-only arrays do not make a model exact: only the shared
+        instance is, so a sealed broken model is checked and refused."""
         h = q.build_tube(3, 0.6).h
         model = broken_model(h.model, field, index, factor, sealed=True)
         assert not model.exact
         with pytest.raises(ModelValidationError) as excinfo:
             q.induce_from_normal(model, h.N, h.S)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "data",
+        [lambda: q.build_tube(2, 0.6).h, lambda: random_hopf(4, "generic", seed=3)],
+        ids=["tube", "generic"],
+    )
+    def test_sealed_copy_of_the_shared_model_is_checked_with_the_same_bits(self, data):
+        """A caller's model on the shared read-only arrays is not exact, so
+        its construction checks run; they pass, and the data keeps its bits."""
+        h = data()
+        copy = TangentModel(h.model.m, h.model.J, h.model.A)
+        assert not copy.exact
+        checked = q.induce_from_normal(copy, h.N, h.S)
+        for field in ("xi", "phi", "S", "conj", "B", "A_xi", "A_N", "projector"):
+            assert getattr(checked, field).tobytes() == getattr(h, field).tobytes()
+        assert checked.alpha == h.alpha
 
     @pytest.mark.parametrize("scale", [1.0 + 2e-9, 1.0 - 2e-9])
     def test_normal_beyond_unit_tol_still_rejected(self, scale):

@@ -12,7 +12,7 @@ OUTCOMES = Path(__file__).resolve().parent / "outcomes.json"
 
 
 def test_every_run_keeps_its_outcome(corpus_run):
-    table, _ = corpus_run
+    table, _, _ = corpus_run
     pinned = OUTCOMES.read_text(encoding="utf-8")
     diff = difflib.unified_diff(
         pinned.splitlines(), table.splitlines(), "tests/outcomes.json", "this tree", n=0, lineterm=""

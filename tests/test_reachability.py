@@ -61,7 +61,7 @@ def _defs() -> dict:
 
 
 def test_every_unreached_def_is_listed(corpus_run):
-    _, called = corpus_run
+    _, called, _ = corpus_run
     calls = {(str(Path(path).resolve()), line) for path, line in called}
     unreached = {name for key, name in _defs().items() if key not in calls}
     newly_unreached = sorted(unreached - UNREACHED.keys())

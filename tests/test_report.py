@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import corpus
 import quadric
-from quadric import suites
 from quadric.report import VERSION, Check, CheckReport, _escape, render_json, report_to_json
 
 
@@ -73,29 +73,30 @@ def reference_payload(report):
     }
 
 
-def _command_reports():
-    tube = quadric.build_tube(2, 0.6).h
-    hopf = quadric.random_hopf_data(4, np.random.default_rng(3))
-    return {
-        "verify ambient m=2": suites.verify_ambient(2, seed=1),
-        "verify ambient m=4": suites.verify_ambient(4),
-        "verify tube": suites.verify_tube(2, 0.6),
-        "verify tube failing": suites.verify_tube(2, 1e-6),
-        "scan tube": suites.scan_tube(2, 0.1, 1.4, 5),
-        "nonexistence": suites.nonexistence(3, samples=4, seed=5),
-        "nonexistence one sample": suites.nonexistence(2, samples=1),
-        "classify tube": suites.classify_report(tube)[0],
-        "classify random hopf": suites.classify_report(hopf)[0],
-        "spectrum tube": suites.spectrum_report(tube),
-        "spectrum random hopf": suites.spectrum_report(hopf),
+def test_every_corpus_report_renders_as_its_parse(corpus_run):
+    """Every report the corpus writes, under all six commands: its text is
+    :func:`render_json` of its own parse, each ``pass`` is true exactly when
+    the residual is a finite number no greater than ``tol``, and the summary
+    counts its checks.  Integers parse as floats, since an integral float
+    such as ``0.0`` is written ``0``."""
+    _, _, outputs = corpus_run
+    texts = [text for text in map(corpus.report_text, outputs) if text is not None]
+    reports = [json.loads(text, parse_int=float) for text in texts]
+    assert {report["command"] for report in reports} == {
+        "verify ambient", "verify tube", "scan tube", "nonexistence", "classify", "spectrum"
     }
-
-
-def test_command_reports_render_as_their_reference_payload():
-    reports = _command_reports()
-    assert not reports["verify tube failing"].all_passed
-    for label, report in reports.items():
-        assert report_to_json(report) == render_json(reference_payload(report)) + "\n", label
+    assert {check["pass"] for report in reports for check in report["checks"]} == {True, False}
+    for text, report in zip(texts, reports):
+        assert text == render_json(report) + "\n"
+        checks = report["checks"]
+        for check in checks:
+            residual = check["residual"]
+            finite = isinstance(residual, float) and math.isfinite(residual)
+            assert check["pass"] is (finite and residual <= check["tol"]), check["name"]
+        passed = sum(check["pass"] for check in checks)
+        assert report["summary"] == {
+            "total": len(checks), "passed": passed, "failed": len(checks) - passed
+        }
 
 
 NAMES = ['quote " here', "back\\slash", "new\nline", "unit\x1fsep", "\u03b1 = 2", "a b", ""]

@@ -1,5 +1,6 @@
 """Ambient model: structural identities, canonical angles, curvature, Jacobi spectra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,37 @@ from quadric import (
 from quadric.tangent import adapted_conjugation
 
 thetas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def _read_only_view_of_a_copy(model):
+    view = model.A.copy()[:]
+    view.flags.writeable = False
+    return TangentModel(3, model.J, view)
+
+
+def _rotated(theta, sealed):
+    def build(model):
+        A = rotate_conjugation(model, theta)
+        A.flags.writeable = not sealed
+        return TangentModel(3, model.J, A)
+
+    return build
+
+
+#: Models other than the shared instance at m = 3, each built from it.
+OTHER_MODELS = {
+    "writeable-copies": lambda model: TangentModel(3, model.J.copy(), model.A.copy()),
+    "writeable-A": lambda model: TangentModel(3, model.J, model.A.copy()),
+    "read-only-view": _read_only_view_of_a_copy,
+    **{
+        f"rotated-{theta:.3g}-{'sealed' if sealed else 'writeable'}": _rotated(theta, sealed)
+        for theta in (0.3, 1.0, math.pi / 3.0)
+        for sealed in (False, True)
+    },
+    "wrong-shape": lambda model: TangentModel(2, model.J, model.A),
+    "sealed-copy": lambda model: TangentModel(3, model.J, model.A),
+    "replace": dataclasses.replace,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -109,31 +141,19 @@ class TestBuildTangentModel:
     def test_standard_model_is_exact(self, m):
         assert build_tangent_model(m).exact is True
 
-    def test_model_with_writeable_arrays_is_not_exact(self):
-        """The copies satisfy the algebra, but a caller can still write them."""
+    @pytest.mark.parametrize("build", OTHER_MODELS.values(), ids=list(OTHER_MODELS))
+    def test_only_the_shared_instance_is_exact(self, build):
+        """Exact means the instance ``build_tangent_model`` returns: a model
+        on copies, on a rotated conjugation, of the wrong shape, or on the
+        shared read-only arrays themselves is another instance."""
         model = build_tangent_model(3)
-        assert not TangentModel(3, model.J.copy(), model.A.copy()).exact
-        assert not TangentModel(3, model.J, model.A.copy()).exact
+        assert not build(model).exact
 
-    def test_model_with_a_read_only_view_of_a_writeable_array_is_not_exact(self):
-        model = build_tangent_model(3)
-        A = model.A.copy()
-        view = A[:]
-        view.flags.writeable = False
-        assert not TangentModel(3, model.J, view).exact
-
-    @pytest.mark.parametrize("theta", [0.3, 1.0, math.pi / 3.0])
-    @pytest.mark.parametrize("sealed", [False, True])
-    def test_model_with_a_rotated_conjugation_is_not_exact(self, theta, sealed):
-        """``A_theta`` holds the algebra up to rounding, not exactly."""
-        model = build_tangent_model(3)
-        A = rotate_conjugation(model, theta)
-        A.flags.writeable = not sealed
-        assert not TangentModel(3, model.J, A).exact
-
-    def test_model_with_the_wrong_shape_is_not_exact(self):
-        model = build_tangent_model(3)
-        assert not TangentModel(2, model.J, model.A).exact
+    @pytest.mark.parametrize("m", [True, 0, 65, 3.0, "3"])
+    def test_model_with_an_invalid_dimension_is_not_exact(self, m):
+        """``build_tangent_model`` refuses ``m``, so no instance is shared."""
+        model = build_tangent_model(1)
+        assert not dataclasses.replace(model, m=m).exact
 
     def test_no_isotropic_direction_at_m_one(self):
         with pytest.raises(InvalidDimensionError):
@@ -184,9 +204,21 @@ class TestRotateConjugation:
 
 class TestAdaptedConjugation:
     def test_isotropic_direction_reads_the_shared_conjugation(self):
-        """No copy of ``A``: the shared model's ``A`` is sealed."""
+        """No copy of ``A``: the shared model is exact, and its ``A`` read-only."""
         model = build_tangent_model(3)
         assert adapted_conjugation(model, isotropic_vector(model)) is model.A
+
+    @pytest.mark.parametrize("shared_arrays", [True, False], ids=["shared-A", "sealed-copy-of-A"])
+    def test_sealed_conjugation_of_another_model_is_copied(self, shared_arrays):
+        """Only the exact model hands out its own ``A``; a read-only ``A``
+        that owns its data, even the shared one, is copied for any other."""
+        base = build_tangent_model(3)
+        A = base.A if shared_arrays else base.A.copy()
+        A.flags.writeable = False
+        model = TangentModel(3, base.J, A)
+        conj = adapted_conjugation(model, isotropic_vector(model))
+        assert conj is not A and not np.shares_memory(conj, A)
+        npt.assert_array_equal(conj, A)
 
     def test_writeable_conjugation_is_copied_and_left_writeable(self):
         """A caller's writeable ``A`` is neither aliased nor frozen, also

@@ -85,6 +85,14 @@ def write_payloads(out: Path) -> None:
             f"rotated-tube-{k}-{seed}": rotated(q.build_tube(k, r).h, seed)
             for k, r, seed in [(2, 0.6, 1), (2, 0.6, 2), (3, 0.85, 3)]
         },
+        # Rotated k = 3 tubes (n = 12), where BLAS sums an F-ordered left
+        # factor of ``_rank_sum`` in another order, so that a change of
+        # summation order moves more than one run.
+        **{
+            f"rotated-tube-3-{r}-{seed}": rotated(q.build_tube(3, r).h, seed)
+            for r in (0.3, 1.2)
+            for seed in (4, 5)
+        },
         # The shape of the classify-dense benchmark payloads: k = 6 (m = 12),
         # dense 23 x 23 frame operators.
         **{
@@ -275,14 +283,21 @@ def run_tree(src: Path, argvs: list[list[str]], passes: int, workdir: Path) -> t
     return results["passes"], {tuple(call) for call in results["calls"]}
 
 
+def report_text(output: dict) -> str | None:
+    """The report text of one run's output, from its ``--json`` file or its
+    stdout (after the verdict line of ``classify``), or None when it wrote none."""
+    text = output["json"] or output["stdout"]
+    return text[text.index("{\n"):] if "{\n" in text else None
+
+
 def _outcome(argv: list[str], output: dict) -> dict:
     """One row of the outcome table: the argv, the exit code and, when the
     run wrote a report, ``params.verdict`` (``classify`` only), the number
     of checks and the names of the failing ones."""
     row = {"argv": argv, "exit": output["exit"]}
-    text = output["json"] or output["stdout"]
-    if "{\n" in text:  # after the verdict line of ``classify``
-        report = json.loads(text[text.index("{\n"):])
+    text = report_text(output)
+    if text is not None:
+        report = json.loads(text)
         if "verdict" in report["params"]:
             row["verdict"] = report["params"]["verdict"]
         row["checks"] = len(report["checks"])
@@ -290,12 +305,12 @@ def _outcome(argv: list[str], output: dict) -> dict:
     return row
 
 
-def run_once(payloads: Path) -> tuple[str, set]:
+def run_once(payloads: Path) -> tuple[str, set, list[dict]]:
     """The corpus over the files :func:`write_payloads` wrote into
     ``payloads``, run once in a fresh interpreter of :data:`SRC` in the
     directory that holds them: the outcome table, one JSON row per line with
-    ``payloads`` stripped from each argv, and the ``(file, first line)`` of
-    every code object called."""
+    ``payloads`` stripped from each argv, the ``(file, first line)`` of
+    every code object called, and the outputs of :func:`run`."""
     argvs = runs(payloads)
     [outputs], calls = run_tree(SRC, argvs, 1, payloads.parent)
     prefix = str(payloads) + os.sep
@@ -303,7 +318,7 @@ def run_once(payloads: Path) -> tuple[str, set]:
         json.dumps(_outcome([arg.replace(prefix, "") for arg in argv], output))
         for argv, output in zip(argvs, outputs)
     ]
-    return "[\n" + ",\n".join(rows) + "\n]\n", calls
+    return "[\n" + ",\n".join(rows) + "\n]\n", calls, outputs
 
 
 if __name__ == "__main__":
