@@ -42,6 +42,9 @@ UNIT_TOL = 1e-9
 class TangentModel:
     """Real 2m-dimensional model of the quadric tangent space.
 
+    The tangent-level functions of this module read any model;
+    ``induce_from_normal`` takes only :func:`build_tangent_model`'s.
+
     Attributes:
         m: complex dimension (the real dimension is ``2m``).
         J: complex structure as a ``(2m, 2m)`` matrix.
@@ -61,8 +64,8 @@ class TangentModel:
         """Whether this is the instance :func:`build_tangent_model` returns for ``m``.
 
         False for an ``m`` it refuses, and for every other model, even one
-        on the same arrays.  On an exact model ``induce_from_normal`` skips
-        its per-normal construction checks, which can then only see rounding.
+        on the same arrays.  ``induce_from_normal`` refuses every model that
+        is not exact.
         """
         try:
             return build_tangent_model(self.m) is self
@@ -73,7 +76,7 @@ class TangentModel:
         """Basis vector ``Z_i`` (1-based index).
 
         Raises:
-            IndexError: if ``i`` is not in ``1..m``.
+            IndexError: if ``i`` is not an integer in ``1..m``.
         """
         return self._basis_vector(i, i - 1)
 
@@ -81,12 +84,12 @@ class TangentModel:
         """Basis vector ``J Z_i`` (1-based index).
 
         Raises:
-            IndexError: if ``i`` is not in ``1..m``.
+            IndexError: if ``i`` is not an integer in ``1..m``.
         """
         return self._basis_vector(i, self.m + i - 1)
 
     def _basis_vector(self, i: int, position: int) -> np.ndarray:
-        if not 1 <= i <= self.m:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool) or not 1 <= i <= self.m:
             raise IndexError(f"basis index i = {i!r} is outside 1..m for m = {self.m}")
         e = np.zeros(self.dim)
         e[position] = 1.0
@@ -99,14 +102,15 @@ def build_tangent_model(m: int) -> TangentModel:
     The model depends on ``m`` alone, so there is one per dimension: every
     call with the same ``m`` returns the same instance, whose ``J`` and
     ``A`` are read-only.  It is the one model that is
-    :attr:`TangentModel.exact`: only its arrays are handed out without a
-    copy, and only it skips the construction checks.  At most
-    ``MAX_COMPLEX_DIM`` instances are kept, for the life of the process.
+    :attr:`TangentModel.exact`, and the only one that ``induce_from_normal``
+    takes.  At most ``MAX_COMPLEX_DIM`` instances are kept, for the life of
+    the process.
     ``m`` is validated before the shared instance is looked up, so
     ``True`` is refused rather than read as ``1``.
 
-    A model with another member of the conjugation circle is
-    ``TangentModel(m, J, rotate_conjugation(model, theta))``.
+    A model with another member of the conjugation circle,
+    ``TangentModel(m, J, rotate_conjugation(model, theta))``, is taken by
+    the tangent-level functions only.
 
     Raises:
         InvalidDimensionError: if ``m`` is not an integer with
@@ -215,16 +219,14 @@ def adapted_conjugation(model: TangentModel, U: np.ndarray) -> np.ndarray:
     Returns the rotated conjugation ``A*`` for which ``g(A*U, U) = cos(2t) >= 0``
     and ``g(J A*U, U) = 0``; with respect to ``A*`` the direction takes the
     canonical form ``cos(t) Z_1 + sin(t) J Z_2``.  For an isotropic ``U`` both
-    pairings already vanish for every member, and the base conjugation is
-    returned: the model's own ``A`` when the model is
-    :attr:`TangentModel.exact`, whose arrays are read-only, else a copy, so
-    the result never aliases an array that a caller can still write.
+    pairings already vanish for every member, and the model's own ``A`` is
+    returned, not a copy.
     """
     U = np.asarray(U, dtype=float)
     a = float(U @ (model.A @ U))
     b = float(U @ (model.J @ (model.A @ U)))
     if math.hypot(a, b) < 1e-15:
-        return model.A if model.exact else model.A.copy()
+        return model.A
     return rotate_conjugation(model, math.atan2(b, a))
 
 

@@ -66,12 +66,10 @@ class TestBuildTube:
 
 def dense_tube(k, r):
     """The tube as ``S = alpha xi xi^T - tan(r) W1 W1^T + cot(r) W2 W2^T`` on the
-    block-form model, with ``W1``, ``W2`` stacked from ``Z`` and ``J Z`` columns."""
-    m = 2 * k
-    eye, zero = np.eye(m), np.zeros((m, m))
-    model = q.TangentModel(
-        m=m, J=np.block([[zero, -eye], [eye, zero]]), A=np.block([[eye, zero], [zero, -eye]])
-    )
+    shared model, with ``W1``, ``W2`` stacked from ``Z`` and ``J Z`` columns.
+    The shared model has the bits of the block form
+    (``test_tangent.py::test_bits_match_block_form``)."""
+    model = q.build_tangent_model(2 * k)
     N = q.isotropic_vector(model)
     xi = -(model.J @ N)
     W1 = _complex_pair_columns(model, range(3, k + 2))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from quadric import (
     InvalidDimensionError,
+    ModelValidationError,
     NonFiniteError,
     NormalizationError,
     TangentModel,
@@ -161,14 +162,20 @@ class TestBuildTangentModel:
 
 
 class TestBasisVectors:
-    @pytest.mark.parametrize("i", [0, 4, -1, 7])
+    @pytest.mark.parametrize("i", [0, 4, -1, 7, True, False, 1.0])
     @pytest.mark.parametrize("method", ["zvec", "jzvec"])
     def test_index_outside_one_to_m_refused(self, method, i):
         """Before, ``zvec(0)`` returned ``J Z_3``, ``zvec(4)`` ``J Z_1`` and
-        ``jzvec(0)`` ``Z_3`` at ``m = 3``."""
+        ``jzvec(0)`` ``Z_3`` at ``m = 3``, ``zvec(True)`` returned ``Z_1``, and
+        ``zvec(1.0)`` failed in numpy's indexing."""
         model = build_tangent_model(3)
-        with pytest.raises(IndexError, match=rf"i = {i} is outside 1\.\.m for m = 3"):
+        with pytest.raises(IndexError, match=rf"i = {i!r} is outside 1\.\.m for m = 3"):
             getattr(model, method)(i)
+
+    def test_numpy_integer_index_accepted(self):
+        model = build_tangent_model(3)
+        assert model.zvec(np.int64(2)).tobytes() == model.zvec(2).tobytes()
+        assert model.jzvec(np.int64(2)).tobytes() == model.jzvec(2).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -203,45 +210,28 @@ class TestRotateConjugation:
 
 
 class TestAdaptedConjugation:
-    def test_isotropic_direction_reads_the_shared_conjugation(self):
-        """No copy of ``A``: the shared model is exact, and its ``A`` read-only."""
-        model = build_tangent_model(3)
+    @pytest.mark.parametrize(
+        "build",
+        [lambda model: model, OTHER_MODELS["writeable-copies"]],
+        ids=["shared", "caller"],
+    )
+    def test_isotropic_direction_gets_the_models_own_conjugation(self, build):
+        """No copy of ``A``, for the shared model and for a caller's model:
+        the tangent-level functions store nothing, and ``induce_from_normal``,
+        which freezes what it stores, takes only the shared model."""
+        model = build(build_tangent_model(3))
         assert adapted_conjugation(model, isotropic_vector(model)) is model.A
 
-    @pytest.mark.parametrize("shared_arrays", [True, False], ids=["shared-A", "sealed-copy-of-A"])
-    def test_sealed_conjugation_of_another_model_is_copied(self, shared_arrays):
-        """Only the exact model hands out its own ``A``; a read-only ``A``
-        that owns its data, even the shared one, is copied for any other."""
-        base = build_tangent_model(3)
-        A = base.A if shared_arrays else base.A.copy()
-        A.flags.writeable = False
-        model = TangentModel(3, base.J, A)
-        conj = adapted_conjugation(model, isotropic_vector(model))
-        assert conj is not A and not np.shares_memory(conj, A)
-        npt.assert_array_equal(conj, A)
-
-    def test_writeable_conjugation_is_copied_and_left_writeable(self):
-        """A caller's writeable ``A`` is neither aliased nor frozen, also
-        through ``induce_from_normal``, which freezes its conjugation."""
-        base = build_tangent_model(3)
-        A = base.A.copy()
-        model = TangentModel(3, base.J, A)
-        U = isotropic_vector(model)
-        conj = adapted_conjugation(model, U)
-        assert conj is not A and not np.shares_memory(conj, A)
-        npt.assert_array_equal(conj, A)
-        h = induce_from_normal(model, U, np.zeros((6, 6)))
-        assert not np.shares_memory(h.conj, A)
-        assert A.flags.writeable
-
-    def test_read_only_view_of_a_writeable_conjugation_is_copied(self):
-        base = build_tangent_model(3)
-        A = base.A.copy()
-        view = A[:]
-        view.flags.writeable = False
-        model = TangentModel(3, base.J, view)
-        conj = adapted_conjugation(model, isotropic_vector(model))
-        assert not np.shares_memory(conj, A)
+    @pytest.mark.parametrize("build", OTHER_MODELS.values(), ids=list(OTHER_MODELS))
+    def test_induce_from_normal_refuses_every_other_model(self, build):
+        """Any model that is not the shared instance is refused before ``N``
+        or ``S`` is read; the message names ``build_tangent_model(m)``."""
+        shared = build_tangent_model(3)
+        model = build(shared)
+        with pytest.raises(ModelValidationError, match=r"build_tangent_model\(m\) only"):
+            induce_from_normal(model, isotropic_vector(shared), np.zeros((6, 6)))
+        with pytest.raises(ModelValidationError, match=r"build_tangent_model\(m\) only"):
+            induce_from_normal(model, np.full(6, np.nan), None)
 
 
 # ---------------------------------------------------------------------------
