@@ -42,8 +42,13 @@ from .tangent import _require_dimension, canonical_angle, principal_vector
 #: ``classify`` admits, and the bound of the ``tube_spectrum_match`` check.
 SPECTRUM_TOL = 1e-8
 #: Largest stacked temporary, in float entries, that the nonexistence
-#: certificate forms; it splits its samples into stacks that fit.
-_STACK_BUDGET = 1 << 16
+#: certificate forms; it splits its samples into stacks that fit.  At
+#: ``2^13`` a stack of float blocks takes at most 64 KiB and its normal-draw
+#: buffer, 1.5 times that, at most 96 KiB: both stay below glibc's default
+#: 128 KiB mmap threshold, so the allocator reuses their memory instead of
+#: mapping fresh pages for each stack.  From ``m = 47`` up one sample's
+#: ``(2m - 2)^2`` entries exceed the budget, and a stack holds one sample.
+_STACK_BUDGET = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +163,13 @@ def _compatible_conjugations(raw: np.ndarray) -> np.ndarray:
     """
     n = raw.shape[-1]
     u, _ = np.linalg.qr(raw)
-    R = np.block([[u.real, -u.imag], [u.imag, u.real]])
-    R_signed = np.concatenate((R[..., :n], -R[..., n:]), axis=-1)
+    R = np.empty(u.shape[:-2] + (2 * n, 2 * n))
+    R[..., :n, :n] = u.real
+    np.negative(u.imag, out=R[..., :n, n:])
+    R[..., n:, :n] = u.imag
+    R[..., n:, n:] = u.real
+    R_signed = R.copy()
+    np.negative(R[..., n:], out=R_signed[..., n:])
     return R_signed @ R.swapaxes(-1, -2)
 
 
@@ -190,7 +200,9 @@ def _draw_stack(
     raw_c.imag = normals[:, 5 * block :].reshape(k, n, n)
     roots = np.array([_quadratic_roots(alpha) for alpha in alphas])
     diag = np.where(picks < 0.5, roots[:, :1], roots[:, 1:])
-    return 0.5 * (raw + raw.swapaxes(-1, -2)), raw_c, diag
+    sym = raw + raw.swapaxes(-1, -2)
+    sym *= 0.5
+    return sym, raw_c, diag
 
 
 def _sample_tags(alphas: list[float]) -> list[str]:
@@ -268,15 +280,20 @@ def principal_nonexistence_certificate(
     holds and the affine pair is solvable.
 
     Samples are evaluated in stacks of matrices, as many per stack as keep
-    each ``(k, 2m - 2, 2m - 2)`` temporary within ``_STACK_BUDGET`` entries.
-    Each stack draws its samples' random blocks in sample order, so the
-    stream, and every residual, is the same as one sample at a time.  Each
+    each ``(k, 2m - 2, 2m - 2)`` temporary within ``_STACK_BUDGET`` entries,
+    and at least one: from ``m = 47`` up a single sample exceeds the budget,
+    so each stack holds one sample.  Each stack draws its samples' random
+    blocks in sample order, so the stream, and every residual, is the same
+    as one sample at a time; the difference identity is evaluated in place
+    on the stack's arrays, with the bits of its out-of-place form.  Each
     sample's checks are tagged ``alpha={alpha:+.6g}``, with all 17 digits
     when an earlier sample already holds that tag.
 
     Raises:
         InvalidDimensionError: if ``m`` is below 2 or above the supported cap.
-        ExcludedParameterError: if there are no samples, or a sample Reeb
+        ExcludedParameterError: if there are no samples, or a sample is not
+            a real number (an ``int``, ``float`` or numpy integer or float;
+            a ``bool`` is not), or a sample Reeb
             curvature is zero, or two samples are equal, or the residuals of
             a sample overflow (``|alpha|`` above about 5.6e102 or below about
             4.5e-154); the first such sample is named.
@@ -285,6 +302,11 @@ def principal_nonexistence_certificate(
     _require_dimension(m, "nonexistence")
     if len(alpha_samples) == 0:
         raise ExcludedParameterError("nonexistence needs at least one alpha sample")
+    for i, alpha in enumerate(alpha_samples):
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float, np.integer, np.floating)):
+            raise ExcludedParameterError(
+                f"alpha samples must be real numbers, got {type(alpha).__name__} at index {i}"
+            )
     alphas = [float(alpha) for alpha in alpha_samples]
     _require_finite(alpha_samples=alphas)
     if 0.0 in alphas:
@@ -305,7 +327,13 @@ def principal_nonexistence_certificate(
 
         a_rand = _compatible_conjugations(raw_c)
         e_a, e_b = affine_pair_matrices(alpha, s_rand, a_rand)
-        difference = np.abs(e_a - e_b - 4.0 * alpha * (a_rand - eye)).max(axis=(-2, -1))
+        # ``E_a - E_b - 4 alpha (A - I)`` on the stack's own arrays: each step
+        # rounds as its out-of-place form does, so the bits are the same.
+        e_a -= e_b
+        a_rand -= eye
+        a_rand *= 4.0 * alpha
+        e_a -= a_rand
+        difference = np.abs(e_a, out=e_a).max(axis=(-2, -1))
 
         # Each 1x1 pair has the bits of its diagonal entry in the dense
         # evaluation, whose off-diagonal entries are exact zeros.  With A = I

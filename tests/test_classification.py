@@ -269,7 +269,7 @@ class TestNonexistenceCertificate:
             # samples, seconds of the per-sample reference; a smaller budget
             # brings the stack boundary within its reach.
             monkeypatch.setattr(classification, "_STACK_BUDGET", 30 * block)
-        counts = (1, 25, classification._STACK_BUDGET // block + 1)
+        counts = (1, 25, max(1, classification._STACK_BUDGET // block) + 1)
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], max(counts))
         alphas = (rng.uniform(0.2, 3.0, max(counts)) * signs).tolist()
@@ -292,7 +292,7 @@ class TestNonexistenceCertificate:
 
         monkeypatch.setattr(classification, "affine_pair_matrices", recorded)
         n = 2 * (m - 1)
-        width = _STACK_BUDGET // (n * n)
+        width = max(1, _STACK_BUDGET // (n * n))
         report = suites.nonexistence(m, 2 * width + 1, seed=3)
         assert report.all_passed
         assert shapes == [
@@ -300,6 +300,43 @@ class TestNonexistenceCertificate:
             for k in (width, width, 1)
             for shape in ((k, n, n), (k, n, 1, 1))
         ]
+
+    @pytest.mark.parametrize("m", [3, 16, 32])
+    def test_every_stacked_operand_fits_the_budget(self, m, monkeypatch):
+        """Where one sample fits the budget, every stack handed to
+        ``affine_pair_matrices`` and every stack of conjugation blocks holds at
+        most ``_STACK_BUDGET`` float entries, on full and partial stacks."""
+        sizes = []
+        affine_pair, conjugations = (
+            classification.affine_pair_matrices,
+            classification._compatible_conjugations,
+        )
+
+        def recorded_pair(alpha, S, A):
+            sizes.extend((S.size, np.size(A)))
+            return affine_pair(alpha, S, A)
+
+        def recorded_conjugations(raw):
+            blocks = conjugations(raw)
+            sizes.append(blocks.size)
+            return blocks
+
+        monkeypatch.setattr(classification, "affine_pair_matrices", recorded_pair)
+        monkeypatch.setattr(classification, "_compatible_conjugations", recorded_conjugations)
+        n = 2 * (m - 1)
+        width = _STACK_BUDGET // (n * n)
+        assert width >= 1
+        assert suites.nonexistence(m, 2 * width + 1, seed=3).all_passed
+        assert len(sizes) == 3 * 5
+        assert max(sizes) <= _STACK_BUDGET
+
+    def test_stack_budget_stays_below_the_mmap_threshold(self):
+        """glibc serves a request of 128 KiB or more (its default
+        ``M_MMAP_THRESHOLD``) with fresh mapped pages, faulted in on every
+        call.  A stack's normal draw holds ``6 (m - 1)^2`` entries per sample,
+        1.5 times its ``(2m - 2)^2`` float blocks, so the draw buffer, the
+        largest array of a stack, stays below the threshold."""
+        assert 1.5 * _STACK_BUDGET * np.dtype(float).itemsize < 128 * 1024
 
     def test_sign_draw_matches_choice(self):
         """The alpha samples are the stream of ``uniform(0.2, 3.0)`` times
@@ -357,6 +394,33 @@ class TestNonexistenceCertificate:
         of one name)."""
         with pytest.raises(NonFiniteError, match="alpha_samples has non-finite"):
             q.principal_nonexistence_certificate(3, samples)
+
+    @pytest.mark.parametrize(
+        "samples, index, kind",
+        [
+            (["1.5", "2"], 0, "str"),
+            ([True, 2.0], 0, "bool"),
+            ([2.0, np.True_], 1, "bool"),
+            ([None], 0, "NoneType"),
+            ([1 + 0j], 0, "complex"),
+            ([[1.5]], 0, "list"),
+        ],
+        ids=["str", "bool", "np-bool", "none", "complex", "nested"],
+    )
+    def test_non_real_sample_rejected(self, samples, index, kind):
+        """Only ints and floats, Python or numpy, are Reeb curvatures: a string
+        or a boolean is not read as a number, and the first bad sample is
+        named by index and type."""
+        message = f"alpha samples must be real numbers, got {kind} at index {index}"
+        with pytest.raises(ExcludedParameterError, match=re.escape(message)):
+            q.principal_nonexistence_certificate(3, samples)
+
+    def test_numpy_samples_accepted(self):
+        samples = [1.5, -0.25, 2.0]
+        expected = q.principal_nonexistence_certificate(3, samples)
+        assert q.principal_nonexistence_certificate(3, np.array(samples)).checks == expected.checks
+        report = q.principal_nonexistence_certificate(3, np.array([1, -2, 3]))
+        assert report.params["alpha_samples"] == [1.0, -2.0, 3.0]
 
     @pytest.mark.parametrize(
         "samples",

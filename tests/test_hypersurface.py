@@ -159,7 +159,10 @@ class TestInduceFromNormal:
         model the four construction invariants hold for every normal kind
         and every length defect that UNIT_TOL admits.  A normal off unit
         length by ``d`` moves each by up to about ``2 d`` (``phi xi = -2 d N``
-        to first order), so each is held to ``100 CONSTRUCTION_TOL + 4 d``."""
+        to first order), so each is held to ``100 CONSTRUCTION_TOL + 4 d``.
+        The right ``P`` of ``(B - conj + N A_N^T) P`` removes any error of
+        ``B`` along ``N N^T``; ``B N`` and ``N^T B`` measure it, under the
+        same bound."""
         h = random_hopf(m, kind, seed=seed)
         g = q.induce_from_normal(h.model, (1.0 + defect) * h.N, h.S)
         N, xi, phi = g.N, g.xi, g.phi
@@ -169,6 +172,8 @@ class TestInduceFromNormal:
             "phi^2 + P - xi xi^T": np.abs(phi @ phi + P - np.outer(xi, xi)).max(),
             "(B - conj + N A_N^T) P": np.abs((g.B - g.conj + np.outer(N, g.A_N)) @ P).max(),
             "g(xi, A N)": abs(float(xi @ g.A_N)),
+            "B N": np.abs(g.B @ N).max(),
+            "N^T B": np.abs(N @ g.B).max(),
         }
         bound = 100 * hypersurface.CONSTRUCTION_TOL + 4.0 * abs(float(np.linalg.norm(N)) - 1.0)
         assert {label: err for label, err in defects.items() if not err <= bound} == {}

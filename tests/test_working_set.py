@@ -1,9 +1,9 @@
 """Working set of the stacked evaluations, the Ricci contraction and the tube suite.
 
 The nonexistence certificate evaluates stacks of matrices, split so that no
-stacked temporary exceeds ``_STACK_BUDGET`` float entries; the memory it
-holds beyond its result is therefore set by the budget, not by the sample
-count.  The Ricci contraction forms no stack at all: it contracts the Gauss
+stacked temporary exceeds ``_STACK_BUDGET`` float entries unless one
+sample's does; the memory it holds beyond its result is therefore set by
+the budget, not by the sample count.  The Ricci contraction forms no stack at all: it contracts the Gauss
 equation with the tangent projection as ``n x n`` products, so at the
 dimension cap it holds a bounded number of dense matrices, as the tube
 suite does.  The tube suite's shared products are formed once per instance,
@@ -22,11 +22,14 @@ from quadric import hypersurface, suites
 from quadric.classification import _STACK_BUDGET
 
 #: Budget-sized temporaries a stacked evaluation may hold at once, beyond
-#: what it returns.  Measured: about 11 for the certificate at m = 16 or 64
-#: with 2000 samples, which keeps one stack's arrays until the next stack
-#: replaces them (its solvable instance, evaluated as ``1 x 1`` pairs, adds
-#: no budget-sized array).  Drawing all 2000 samples at m = 16 as one stack
-#: holds about 230.
+#: what it returns.  Measured: about 14 for the certificate at m = 16 or 32
+#: with 2000 samples: about 12 for one stack's arrays, kept until the next
+#: stack replaces them (its solvable instance, evaluated as ``1 x 1`` pairs,
+#: adds no budget-sized array), and about 2 for per-sample lists such as
+#: the check tags, which grow with the sample count (about 12 in all with
+#: 25 samples).  From m = 47 up one sample exceeds the budget, so the
+#: bound does not apply there: at m = 64 a one-sample stack holds about 24.
+#: Drawing all 2000 samples at m = 16 as one stack holds about 1870.
 TEMPORARIES = 16
 
 
